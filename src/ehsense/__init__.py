@@ -9,13 +9,11 @@ random number Monte Carlo simulator.
 
 from .model import (Action, InfeasibleActionError, Observation, ParameterError,
                     SystemParams, SystemState, expected_reward, feasible_actions,
-                    next_battery)
+                    next_battery, slot_outcomes)
 from .belief import (BeliefGrid, belief_after_observation, belief_update_no_obs,
                      reachable_beliefs, stationary_belief)
-from .solver import (BellmanOperator, ConvergenceError, ValueTable,
-                     backup_defer, backup_high, backup_low, backup_sense_defer,
-                     backup_sense_transmit, bellman_step, value_iteration,
-                     zero_table)
+from .solver import (BellmanOperator, ConvergenceError, ValueTable, backup,
+                     bellman_step, value_iteration, zero_table)
 from .policies import (PolicyRow, PolicyTable, StructureViolationError,
                        ThresholdPolicy, encode_rows, extract_policy,
                        extract_thresholds, greedy_policy, opportunistic_policy,
@@ -23,7 +21,7 @@ from .policies import (PolicyRow, PolicyTable, StructureViolationError,
 from .simulate import (EpisodeTrace, SimState, ThroughputStats, discounted_return,
                        energy_audit, episode_rng, run_episodes, run_trace, step)
 from .search import (SearchConfig, SearchResult, default_candidates,
-                     evaluate_average_throughput, search_thresholds)
+                     search_thresholds)
 from .oracle import (CheckReport, InstanceTooLargeError, OracleResult,
                      check_good_state_dominance, check_value_structure,
                      compare_with_solver, exact_finite_horizon)

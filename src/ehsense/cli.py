@@ -8,15 +8,16 @@ and uses exit codes 0 (ok), 1 (bad config), 2 (solver did not converge),
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
+from .artifacts import write_csv_artifact
 from .model import ParameterError, SystemParams
 from .belief import BeliefGrid
 from .solver import ConvergenceError, value_iteration
-from .policies import (StructureViolationError, encode_rows, extract_policy,
-                       extract_thresholds, greedy_policy, opportunistic_policy)
+from .policies import (SINGLE_THRESHOLD_ACTIONS, StructureViolationError,
+                       encode_rows, extract_policy, extract_thresholds,
+                       greedy_policy, opportunistic_policy)
 from .simulate import run_episodes
 from .search import SearchConfig, search_thresholds, write_search_log
 from .config import ConfigError, ExperimentConfig, load_config
@@ -32,6 +33,12 @@ EXIT_VERIFY_FAILED = 3
 # kept tiny so the brute-force tree stays exact and fast
 _ORACLE_CHECK = dict(lambda0=0.3, lambda1=0.8, energy_pmf=(0.5, 0.5), b_max=4,
                      e_tx=2, e_sense=1, r_low=0.0, r_high=1.0, beta=0.9)
+
+# solved benchmark policies and their action sets (None: the model's own)
+_SOLVED_POLICIES = {"optimal": None, "single_threshold": SINGLE_THRESHOLD_ACTIONS}
+
+THROUGHPUT_HEADER = ["policy", "q", "tau", "mean_bits_per_slot", "std_error",
+                     "episodes", "horizon", "seed"]
 
 
 class _Runner:
@@ -50,10 +57,15 @@ class _Runner:
         name = f"{stem}_{label}.{ext}" if label else f"{stem}.{ext}"
         return self.out / name
 
-    def solve_point(self, params: SystemParams, v_init=None):
-        return value_iteration(params, self.grid, tol=self.cfg.tol,
-                               max_iter=self.cfg.max_iter, v_init=v_init,
-                               span_tol=self.cfg.span_tol)
+    def solve_point(self, params: SystemParams, warm: dict, name="optimal"):
+        """Solve for the solved policy `name`, warm-started from warm[name]
+        (values of an earlier sweep point) and saving its values there."""
+        table = value_iteration(params, self.grid, tol=self.cfg.tol,
+                                max_iter=self.cfg.max_iter, v_init=warm.get(name),
+                                span_tol=self.cfg.span_tol,
+                                allowed=_SOLVED_POLICIES[name])
+        warm[name] = table.values
+        return table
 
     def policy_for(self, name: str, params: SystemParams, warm: dict):
         """Benchmark policy by name; warm caches value tables across sweep points."""
@@ -61,30 +73,29 @@ class _Runner:
             return greedy_policy(params)
         if name == "opportunistic":
             return opportunistic_policy(params)
-        if name == "optimal":
-            table = self.solve_point(params, v_init=warm.get("optimal"))
-            warm["optimal"] = table.values
-            return encode_rows(extract_policy(table))
-        if name == "single_threshold":
-            from .model import Action
-            table = value_iteration(params, self.grid, tol=self.cfg.tol,
-                                    max_iter=self.cfg.max_iter,
-                                    span_tol=self.cfg.span_tol,
-                                    allowed=(Action.DEFER, Action.HIGH_RATE),
-                                    v_init=warm.get("single_threshold"))
-            warm["single_threshold"] = table.values
-            return encode_rows(extract_policy(table))
-        raise ConfigError(f"unknown policy {name}")
+        if name not in _SOLVED_POLICIES:
+            raise ConfigError(f"unknown policy {name}")
+        return encode_rows(extract_policy(self.solve_point(params, warm, name)))
+
+    def write_throughput(self, stem: str, rows) -> Path:
+        path = self.path(stem, "", "csv")
+        write_csv_artifact(path, self.cfg.config_hash, THROUGHPUT_HEADER, rows)
+        return path
+
+
+def _throughput_row(name: str, params: SystemParams, stats) -> list:
+    return [name, repr(float(params.energy_pmf[-1])), repr(float(params.tau)),
+            repr(stats.mean_bits_per_slot), repr(stats.std_error),
+            stats.episodes, stats.horizon, stats.seed]
 
 
 def cmd_solve(runner: _Runner, regions_only: bool = False) -> int:
     cfg = runner.cfg
-    v_init = None
+    warm: dict = {}
     for label, params in cfg.sweep_points():
         runner.say(f"solving {label or 'model'} "
                    f"(grid {runner.grid.resolution}, tol {cfg.tol:g})")
-        table = runner.solve_point(params, v_init=v_init)
-        v_init = table.values
+        table = runner.solve_point(params, warm)
         policy = extract_policy(table)
         policy.write_csv(runner.path("regions", label, "csv"), cfg.config_hash)
         if regions_only:
@@ -110,21 +121,11 @@ def cmd_simulate(runner: _Runner) -> int:
                                  initial_battery=cfg.sim.initial_battery,
                                  initial_belief=cfg.sim.initial_belief,
                                  g0=cfg.sim.g0)
-            q_top = params.energy_pmf[-1]
-            rows.append([name, repr(float(q_top)), repr(float(params.tau)),
-                         repr(stats.mean_bits_per_slot), repr(stats.std_error),
-                         stats.episodes, stats.horizon, stats.seed])
+            rows.append(_throughput_row(name, params, stats))
             runner.say(f"  {label or 'model'} {name}: "
                        f"{stats.mean_bits_per_slot:.4f} "
                        f"+/- {stats.std_error:.4f} bits/slot")
-    path = runner.path("throughput", "", "csv")
-    with open(path, "w", newline="") as f:
-        f.write(f"# config={cfg.config_hash}\n")
-        w = csv.writer(f)
-        w.writerow(["policy", "q", "tau", "mean_bits_per_slot", "std_error",
-                    "episodes", "horizon", "seed"])
-        w.writerows(rows)
-    runner.say(f"wrote {path}")
+    runner.say(f"wrote {runner.write_throughput('throughput', rows)}")
     return EXIT_OK
 
 
@@ -135,37 +136,22 @@ def cmd_search(runner: _Runner) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     rows = []
-    v_init = None
+    warm: dict = {}
+    scfg = SearchConfig(**vars(cfg.search))
     for label, params in cfg.sweep_points():
         runner.say(f"searching thresholds for {label or 'model'}")
-        table = runner.solve_point(params, v_init=v_init)
-        v_init = table.values
+        table = runner.solve_point(params, warm)
         init = extract_thresholds(extract_policy(table))
-        scfg = SearchConfig(candidates=cfg.search.candidates,
-                            episodes=cfg.search.episodes,
-                            horizon=cfg.search.horizon,
-                            seed=cfg.search.seed,
-                            max_passes=cfg.search.max_passes)
         result = search_thresholds(params, scfg, init)
         result.policy.write_text(runner.path("search_thresholds", label, "txt"),
                                  cfg.config_hash)
         write_search_log(result.log_rows,
                          runner.path("search_log", label, "csv"),
                          cfg.config_hash)
-        stats = result.stats
-        rows.append(["search", repr(float(params.energy_pmf[-1])),
-                     repr(float(params.tau)), repr(stats.mean_bits_per_slot),
-                     repr(stats.std_error), stats.episodes, stats.horizon,
-                     stats.seed])
+        rows.append(_throughput_row("search", params, result.stats))
         runner.say(f"  {result.passes} passes, final "
-                   f"{stats.mean_bits_per_slot:.4f} bits/slot")
-    path = runner.path("search_throughput", "", "csv")
-    with open(path, "w", newline="") as f:
-        f.write(f"# config={cfg.config_hash}\n")
-        w = csv.writer(f)
-        w.writerow(["policy", "q", "tau", "mean_bits_per_slot", "std_error",
-                    "episodes", "horizon", "seed"])
-        w.writerows(rows)
+                   f"{result.stats.mean_bits_per_slot:.4f} bits/slot")
+    runner.write_throughput("search_throughput", rows)
     return EXIT_OK
 
 
@@ -190,7 +176,7 @@ def cmd_verify(runner: _Runner) -> int:
 
     for label, params in cfg.sweep_points():
         tag = label or "model"
-        table = runner.solve_point(params)
+        table = runner.solve_point(params, {})
         for rep in check_value_structure(table):
             reports.append((rep.passed, f"[{tag}] {rep}"))
         dom = check_good_state_dominance(table, min_belief=0.05)

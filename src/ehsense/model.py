@@ -1,12 +1,18 @@
 """Core model: parameters, actions, states, rewards and battery transitions.
 
 Everything here is a pure function over immutable data; the solver,
-simulator and policy modules all build on this module.
+simulator and policy modules all build on this module.  The per-slot
+outcome of every action (bits delivered, energy debit, whether the channel
+state is revealed) is written down once, in `slot_outcomes`; the Bellman
+operator, the scalar backup and the simulator all read it.  Only
+`oracle.exact_finite_horizon` restates these semantics, on purpose, so that
+it stays an independent reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +53,6 @@ _ACTION_CODES = {
 }
 
 ACTION_BY_CODE = {c: a for a, c in _ACTION_CODES.items()}
-# In the single-rate model (r_low == 0) the only sensing action is
-# SENSE_DEFER and its conventional short code is just "O".
-ACTION_BY_CODE["O"] = Action.SENSE_DEFER
 
 
 class Observation(IntEnum):
@@ -194,24 +197,59 @@ def feasible_actions(battery: int, params: SystemParams) -> tuple:
     return params.actions()
 
 
+@dataclass(frozen=True)
+class SlotOutcomes:
+    """Per-slot outcome of each action, indexed [action, channel, can_tx].
+
+    channel is 1 when the slot's channel is GOOD; can_tx is 1 when the
+    battery affords a full transmission.  `bits` and `debit` (energy units)
+    are what the slot delivers and spends; `reveals[action]` says whether
+    the channel state is learned, which resets the next belief to lambda1
+    (GOOD) or lambda0 (BAD).  Entries for infeasible (action, can_tx)
+    pairs carry 0 bits, so reading them is harmless.
+    """
+
+    bits: np.ndarray = field(repr=False)
+    debit: np.ndarray = field(repr=False)
+    reveals: np.ndarray = field(repr=False)
+
+    def legs(self, action: Action, can_tx: int) -> tuple:
+        """((bits, debit) on BAD, (bits, debit) on GOOD) for one action."""
+        return tuple((float(self.bits[action, g, can_tx]),
+                      int(self.debit[action, g, can_tx])) for g in (0, 1))
+
+
+@lru_cache(maxsize=64)
+def slot_outcomes(params: SystemParams) -> SlotOutcomes:
+    """The outcome table of `params`; its arrays are read-only."""
+    e_tx, e_sense = params.e_tx, params.e_sense
+    sensed_high = (1.0 - params.tau) * params.r_high
+    sensed_low = (1.0 - params.tau) * params.r_low
+    bits = np.zeros((len(Action), 2, 2))
+    debit = np.zeros((len(Action), 2, 2), dtype=np.int64)
+    debit[[Action.LOW_RATE, Action.SENSE_TRANSMIT, Action.HIGH_RATE]] = e_tx
+    debit[Action.SENSE_DEFER] = [[e_sense, e_sense], [e_sense, e_tx]]
+    # only a battery that can transmit delivers bits (column can_tx = 1)
+    bits[Action.LOW_RATE, :, 1] = params.r_low
+    bits[Action.HIGH_RATE, 1, 1] = params.r_high
+    bits[Action.SENSE_DEFER, 1, 1] = sensed_high
+    bits[Action.SENSE_TRANSMIT, :, 1] = (sensed_low, sensed_high)
+    reveals = np.zeros(len(Action), dtype=bool)
+    reveals[[Action.SENSE_DEFER, Action.SENSE_TRANSMIT, Action.HIGH_RATE]] = True
+    for a in (bits, debit, reveals):
+        a.flags.writeable = False
+    return SlotOutcomes(bits=bits, debit=debit, reveals=reveals)
+
+
 def expected_reward(state: SystemState, action: Action, params: SystemParams) -> float:
     """Expected bits delivered in one slot, given the current belief.
 
     Infeasible (state, action) pairs earn 0; the function is total.
     """
     p = state.belief
-    if state.battery < params.e_tx:
-        return 0.0
-    one_minus_tau = 1.0 - params.tau
-    if action == Action.HIGH_RATE:
-        return p * params.r_high
-    if action == Action.LOW_RATE:
-        return params.r_low
-    if action == Action.SENSE_DEFER:
-        return one_minus_tau * p * params.r_high
-    if action == Action.SENSE_TRANSMIT:
-        return one_minus_tau * ((1.0 - p) * params.r_low + p * params.r_high)
-    return 0.0
+    (bad, _), (good, _) = slot_outcomes(params).legs(
+        action, int(state.battery >= params.e_tx))
+    return p * good + (1.0 - p) * bad
 
 
 def next_battery(battery: int, harvest: int, action: Action,
@@ -219,10 +257,7 @@ def next_battery(battery: int, harvest: int, action: Action,
     """Battery level at the start of the next slot.
 
     The harvest arrives at the end of the slot and the total is clamped at
-    capacity.  SENSE_DEFER spends the transmission remainder only when the
-    channel turns out GOOD and the battery could afford a transmission; in
-    the sense-only regime (e_sense <= battery < e_tx) it spends e_sense
-    regardless of the revealed state.
+    capacity; the debit comes from `slot_outcomes`.
     """
     if not 0 <= harvest < params.n_arrivals:
         raise ParameterError(f"harvest {harvest} outside [0, {params.n_arrivals - 1}]")
@@ -231,13 +266,6 @@ def next_battery(battery: int, harvest: int, action: Action,
             f"action {action.code} infeasible at battery {battery} "
             f"(e_sense={params.e_sense}, e_tx={params.e_tx})"
         )
-    if action == Action.DEFER:
-        spent = 0
-    elif action in (Action.LOW_RATE, Action.HIGH_RATE, Action.SENSE_TRANSMIT):
-        spent = params.e_tx
-    else:  # SENSE_DEFER
-        if battery >= params.e_tx:
-            spent = params.e_tx if channel_good else params.e_sense
-        else:
-            spent = params.e_sense
-    return min(battery - spent + harvest, params.b_max)
+    spent = slot_outcomes(params).debit[action, int(channel_good),
+                                        int(battery >= params.e_tx)]
+    return min(battery - int(spent) + harvest, params.b_max)

@@ -7,11 +7,12 @@ simulator consumes and what the threshold search optimizes.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
+from .artifacts import open_artifact, write_csv_artifact
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
 from .solver import Q_TIE_TOL, ValueTable, value_iteration
@@ -20,6 +21,9 @@ from .solver import Q_TIE_TOL, ValueTable, value_iteration
 # (as a subsequence) once the low-rate code is disabled.
 PATTERN_FULL = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.HIGH_RATE)
 PATTERN_SENSE_ONLY = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER)
+
+# The no-sensing baseline's action set (the `single_threshold` policy).
+SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
 
 # Ordering used to break exact ties in the greedy argmax; later wins.
 ARGMAX_ORDER = (Action.DEFER, Action.LOW_RATE, Action.SENSE_DEFER,
@@ -41,14 +45,10 @@ class PolicyTable:
     params: SystemParams
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as f:
-            if config_hash:
-                f.write(f"# config={config_hash}\n")
-            w = csv.writer(f)
-            w.writerow(["battery", "belief", "action"])
-            for b in range(self.params.b_max + 1):
-                for j, p in enumerate(self.grid.points):
-                    w.writerow([b, repr(float(p)), int(self.actions[b, j])])
+        beliefs = [repr(p) for p in self.grid.points.tolist()]
+        rows = (row for b in range(self.params.b_max + 1)
+                for row in zip(repeat(b), beliefs, self.actions[b].tolist()))
+        write_csv_artifact(path, config_hash, ["battery", "belief", "action"], rows)
 
     def cell_count(self, action: Action) -> int:
         return int(np.count_nonzero(self.actions == int(action)))
@@ -138,9 +138,7 @@ class ThresholdPolicy:
         return self._pad
 
     def write_text(self, path, config_hash: str = "") -> None:
-        with open(path, "w") as f:
-            if config_hash:
-                f.write(f"# config={config_hash}\n")
+        with open_artifact(path, config_hash) as f:
             for b, row in enumerate(self.rows):
                 edges = (0.0,) + row.breakpoints + (1.0,)
                 parts = [
@@ -246,15 +244,11 @@ def extract_thresholds(policy: PolicyTable, validate: bool = True) -> ThresholdP
     return encode_rows(policy)
 
 
-def _uniform_rows(params: SystemParams, full_battery_action: Action) -> ThresholdPolicy:
+def _uniform_rows(params: SystemParams, action: Action) -> ThresholdPolicy:
+    """`action` at every battery level that affords it, DEFER elsewhere."""
     rows = []
     for b in range(params.b_max + 1):
-        if b >= params.e_tx:
-            a = full_battery_action
-        elif b >= params.e_sense and full_battery_action == Action.SENSE_DEFER:
-            a = Action.SENSE_DEFER
-        else:
-            a = Action.DEFER
+        a = action if action in feasible_actions(b, params) else Action.DEFER
         rows.append(PolicyRow(breakpoints=(), labels=(a,)))
     return ThresholdPolicy(rows=tuple(rows), params=params)
 
@@ -278,5 +272,5 @@ def single_threshold_policy(params: SystemParams, grid: BeliefGrid,
     belief threshold per battery level (trivial below the transmit cost).
     """
     table = value_iteration(params, grid, tol, max_iter,
-                            allowed=(Action.DEFER, Action.HIGH_RATE), **solver_kw)
+                            allowed=SINGLE_THRESHOLD_ACTIONS, **solver_kw)
     return encode_rows(extract_policy(table))

@@ -8,11 +8,11 @@ is nondecreasing and the whole run is deterministic for a fixed seed.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv_artifact
 from .model import Action, ParameterError, SystemParams
 from .belief import reachable_beliefs
 from .policies import NO_REGION, PolicyRow, ThresholdPolicy
@@ -63,12 +63,6 @@ class SearchResult:
     stats: ThroughputStats
     log_rows: list = field(repr=False)
     passes: int = 0
-
-
-def evaluate_average_throughput(policy, params: SystemParams, episodes: int,
-                                horizon: int, seed: int) -> ThroughputStats:
-    """Undiscounted bits-per-slot estimate; deterministic for a fixed seed."""
-    return run_episodes(policy, params, episodes, horizon, seed)
 
 
 def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray:
@@ -193,17 +187,14 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
             break
 
     policy = policy_from_rho(rho, params)
-    stats = evaluate_average_throughput(policy, params, config.episodes,
-                                        config.horizon, config.seed)
+    stats = run_episodes(policy, params, config.episodes, config.horizon,
+                         config.seed)
     return SearchResult(policy=policy, stats=stats, log_rows=log, passes=passes)
 
 
 def write_search_log(rows, path, config_hash: str = "") -> None:
-    with open(path, "w", newline="") as f:
-        if config_hash:
-            f.write(f"# config={config_hash}\n")
-        w = csv.writer(f)
-        w.writerow(["pass", "battery", "threshold", "candidate",
-                    "throughput", "accepted"])
-        for sweep, b, k, cand, val, accepted in rows:
-            w.writerow([sweep, b, k, repr(cand), repr(val), int(accepted)])
+    write_csv_artifact(
+        path, config_hash,
+        ["pass", "battery", "threshold", "candidate", "throughput", "accepted"],
+        ([sweep, b, k, repr(cand), repr(val), int(accepted)]
+         for sweep, b, k, cand, val, accepted in rows))

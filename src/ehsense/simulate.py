@@ -4,17 +4,19 @@ Episodes draw from counter-based Philox streams keyed by (seed, episode),
 so results are bit-identical regardless of execution order and common
 random numbers across policies come for free: the channel and harvest
 processes are exogenous, so two policies evaluated under the same seed see
-exactly the same realizations.
+exactly the same realizations.  What each action delivers, spends and
+reveals in a slot is read from `model.slot_outcomes`, the table the solver
+uses too; only `oracle.exact_finite_horizon` restates it, on purpose.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_csv_artifact
 from .model import (Action, InfeasibleActionError, SystemParams,
-                    feasible_actions, next_battery)
+                    feasible_actions, next_battery, slot_outcomes)
 from .belief import (belief_after_observation, belief_update_no_obs,
                      observation_for, stationary_belief)
 
@@ -62,32 +64,14 @@ class EpisodeTrace:
         return len(self.bits)
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as f:
-            if config_hash:
-                f.write(f"# config={config_hash}\n")
-            w = csv.writer(f)
-            w.writerow(["slot", "channel", "harvest", "battery", "belief",
-                        "action", "observation", "bits"])
-            for t in range(len(self)):
-                w.writerow([t, int(self.channel[t]), int(self.harvest[t]),
-                            int(self.battery[t]), repr(float(self.belief[t])),
-                            int(self.action[t]), int(self.observation[t]),
-                            repr(float(self.bits[t]))])
-
-
-def _delivered_bits(action: Action, channel_good: bool, battery: int,
-                    params: SystemParams) -> float:
-    remainder = 1.0 - params.tau
-    if action == Action.HIGH_RATE:
-        return params.r_high if channel_good else 0.0
-    if action == Action.LOW_RATE:
-        return params.r_low
-    if action == Action.SENSE_DEFER:
-        can_transmit = battery >= params.e_tx
-        return remainder * params.r_high if (channel_good and can_transmit) else 0.0
-    if action == Action.SENSE_TRANSMIT:
-        return remainder * (params.r_high if channel_good else params.r_low)
-    return 0.0
+        write_csv_artifact(
+            path, config_hash,
+            ["slot", "channel", "harvest", "battery", "belief", "action",
+             "observation", "bits"],
+            ([t, int(self.channel[t]), int(self.harvest[t]), int(self.battery[t]),
+              repr(float(self.belief[t])), int(self.action[t]),
+              int(self.observation[t]), repr(float(self.bits[t]))]
+             for t in range(len(self))))
 
 
 def step(state: SimState, action: Action, rng: np.random.Generator,
@@ -95,19 +79,17 @@ def step(state: SimState, action: Action, rng: np.random.Generator,
     """Advance one slot: execute the action against the slot's channel state,
     then sample the next channel state and the harvest.
 
-    Returns (next state, delivered bits, trace row dict).  Raises
-    InfeasibleActionError if the policy chose an unaffordable action; that
-    is a policy bug, not a recoverable condition.
+    Returns (next state, delivered bits, trace row dict).  `next_battery`
+    raises InfeasibleActionError if the policy chose an unaffordable action;
+    that is a policy bug, not a recoverable condition.
     """
-    if action not in feasible_actions(state.battery, params):
-        raise InfeasibleActionError(
-            f"policy chose {action.code} at battery {state.battery}")
     good = bool(state.channel)
     stay = params.lambda1 if good else params.lambda0
     next_good = bool(rng.random() < stay)
     harvest = min(int(np.searchsorted(_harvest_cdf(params), rng.random(),
                                       side="right")), params.n_arrivals - 1)
-    bits = _delivered_bits(action, good, state.battery, params)
+    bits = float(slot_outcomes(params).bits[action, int(good),
+                                            int(state.battery >= params.e_tx)])
     obs = observation_for(action, good)
     nxt = SimState(
         battery=next_battery(state.battery, harvest, action, good, params),
@@ -179,32 +161,6 @@ def _validate_policy(policy, params: SystemParams) -> None:
                     f"policy labels {a.code} at battery {b}")
 
 
-def _slot_tables(params: SystemParams):
-    """Bits/energy/observation outcome tables indexed (action, GOOD?, can_tx?).
-
-    can_tx is whether the battery can afford a full transmission; it only
-    matters for SENSE_DEFER, whose transmit leg needs it.  Feasibility is
-    validated separately, so infeasible combinations never get looked up.
-    """
-    r1, r2 = params.r_low, params.r_high
-    remainder = 1.0 - params.tau
-    bits = np.zeros((5, 2, 2))
-    spend = np.zeros((5, 2, 2), dtype=np.int64)
-    for g in (0, 1):
-        for c in (0, 1):
-            bits[Action.HIGH_RATE, g, c] = r2 if g else 0.0
-            bits[Action.LOW_RATE, g, c] = r1
-            bits[Action.SENSE_TRANSMIT, g, c] = remainder * (r2 if g else r1)
-            bits[Action.SENSE_DEFER, g, c] = remainder * r2 if (g and c) else 0.0
-            spend[Action.HIGH_RATE, g, c] = params.e_tx
-            spend[Action.LOW_RATE, g, c] = params.e_tx
-            spend[Action.SENSE_TRANSMIT, g, c] = params.e_tx
-            spend[Action.SENSE_DEFER, g, c] = params.e_tx if (g and c) \
-                else params.e_sense
-    sensed = np.array([False, False, True, True, True])
-    return bits, spend, sensed
-
-
 def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
                  seed: int, initial_battery: int = 0, initial_belief=None,
                  g0=None, collect_visits: bool = False):
@@ -240,7 +196,8 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
 
     lam = np.array([params.lambda0, params.lambda1])
     e_tx, b_max = params.e_tx, params.b_max
-    bits_tab, spend_tab, sensed_tab = _slot_tables(params)
+    out = slot_outcomes(params)
+    bits_tab, spend_tab, sensed_tab = out.bits, out.debit, out.reveals
     total_bits = np.zeros(episodes)
     visits = np.zeros(b_max + 1, dtype=np.int64) if collect_visits else None
 

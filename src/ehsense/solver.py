@@ -1,19 +1,23 @@
 """Value iteration over the (battery, belief) grid.
 
 The Bellman operator is precomputed into gather indices and interpolation
-weights so one sweep is a handful of vectorized array operations.  Scalar
-per-state backups are also provided; they are the readable reference the
-vectorized path is tested against.
+weights so one sweep is a handful of vectorized array operations.  The
+scalar `backup` is the readable reference the vectorized path is tested
+against.  Both read each action's slot outcome (bits, energy debit, whether
+the channel is revealed) from `model.slot_outcomes`; only
+`oracle.exact_finite_horizon` restates it, to stay independent.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .model import Action, InfeasibleActionError, SystemParams, feasible_actions
+from .model import (Action, InfeasibleActionError, SystemParams, feasible_actions,
+                    slot_outcomes)
+from .artifacts import write_csv_artifact
 from .belief import BeliefGrid, belief_update_no_obs
 
 DEFAULT_TOL = 1e-9
@@ -50,28 +54,28 @@ class ValueTable:
         return float(self.grid.interp(self.values[battery], p))
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        actions = (Action.DEFER, Action.LOW_RATE, Action.SENSE_DEFER,
-                   Action.SENSE_TRANSMIT, Action.HIGH_RATE)
-        header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in actions]
-        with open(path, "w", newline="") as f:
-            if config_hash:
-                f.write(f"# config={config_hash}\n")
-            w = csv.writer(f)
-            w.writerow(header)
+        header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
+        beliefs = [repr(p) for p in self.grid.points.tolist()]
+
+        def rows():
             for b in range(self.params.b_max + 1):
-                for j, p in enumerate(self.grid.points):
-                    row = [b, repr(float(p)), repr(float(self.values[b, j]))]
-                    for a in actions:
-                        q = self.q_values[a][b, j]
-                        row.append("" if math.isnan(q) else repr(float(q)))
-                    w.writerow(row)
+                qs = [["" if q != q else repr(q) for q in self.q_values[a][b].tolist()]
+                      for a in Action]  # q != q: NaN, an infeasible action
+                yield from zip(repeat(b), beliefs,
+                               map(repr, self.values[b].tolist()), *qs)
+
+        write_csv_artifact(path, config_hash, header, rows())
 
 
 class BellmanOperator:
     """One-sweep backup operator with precomputed transition structure.
 
-    `allowed` restricts the action set (used by the no-sensing baseline);
-    by default it is the model's own action set.
+    The slot semantics come from `model.slot_outcomes`: at construction each
+    allowed action is planned as the battery blocks where it is feasible,
+    one per can-transmit value, and `backups` evaluates that plan.  `step`
+    (max over actions) and `q_tables` (per-action values) are both built
+    from it.  `allowed` restricts the action set (used by the no-sensing
+    baseline); by default it is the model's own action set.
     """
 
     def __init__(self, params: SystemParams, grid: BeliefGrid, allowed=None):
@@ -83,123 +87,101 @@ class BellmanOperator:
 
         b = np.arange(params.b_max + 1)
         support = params.harvest_support
-        self._arrivals = np.array([m for m, _ in support])
+        arrivals = np.array([m for m, _ in support])
         self._probs = np.array([q for _, q in support])
         # next-battery indices per harvest level for each energy debit
         self._idx = {
-            debit: np.minimum(b[:, None] + self._arrivals[None, :] - debit,
+            debit: np.minimum(b[:, None] + arrivals[None, :] - debit,
                               params.b_max).clip(min=0)
             for debit in {0, params.e_tx, params.e_sense}
         }
         j_of = belief_update_no_obs(grid.points, params)
         self._j_lo, self._j_w = grid.locate(j_of)
+        self._j_hi = self._j_lo + 1
+        self._j_w_lo = 1.0 - self._j_w
         # observation backups always land on the transition rows; those are
         # read at the nearest grid point so repeated resets stay exact
         self._i0 = grid.nearest_index(params.lambda0)
         self._i1 = grid.nearest_index(params.lambda1)
         self._p = grid.points
+        self._not_p = 1.0 - grid.points
+        # scratch for one sweep: reusing it spares page faults on fresh
+        # arrays; np.take writes into it with mode="clip" because the default
+        # mode="raise" goes through a buffer (all indices are in range)
+        self._vj, self._buf, self._tmp = (np.empty(b.shape + grid.points.shape)
+                                          for _ in range(3))
+        outcomes = slot_outcomes(params)
+        self._plan = []  # (action, rows, SlotOutcomes.legs, reveals)
+        for a in self.actions:
+            for can_tx, band in ((0, b[:params.e_tx]), (1, b[params.e_tx:])):
+                ok = [i for i in band if a in feasible_actions(i, params)]
+                if ok:
+                    self._plan.append((a, slice(ok[0], ok[-1] + 1),
+                                       outcomes.legs(a, can_tx),
+                                       bool(outcomes.reveals[a])))
 
-    def _expect(self, values: np.ndarray, debit: int) -> np.ndarray:
-        """Harvest-averaged next values after spending `debit` units."""
-        idx = self._idx[debit]
-        out = self._probs[0] * values[idx[:, 0]]
-        for s in range(1, len(self._probs)):
-            out += self._probs[s] * values[idx[:, s]]
+    def _expect(self, values, idx, out=None, tmp=None) -> np.ndarray:
+        """Harvest-averaged next values; idx[:, s] holds the next rows after
+        harvest level s."""
+        for s, q in enumerate(self._probs):
+            nxt = np.take(values, idx[:, s], axis=0, out=tmp, mode="clip")
+            if s == 0:
+                out = np.multiply(q, nxt, out=out)
+            else:
+                np.add(out, np.multiply(q, nxt, out=tmp), out=out)
         return out
+
+    def backups(self, values: np.ndarray, plan=None):
+        """Yield (action, rows, Q-values on those rows) per planned block.
+
+        A revealing action backs up p * (good bits + continuation at
+        lambda1) + (1 - p) * (bad bits + continuation at lambda0); any
+        other action its bits plus the continuation at the propagated
+        belief.  `plan` defaults to the operator's own.  The yielded arrays
+        are scratch, overwritten by the next block.
+        """
+        beta = self.params.beta
+        vj, buf, tmp = self._vj, self._buf, self._tmp
+        np.multiply(np.take(values, self._j_lo, axis=1, out=tmp, mode="clip"),
+                    self._j_w_lo, out=vj)
+        np.add(vj, np.multiply(np.take(values, self._j_hi, axis=1, out=tmp,
+                                       mode="clip"), self._j_w, out=tmp), out=vj)
+        revealed = (values[:, self._i0], values[:, self._i1])  # BAD, GOOD
+        conts = {}
+
+        def cont(good: int, debit: int) -> np.ndarray:
+            if (good, debit) not in conts:
+                conts[good, debit] = beta * self._expect(
+                    revealed[good], self._idx[debit])[:, None]
+            return conts[good, debit]
+
+        for a, rows, legs, reveals in plan or self._plan:
+            (bits_bad, debit_bad), (bits_good, debit_good) = legs
+            q = buf[rows]
+            if reveals:
+                np.multiply(self._p, bits_good + cont(1, debit_good)[rows], out=q)
+                np.add(q, np.multiply(self._not_p, bits_bad + cont(0, debit_bad)[rows],
+                                      out=tmp[rows]), out=q)
+            else:
+                self._expect(vj, self._idx[debit_bad][rows], q, tmp[rows])
+                np.multiply(beta, q, out=q)
+                if bits_bad:  # skipped when 0: a full-array add for nothing
+                    np.add(bits_bad, q, out=q)
+            yield a, rows, q
 
     def q_tables(self, values: np.ndarray) -> dict:
         """Per-action backups of `values`; NaN where the action is infeasible."""
-        params = self.params
-        beta = params.beta
-        p = self._p
-        n = self.grid.resolution
-        e_tx, e_sense = params.e_tx, params.e_sense
-        one_minus_tau = 1.0 - params.tau
-
-        vj = values[:, self._j_lo] * (1.0 - self._j_w) \
-            + values[:, self._j_lo + 1] * self._j_w
-        v0 = values[:, self._i0]
-        v1 = values[:, self._i1]
-
-        cont_tx_good = self._expect(v1, e_tx)      # transmit debit, GOOD revealed
-        cont_tx_bad = self._expect(v0, e_tx)
-        cont_sense_good = self._expect(v1, e_sense)
-        cont_sense_bad = self._expect(v0, e_sense)
-
-        nan = np.full((params.b_max + 1, n), np.nan)
-        q = {a: nan.copy() for a in
-             (Action.DEFER, Action.LOW_RATE, Action.SENSE_DEFER,
-              Action.SENSE_TRANSMIT, Action.HIGH_RATE)}
-
-        q[Action.DEFER] = beta * self._expect(vj, 0)
-
-        tx = slice(e_tx, None)
-        if Action.HIGH_RATE in self.actions:
-            q[Action.HIGH_RATE][tx] = (
-                p * (params.r_high + beta * cont_tx_good[tx, None])
-                + (1.0 - p) * beta * cont_tx_bad[tx, None])
-        if Action.LOW_RATE in self.actions:
-            q[Action.LOW_RATE][tx] = params.r_low + beta * self._expect(vj, e_tx)[tx]
-        if Action.SENSE_TRANSMIT in self.actions:
-            q[Action.SENSE_TRANSMIT][tx] = (
-                p * (one_minus_tau * params.r_high + beta * cont_tx_good[tx, None])
-                + (1.0 - p) * (one_minus_tau * params.r_low
-                               + beta * cont_tx_bad[tx, None]))
-        if Action.SENSE_DEFER in self.actions:
-            q[Action.SENSE_DEFER][tx] = (
-                p * (one_minus_tau * params.r_high + beta * cont_tx_good[tx, None])
-                + (1.0 - p) * beta * cont_sense_bad[tx, None])
-            sense_only = slice(e_sense, e_tx)
-            q[Action.SENSE_DEFER][sense_only] = beta * (
-                p * cont_sense_good[sense_only, None]
-                + (1.0 - p) * cont_sense_bad[sense_only, None])
+        q = {a: np.full(values.shape, np.nan) for a in Action}
+        for a, rows, qa in self.backups(values):
+            q[a][rows] = qa
         return q
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        """Max over feasible action backups; cheaper than q_tables (no NaN frames)."""
-        params = self.params
-        beta = params.beta
-        p = self._p
-        e_tx, e_sense = params.e_tx, params.e_sense
-        one_minus_tau = 1.0 - params.tau
-
-        vj = values[:, self._j_lo] * (1.0 - self._j_w) \
-            + values[:, self._j_lo + 1] * self._j_w
-        v0 = values[:, self._i0]
-        v1 = values[:, self._i1]
-
-        out = beta * self._expect(vj, 0)  # defer, always feasible
-        tx = slice(e_tx, None)
-        cont_tx_good = beta * self._expect(v1, e_tx)[tx, None]
-        cont_tx_bad = beta * self._expect(v0, e_tx)[tx, None]
-
-        if Action.HIGH_RATE in self.actions:
-            np.maximum(out[tx], p * (params.r_high + cont_tx_good)
-                       + (1.0 - p) * cont_tx_bad, out=out[tx])
-        if Action.LOW_RATE in self.actions:
-            np.maximum(out[tx], params.r_low + beta * self._expect(vj, e_tx)[tx],
-                       out=out[tx])
-        if Action.SENSE_TRANSMIT in self.actions:
-            np.maximum(out[tx],
-                       p * (one_minus_tau * params.r_high + cont_tx_good)
-                       + (1.0 - p) * (one_minus_tau * params.r_low + cont_tx_bad),
-                       out=out[tx])
-        if Action.SENSE_DEFER in self.actions:
-            cont_sense_bad = beta * self._expect(v0, e_sense)
-            np.maximum(out[tx],
-                       p * (one_minus_tau * params.r_high + cont_tx_good)
-                       + (1.0 - p) * cont_sense_bad[tx, None], out=out[tx])
-            so = slice(e_sense, e_tx)
-            cont_sense_good = beta * self._expect(v1, e_sense)
-            np.maximum(out[so],
-                       p * cont_sense_good[so, None]
-                       + (1.0 - p) * cont_sense_bad[so, None], out=out[so])
+        """Max over the feasible action backups, without q_tables' NaN frames."""
+        out = np.full(values.shape, -np.inf)
+        for _, rows, q in self.backups(values):
+            np.maximum(out[rows], q, out=out[rows])
         return out
-
-
-def _require_feasible(b: int, action: Action, params: SystemParams) -> None:
-    if action not in feasible_actions(b, params):
-        raise InfeasibleActionError(f"{action.code} infeasible at battery {b}")
 
 
 def _cont(table: ValueTable, b: int, debit: int, next_belief: float) -> float:
@@ -211,51 +193,23 @@ def _cont(table: ValueTable, b: int, debit: int, next_belief: float) -> float:
     return params.beta * acc
 
 
-def backup_defer(table: ValueTable, b: int, p: float) -> float:
-    """Scalar defer backup: discounted expectation at the propagated belief."""
-    return _cont(table, b, 0, belief_update_no_obs(p, table.params))
+def backup(table: ValueTable, action: Action, b: int, p: float) -> float:
+    """Scalar backup of `action` at (b, p), read from `slot_outcomes`.
 
-
-def backup_low(table: ValueTable, b: int, p: float) -> float:
-    """Scalar low-rate backup: guaranteed bits, uninformative feedback."""
+    It loops over the harvest support and interpolates with
+    `table.value_at`, so it is an independent check on the operator's
+    gather indices and interpolation.
+    """
     params = table.params
-    _require_feasible(b, Action.LOW_RATE, params)
-    return params.r_low + _cont(table, b, params.e_tx,
-                                belief_update_no_obs(p, params))
-
-
-def backup_high(table: ValueTable, b: int, p: float) -> float:
-    """Scalar high-rate backup: belief-weighted ACK/NACK branches."""
-    params = table.params
-    _require_feasible(b, Action.HIGH_RATE, params)
-    good = params.r_high + _cont(table, b, params.e_tx, params.lambda1)
-    bad = _cont(table, b, params.e_tx, params.lambda0)
-    return p * good + (1.0 - p) * bad
-
-
-def backup_sense_defer(table: ValueTable, b: int, p: float) -> float:
-    """Scalar sense-then-defer backup, including the sense-only regime."""
-    params = table.params
-    _require_feasible(b, Action.SENSE_DEFER, params)
-    if b >= params.e_tx:
-        good = (1.0 - params.tau) * params.r_high \
-            + _cont(table, b, params.e_tx, params.lambda1)
-        bad = _cont(table, b, params.e_sense, params.lambda0)
-    else:
-        good = _cont(table, b, params.e_sense, params.lambda1)
-        bad = _cont(table, b, params.e_sense, params.lambda0)
-    return p * good + (1.0 - p) * bad
-
-
-def backup_sense_transmit(table: ValueTable, b: int, p: float) -> float:
-    """Scalar sense-then-always-transmit backup."""
-    params = table.params
-    _require_feasible(b, Action.SENSE_TRANSMIT, params)
-    good = (1.0 - params.tau) * params.r_high \
-        + _cont(table, b, params.e_tx, params.lambda1)
-    bad = (1.0 - params.tau) * params.r_low \
-        + _cont(table, b, params.e_tx, params.lambda0)
-    return p * good + (1.0 - p) * bad
+    if action not in feasible_actions(b, params):
+        raise InfeasibleActionError(f"{action.code} infeasible at battery {b}")
+    outcomes = slot_outcomes(params)
+    (bits_bad, debit_bad), (bits_good, debit_good) = outcomes.legs(
+        action, int(b >= params.e_tx))
+    if not outcomes.reveals[action]:
+        return bits_bad + _cont(table, b, debit_bad, belief_update_no_obs(p, params))
+    return (p * (bits_good + _cont(table, b, debit_good, params.lambda1))
+            + (1.0 - p) * (bits_bad + _cont(table, b, debit_bad, params.lambda0)))
 
 
 def bellman_step(table: ValueTable) -> ValueTable:
@@ -332,27 +286,13 @@ def sense_defer_on_good_backups(table: ValueTable):
     Returns (q_sense_defer, q_sense_transmit, q_defer_on_good,
     q_transmit_low_on_bad_defer_on_good), each over batteries >= e_tx on the
     full grid.  The variants bank the transmission energy even when the
-    sensed state is GOOD; they are used to certify that transmitting on a
-    revealed GOOD state dominates.
+    sensed state is GOOD (0 bits, a debit of e_sense on the GOOD leg); they
+    are used to certify that transmitting on a revealed GOOD state dominates.
     """
-    params, grid = table.params, table.grid
-    op = BellmanOperator(params, grid)
-    V = table.values
-    p = grid.points
-    beta = params.beta
-    one_minus_tau = 1.0 - params.tau
-    v0 = V[:, op._i0]
-    v1 = V[:, op._i1]
-    cont_tx_good = beta * op._expect(v1, params.e_tx)[:, None]
-    cont_tx_bad = beta * op._expect(v0, params.e_tx)[:, None]
-    cont_sense_good = beta * op._expect(v1, params.e_sense)[:, None]
-    cont_sense_bad = beta * op._expect(v0, params.e_sense)[:, None]
-
-    q_od = p * (one_minus_tau * params.r_high + cont_tx_good) \
-        + (1.0 - p) * cont_sense_bad
-    q_ot = p * (one_minus_tau * params.r_high + cont_tx_good) \
-        + (1.0 - p) * (one_minus_tau * params.r_low + cont_tx_bad)
-    q_odd = p * cont_sense_good + (1.0 - p) * cont_sense_bad
-    q_otd = p * cont_sense_good \
-        + (1.0 - p) * (one_minus_tau * params.r_low + cont_tx_bad)
-    return q_od, q_ot, q_odd, q_otd
+    params = table.params
+    outcomes = slot_outcomes(params)
+    legs = [outcomes.legs(a, 1) for a in (Action.SENSE_DEFER, Action.SENSE_TRANSMIT)]
+    legs += [(bad, (0.0, params.e_sense)) for bad, _ in legs]
+    plan = [(None, slice(None), leg, True) for leg in legs]
+    op = BellmanOperator(params, table.grid)
+    return tuple(q.copy() for _, _, q in op.backups(table.values, plan))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ehsense import (ParameterError, SearchConfig, default_candidates,
-                     evaluate_average_throughput, encode_rows, extract_policy,
-                     greedy_policy, search_thresholds, value_iteration)
+                     encode_rows, extract_policy, greedy_policy, run_episodes,
+                     search_thresholds, value_iteration)
 from ehsense.policies import NO_REGION
 from ehsense.search import policy_from_rho, rho_from_policy
 from conftest import two_point_pmf
@@ -86,8 +86,8 @@ class TestSearch:
         init = flat_threshold_policy(search_params, 0.9)
         cfg = SearchConfig(candidates=CANDS, episodes=4, horizon=400, seed=3,
                            max_passes=2)
-        base = evaluate_average_throughput(init, search_params, cfg.episodes,
-                                           cfg.horizon, cfg.seed)
+        base = run_episodes(init, search_params, cfg.episodes, cfg.horizon,
+                            cfg.seed)
         res = search_thresholds(search_params, cfg, init)
         assert res.stats.mean_bits_per_slot > base.mean_bits_per_slot
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ehsense import (Action, BellmanOperator, ConvergenceError,
-                     InfeasibleActionError, backup_defer, backup_high, backup_low,
-                     backup_sense_defer, backup_sense_transmit, bellman_step,
+                     InfeasibleActionError, backup, bellman_step,
                      value_iteration, zero_table)
 from ehsense.solver import default_max_iter
 
@@ -23,7 +22,7 @@ class TestScalarBackups:
             for x in (0.0, 0.41, 1.0):
                 j = p.lambda0 * (1 - x) + p.lambda1 * x
                 expect = p.beta * float(coarse_grid.interp(t.values[b], j))
-                assert backup_defer(t, b, x) == pytest.approx(expect)
+                assert backup(t, Action.DEFER, b, x) == pytest.approx(expect)
 
     def test_defer_two_point_harvest_from_empty(self, coarse_grid, tiny_two_rate):
         p = tiny_two_rate.replace(energy_pmf=(0.9, 0.0, 0.1), b_max=10, e_tx=4,
@@ -34,21 +33,21 @@ class TestScalarBackups:
         j = p.lambda0 * (1 - x) + p.lambda1 * x
         expect = p.beta * (0.9 * float(coarse_grid.interp(t.values[0], j))
                            + 0.1 * float(coarse_grid.interp(t.values[2], j)))
-        assert backup_defer(t, 0, x) == pytest.approx(expect)
+        assert backup(t, Action.DEFER, 0, x) == pytest.approx(expect)
 
     def test_myopic_closed_forms(self, tiny_two_rate, coarse_grid):
         p = tiny_two_rate.replace(beta=0.0)
         t = zero_table(p, coarse_grid)
-        assert backup_low(t, 2, 0.3) == pytest.approx(p.r_low)
-        assert backup_high(t, 2, 1.0) == pytest.approx(p.r_high)
-        assert backup_high(t, 2, 0.0) == 0.0
-        assert backup_high(t, 2, 0.5) == pytest.approx(1.5)
-        assert backup_sense_transmit(t, 2, 0.0) == pytest.approx(0.5 * 1.0)
-        assert backup_sense_transmit(t, 2, 1.0) == pytest.approx(0.5 * 3.0)
-        assert backup_sense_transmit(t, 2, 0.5) == pytest.approx(0.5 * 2.0)
-        assert backup_sense_defer(t, 2, 1.0) == pytest.approx(0.5 * 3.0)
-        assert backup_sense_defer(t, 2, 0.0) == 0.0
-        assert backup_sense_defer(t, 1, 0.7) == 0.0  # sense-only band, no reward
+        assert backup(t, Action.LOW_RATE, 2, 0.3) == pytest.approx(p.r_low)
+        assert backup(t, Action.HIGH_RATE, 2, 1.0) == pytest.approx(p.r_high)
+        assert backup(t, Action.HIGH_RATE, 2, 0.0) == 0.0
+        assert backup(t, Action.HIGH_RATE, 2, 0.5) == pytest.approx(1.5)
+        assert backup(t, Action.SENSE_TRANSMIT, 2, 0.0) == pytest.approx(0.5 * 1.0)
+        assert backup(t, Action.SENSE_TRANSMIT, 2, 1.0) == pytest.approx(0.5 * 3.0)
+        assert backup(t, Action.SENSE_TRANSMIT, 2, 0.5) == pytest.approx(0.5 * 2.0)
+        assert backup(t, Action.SENSE_DEFER, 2, 1.0) == pytest.approx(0.5 * 3.0)
+        assert backup(t, Action.SENSE_DEFER, 2, 0.0) == 0.0
+        assert backup(t, Action.SENSE_DEFER, 1, 0.7) == 0.0  # sense-only band, no reward
 
     def test_low_rate_at_exact_cost_drains_battery(self, tiny_two_rate, coarse_grid):
         p = tiny_two_rate.replace(energy_pmf=(1.0,))
@@ -57,18 +56,18 @@ class TestScalarBackups:
         x = 0.25
         j = p.lambda0 * (1 - x) + p.lambda1 * x
         expect = p.r_low + p.beta * float(coarse_grid.interp(t.values[0], j))
-        assert backup_low(t, p.e_tx, x) == pytest.approx(expect)
+        assert backup(t, Action.LOW_RATE, p.e_tx, x) == pytest.approx(expect)
 
     def test_infeasible_raises(self, tiny_two_rate, coarse_grid):
         t = zero_table(tiny_two_rate, coarse_grid)
         with pytest.raises(InfeasibleActionError):
-            backup_high(t, 1, 0.5)
+            backup(t, Action.HIGH_RATE, 1, 0.5)
         with pytest.raises(InfeasibleActionError):
-            backup_low(t, 1, 0.5)
+            backup(t, Action.LOW_RATE, 1, 0.5)
         with pytest.raises(InfeasibleActionError):
-            backup_sense_transmit(t, 1, 0.5)
+            backup(t, Action.SENSE_TRANSMIT, 1, 0.5)
         with pytest.raises(InfeasibleActionError):
-            backup_sense_defer(t, 0, 0.5)
+            backup(t, Action.SENSE_DEFER, 0, 0.5)
 
 
 class TestBellmanStep:
@@ -77,24 +76,32 @@ class TestBellmanStep:
         t = table_with(tiny_two_rate, coarse_grid,
                        rng.random((tiny_two_rate.b_max + 1, 101)) * 5)
         stepped = bellman_step(t)
-        scalar = {Action.DEFER: backup_defer, Action.LOW_RATE: backup_low,
-                  Action.SENSE_DEFER: backup_sense_defer,
-                  Action.SENSE_TRANSMIT: backup_sense_transmit,
-                  Action.HIGH_RATE: backup_high}
         for b in range(tiny_two_rate.b_max + 1):
             for j in range(0, 101, 17):
                 x = float(coarse_grid.points[j])
                 vals = []
-                for a, fn in scalar.items():
+                for a in Action:
                     q = stepped.q_values[a][b, j]
                     try:
-                        want = fn(t, b, x)
+                        want = backup(t, a, b, x)
                     except InfeasibleActionError:
                         assert np.isnan(q)
                         continue
                     assert q == pytest.approx(want, abs=1e-12)
                     vals.append(want)
                 assert stepped.values[b, j] == pytest.approx(max(vals), abs=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
+    def test_step_is_the_max_of_q_tables(self, fixture, coarse_grid, request):
+        params = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(5)
+        for allowed in (None, (Action.DEFER, Action.HIGH_RATE)):
+            op = BellmanOperator(params, coarse_grid, allowed=allowed)
+            for _ in range(5):
+                V = rng.random((params.b_max + 1, 101)) * 10
+                q = op.q_tables(V)
+                assert np.array_equal(np.fmax.reduce([q[a] for a in op.actions]),
+                                      op.step(V))
 
     def test_myopic_step_from_zero(self, coarse_grid, tiny_two_rate):
         stepped = bellman_step(zero_table(tiny_two_rate, coarse_grid))
