@@ -114,13 +114,14 @@ def cmd_simulate(runner: _Runner) -> int:
     rows = []
     warm: dict = {}
     for label, params in cfg.sweep_points():
-        for name in cfg.policies:
-            policy = runner.policy_for(name, params, warm)
-            stats = run_episodes(policy, params, cfg.sim.episodes,
+        policies = [runner.policy_for(name, params, warm) for name in cfg.policies]
+        # one pass for all policies: they share the point's uniforms
+        all_stats = run_episodes(policies, params, cfg.sim.episodes,
                                  cfg.sim.horizon, cfg.sim.seed,
                                  initial_battery=cfg.sim.initial_battery,
                                  initial_belief=cfg.sim.initial_belief,
                                  g0=cfg.sim.g0)
+        for name, stats in zip(cfg.policies, all_stats):
             rows.append(_throughput_row(name, params, stats))
             runner.say(f"  {label or 'model'} {name}: "
                        f"{stats.mean_bits_per_slot:.4f} "

@@ -115,7 +115,6 @@ class ThresholdPolicy:
                 if a not in ok:
                     raise ParameterError(
                         f"label {a.code} infeasible at battery {b}")
-        self._pad = None
 
     def action_at(self, battery: int, p: float) -> Action:
         return self.rows[battery].action_at(p)
@@ -125,17 +124,16 @@ class ThresholdPolicy:
 
         Breakpoint padding uses the NO_REGION sentinel so padded columns
         never match a belief in [0, 1]; label padding repeats the last label.
+        Built from the current rows on each call: the rows are mutable.
         """
-        if self._pad is None:
-            width = max(len(r.labels) for r in self.rows)
-            breaks = np.full((len(self.rows), max(width - 1, 1)), NO_REGION)
-            labels = np.zeros((len(self.rows), width), dtype=np.int8)
-            for b, row in enumerate(self.rows):
-                breaks[b, :len(row.breakpoints)] = row.breakpoints
-                labels[b, :len(row.labels)] = [int(a) for a in row.labels]
-                labels[b, len(row.labels):] = int(row.labels[-1])
-            self._pad = (breaks, labels)
-        return self._pad
+        width = max(len(r.labels) for r in self.rows)
+        breaks = np.full((len(self.rows), max(width - 1, 1)), NO_REGION)
+        labels = np.zeros((len(self.rows), width), dtype=np.int8)
+        for b, row in enumerate(self.rows):
+            breaks[b, :len(row.breakpoints)] = row.breakpoints
+            labels[b, :len(row.labels)] = [int(a) for a in row.labels]
+            labels[b, len(row.labels):] = int(row.labels[-1])
+        return breaks, labels
 
     def write_text(self, path, config_hash: str = "") -> None:
         with open_artifact(path, config_hash) as f:

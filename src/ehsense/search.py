@@ -3,8 +3,10 @@
 The proven interval structure of the single-rate model lets a policy be
 summarized by three breakpoints per battery level.  Coordinate ascent
 sweeps the battery rows, tries every candidate breakpoint under common
-random numbers, and keeps strict improvements, so the objective estimate
-is nondecreasing and the whole run is deterministic for a fixed seed.
+random numbers (all candidates of one coordinate in one batched
+`run_episodes` pass), and keeps strict improvements, so the objective
+estimate is nondecreasing and the whole run is deterministic for a fixed
+seed.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv_artifact
-from .model import Action, ParameterError, SystemParams
+from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import reachable_beliefs
 from .policies import NO_REGION, PolicyRow, ThresholdPolicy
 from .simulate import ThroughputStats, run_episodes
@@ -97,41 +99,46 @@ def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray
     return rho
 
 
+def _row_from_rho(b: int, r, params: SystemParams) -> PolicyRow:
+    """Battery b's row from its breakpoint triple; degenerate intervals are
+    dropped."""
+    r1, r2, r3 = r
+    ok = feasible_actions(b, params)
+    pieces = [(0.0, Action.DEFER)]
+    if Action.SENSE_DEFER in ok and r2 > r1:
+        pieces.append((r1, Action.SENSE_DEFER))
+        pieces.append((r2, Action.DEFER))
+    if Action.HIGH_RATE in ok and r3 <= 1.0:
+        pieces.append((r3, Action.HIGH_RATE))
+    bps, labels = [], []
+    for start, a in pieces:
+        if labels and labels[-1] == a:
+            continue
+        if labels and start >= 1.0:
+            break
+        if labels:
+            if start <= (bps[-1] if bps else 0.0):
+                # zero-width interval: the later label wins
+                labels[-1] = a
+                continue
+            bps.append(start)
+        labels.append(a)
+    return PolicyRow(breakpoints=tuple(bps), labels=tuple(labels))
+
+
 def policy_from_rho(rho: np.ndarray, params: SystemParams) -> ThresholdPolicy:
     """Inverse of rho_from_policy; degenerate intervals are dropped."""
-    rows = []
-    for b in range(params.b_max + 1):
-        r1, r2, r3 = rho[b]
-        pieces = [(0.0, Action.DEFER)]
-        if b >= params.e_sense and r2 > r1:
-            pieces.append((r1, Action.SENSE_DEFER))
-            pieces.append((r2, Action.DEFER))
-        if b >= params.e_tx and r3 <= 1.0:
-            pieces.append((r3, Action.HIGH_RATE))
-        bps, labels = [], []
-        for start, a in pieces:
-            if labels and labels[-1] == a:
-                continue
-            if labels and start >= 1.0:
-                break
-            if labels:
-                if start <= (bps[-1] if bps else 0.0):
-                    # zero-width interval: the later label wins
-                    labels[-1] = a
-                    continue
-                bps.append(start)
-            labels.append(a)
-        rows.append(PolicyRow(breakpoints=tuple(bps), labels=tuple(labels)))
-    return ThresholdPolicy(rows=tuple(rows), params=params)
+    return ThresholdPolicy(rows=tuple(_row_from_rho(b, rho[b], params)
+                                      for b in range(params.b_max + 1)),
+                           params=params)
 
 
 def _thresholds_for(b: int, params: SystemParams):
-    """Searchable threshold indices at battery b (none below the sensing cost)."""
-    if b < params.e_sense:
-        return ()
-    if b < params.e_tx:
-        return (0, 1)
-    return (0, 1, 2)
+    """Searchable threshold indices at battery b: rho1 and rho2 bound the
+    sensing interval, rho3 the high-rate one; an unaffordable action has none."""
+    ok = feasible_actions(b, params)
+    return tuple(k for k, a in enumerate((Action.SENSE_DEFER, Action.SENSE_DEFER,
+                                          Action.HIGH_RATE)) if a in ok)
 
 
 def search_thresholds(params: SystemParams, config: SearchConfig,
@@ -139,21 +146,24 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
     """Coordinate ascent on per-battery breakpoints under common random numbers.
 
     Sweeps battery rows in order; for each threshold every candidate that
-    keeps the row ordered is evaluated with the same seed and the best
-    strict improvement is kept.  Stops after a full pass with no accepted
-    move, or after max_passes.  Rows the current policy never visits are
-    skipped: changing them cannot alter the estimate.
+    keeps the row ordered is evaluated with the same seed, all in one
+    simulator pass, and the best strict improvement is kept.  Stops after a
+    full pass with no accepted move, or after max_passes.  Rows the current
+    policy never visits are skipped: changing them cannot alter the
+    estimate.  The returned stats are those of the final policy's own
+    evaluation.
     """
     candidates = config.resolved_candidates(params)
     rho = rho_from_policy(init, params)
 
-    def evaluate(r, with_visits=False):
-        pol = policy_from_rho(r, params)
-        return run_episodes(pol, params, config.episodes, config.horizon,
-                            config.seed, collect_visits=with_visits)
+    def evaluate(policies):
+        """Stats and visits per policy, all in one simulator pass."""
+        return run_episodes(policies, params, config.episodes, config.horizon,
+                            config.seed, collect_visits=True)
 
-    stats0, visits = evaluate(rho, with_visits=True)
-    best = stats0.mean_bits_per_slot
+    policy = policy_from_rho(rho, params)
+    (stats,), (visits,) = evaluate([policy])
+    best = stats.mean_bits_per_slot
     log = []
     passes = 0
     for sweep in range(1, config.max_passes + 1):
@@ -167,28 +177,32 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
                 lo = rho[b, k - 1] if k > 0 else 0.0
                 hi = min(rho[b, k + 1], 1.0) if k < 2 else 1.0
                 window = candidates[(candidates >= lo) & (candidates <= hi)]
-                best_cand, best_val = current, best
+                window = window[window != current]
+                if window.size == 0:
+                    continue
+                trials = []  # the current policy with row b's threshold k moved
                 for cand in window:
-                    if cand == current:
-                        continue
-                    trial = rho.copy()
-                    trial[b, k] = cand
-                    val = evaluate(trial).mean_bits_per_slot
-                    accepted = val > best_val
-                    log.append((sweep, b, k, float(cand), val, accepted))
+                    row = rho[b].copy()
+                    row[k] = cand
+                    rows = policy.rows[:b] + (_row_from_rho(b, row, params),) \
+                        + policy.rows[b + 1:]
+                    trials.append(ThresholdPolicy(rows=rows, params=params))
+                trial_stats, trial_visits = evaluate(trials)
+                winner = None
+                for i, (cand, st) in enumerate(zip(window, trial_stats)):
+                    accepted = st.mean_bits_per_slot > best
+                    log.append((sweep, b, k, float(cand), st.mean_bits_per_slot,
+                                accepted))
                     if accepted:
-                        best_cand, best_val = cand, val
-                if best_cand != current:
-                    rho[b, k] = best_cand
-                    best = best_val
-                    _, visits = evaluate(rho, with_visits=True)
+                        winner, best = i, st.mean_bits_per_slot
+                if winner is not None:
+                    rho[b, k] = window[winner]
+                    policy, stats = trials[winner], trial_stats[winner]
+                    visits = trial_visits[winner]
                     improved = True
         if not improved:
             break
 
-    policy = policy_from_rho(rho, params)
-    stats = run_episodes(policy, params, config.episodes, config.horizon,
-                         config.seed)
     return SearchResult(policy=policy, stats=stats, log_rows=log, passes=passes)
 
 

@@ -4,9 +4,18 @@ Episodes draw from counter-based Philox streams keyed by (seed, episode),
 so results are bit-identical regardless of execution order and common
 random numbers across policies come for free: the channel and harvest
 processes are exogenous, so two policies evaluated under the same seed see
-exactly the same realizations.  What each action delivers, spends and
-reveals in a slot is read from `model.slot_outcomes`, the table the solver
-uses too; only `oracle.exact_finite_horizon` restates it, on purpose.
+exactly the same realizations.  `run_episodes` uses this to run several
+policies in one pass: its lanes are (policy, episode) pairs, the channel and
+harvest of a slot are computed once per episode and shared by every policy,
+and the uniforms are drawn a chunk of slots at a time, so memory does not
+grow with the horizon.  A lane's belief is kept as an index into the orbits
+of the no-observation update (from the start belief, lambda0 and lambda1),
+which makes each slot's action a lookup in a (policy, battery, orbit index)
+table.  What each action delivers, spends and reveals in a slot is read from
+`model.slot_outcomes`, the table the solver uses too; only
+`oracle.exact_finite_horizon` restates it, on purpose.  The scalar `step`,
+`run_trace` and `discounted_return` follow the float recursion slot by slot
+and referee the vectorized path.
 """
 from __future__ import annotations
 
@@ -15,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv_artifact
-from .model import (Action, InfeasibleActionError, SystemParams,
-                    feasible_actions, next_battery, slot_outcomes)
+from .model import (Action, InfeasibleActionError, ParameterError,
+                    SystemParams, feasible_actions, next_battery, slot_outcomes)
 from .belief import (belief_after_observation, belief_update_no_obs,
                      observation_for, stationary_belief)
+from .policies import NO_REGION, ThresholdPolicy
 
 
 def episode_rng(seed: int, episode: int) -> np.random.Generator:
@@ -152,13 +162,121 @@ def energy_audit(trace: EpisodeTrace, params: SystemParams) -> bool:
     return True
 
 
-def _validate_policy(policy, params: SystemParams) -> None:
-    for b in range(params.b_max + 1):
-        ok = feasible_actions(b, params)
-        for a in policy.rows[b].labels:
-            if a not in ok:
-                raise InfeasibleActionError(
-                    f"policy labels {a.code} at battery {b}")
+# Uniforms are drawn this many slots at a time: memory grows with lanes times
+# this, not with the horizon, and chunked Philox draws equal one whole draw.
+_CHUNK = 512
+
+
+def _lookup_arrays(policies, params: SystemParams):
+    """Breakpoints (P, B, W - 1) and labels (P, B, W) of all policies, padded
+    to one width as in `ThresholdPolicy.padded_arrays`.
+
+    Raises InfeasibleActionError when a label is not in `feasible_actions`
+    of its battery, so a row mutated after construction is still caught.
+    """
+    pads = [p.padded_arrays() for p in policies]
+    width = max(lab.shape[1] for _, lab in pads)
+    n_b = params.b_max + 1
+    breaks = np.full((len(pads), n_b, max(width - 1, 1)), NO_REGION)
+    labels = np.empty((len(pads), n_b, width), dtype=np.intp)
+    for i, (br, lab) in enumerate(pads):
+        breaks[i, :, :br.shape[1]] = br
+        labels[i] = lab[:, -1:]
+        labels[i, :, :lab.shape[1]] = lab
+    feasible = np.zeros((n_b, len(Action)), dtype=bool)
+    for b in range(n_b):
+        feasible[b, list(feasible_actions(b, params))] = True
+    bad = ~feasible[np.arange(n_b)[:, None], labels]
+    if bad.any():
+        i, b, w = np.argwhere(bad)[0]
+        raise InfeasibleActionError(
+            f"policy {i} labels {Action(labels[i, b, w]).code} at battery {b}")
+    return breaks, labels
+
+
+def _belief_orbits(p0: float, params: SystemParams, horizon: int):
+    """Every belief an episode can hold, as (beliefs, successor, reset).
+
+    Without an observation the belief moves to f(p) = belief_update_no_obs(p);
+    an observation resets it to lambda0 or lambda1.  So the beliefs are the
+    orbits f^k of p0, lambda0 and lambda1.  An orbit stops at its first float
+    seen before (the successor of its last point is then that float's index)
+    or after `horizon` points (the last point is its own successor; no action
+    reads it).  reset[g] is the index of lambda_g.
+    """
+    beliefs, successor, index = [], [], {}
+    for root in (float(p0), float(params.lambda0), float(params.lambda1)):
+        p, prev = root, None
+        for _ in range(horizon):
+            j = index.setdefault(p, len(beliefs))
+            if prev is not None:
+                successor[prev] = j
+            if j < len(beliefs):
+                break
+            beliefs.append(p)
+            successor.append(j)
+            prev, p = j, belief_update_no_obs(p, params)
+    reset = [index[float(params.lambda0)], index[float(params.lambda1)]]
+    return np.array(beliefs), np.array(successor, dtype=np.intp), reset
+
+
+def _channel_path(start, stay, params: SystemParams) -> np.ndarray:
+    """Channel of slots 1..n from the channel `start` of slot 0 and the
+    (n, episodes) uniforms `stay`: slot t + 1 is GOOD iff
+    stay[t] < lambda of slot t's channel.
+
+    A uniform below min(lambda0, lambda1) makes the next slot GOOD and one
+    at or above the max makes it BAD, whatever the channel; one in between
+    keeps the channel when lambda1 > lambda0 and flips it when
+    lambda0 > lambda1.  So a slot's channel is the value forced by the last
+    such uniform (or `start`), flipped once per later slot in the second
+    case: a whole chunk in a few array operations instead of a slot loop.
+    """
+    lo, hi = sorted((params.lambda0, params.lambda1))
+    t = np.arange(len(stay))[:, None]
+    last = np.maximum.accumulate(np.where((stay < lo) | (stay >= hi), t, -1))
+    forced = np.take_along_axis(stay, np.maximum(last, 0), axis=0) < lo
+    chan = np.where(last >= 0, forced, start)
+    if params.lambda0 > params.lambda1:
+        chan ^= (t - last) & 1
+    return chan
+
+
+def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
+    """Flat lookup tables of the slot loop: (code, bits, drop, j_next, n_j, s).
+
+    A lane carries pb = policy * (b_max + 1) + battery and j, the index of
+    its belief in `_belief_orbits`.  code[pb * n_j + j] is the lane's action
+    as c = 2 * action * s; adding channel * s gives its (action, channel)
+    row, where bits[c + pb] and drop[c + pb] (pb minus the energy debit)
+    hold the slot outcome from `slot_outcomes` and j_next[c + j] the next
+    belief index.  The stride s is the larger of the pb and j ranges.  The
+    action table holds (policies x batteries x n_j) words; n_j is a few
+    hundred unless |lambda1 - lambda0| is close to 1, and at most
+    3 * horizon.
+    """
+    breaks, labels = _lookup_arrays(policies, params)
+    n_pol, n_b = labels.shape[:2]
+    beliefs, successor, reset = _belief_orbits(belief0, params, horizon)
+    n_j, n_pb = len(beliefs), n_pol * n_b
+    s = max(n_pb, n_j)
+    k = np.zeros((n_pol, n_b, n_j), dtype=np.int8)  # interval of each belief
+    for w in range(breaks.shape[2]):
+        k += beliefs >= breaks[:, :, w, None]
+    code = np.take_along_axis(labels, k, axis=2).ravel()
+    code *= 2 * s
+
+    out = slot_outcomes(params)
+    can_tx = np.tile(np.arange(n_b) >= params.e_tx, n_pol).astype(np.intp)
+    rows = (len(Action), 2, s)  # action, channel, pb or j
+    bits = np.zeros(rows)
+    drop, j_next = np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=np.intp)
+    bits[:, :, :n_pb] = out.bits[:, :, can_tx]
+    drop[:, :, :n_pb] = np.arange(n_pb) - out.debit[:, :, can_tx]
+    j_next[:, :, :n_j] = successor
+    for g in (0, 1):
+        j_next[out.reveals, g, :n_j] = reset[g]
+    return code, bits.ravel(), drop.ravel(), j_next.ravel(), n_j, s
 
 
 def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
@@ -166,60 +284,78 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
                  g0=None, collect_visits: bool = False):
     """Vectorized throughput estimate over independent episodes.
 
-    Returns ThroughputStats; with collect_visits also a per-battery visit
-    count array (used by the threshold search to skip untouched rows).
+    `policy` is one ThresholdPolicy or a sequence of them.  For one policy
+    it returns ThroughputStats; with collect_visits also a per-battery
+    visit count array (used by the threshold search to skip untouched
+    rows).  For a sequence it returns a list of each, in policy order; all
+    policies run in one pass over a (policy x episode) lane array and
+    read the same uniforms, so each result equals its single-policy call.
     Episode e draws from the (seed, e) stream, so the result is independent
     of how episodes are batched.
     """
     if horizon < 1 or episodes < 1:
         raise ValueError("episodes and horizon must be >= 1")
-    _validate_policy(policy, params)
-    breaks, labels = policy.padded_arrays()
-
-    u0 = np.empty(episodes)
-    u = np.empty((episodes, horizon, 2))
-    for e in range(episodes):
-        rng = episode_rng(seed, e)
-        u0[e] = rng.random()
-        u[e] = rng.random((horizon, 2))
-
-    p_star = stationary_belief(params)
-    belief0 = p_star if initial_belief is None else float(initial_belief)
-    belief = np.full(episodes, belief0)
-    p_good0 = belief0 if g0 is None else float(g0)
-    good = (u0 < p_good0).astype(np.intp)  # the first slot's channel state
-    battery = np.full(episodes, int(initial_battery))
-    # harvest is exogenous: draw the whole matrix up front
+    if not 0 <= initial_battery <= params.b_max:
+        raise ParameterError(
+            f"initial battery {initial_battery} outside [0, {params.b_max}]")
+    single = isinstance(policy, ThresholdPolicy)
+    policies = [policy] if single else list(policy)
+    n_pol, n_b = len(policies), params.b_max + 1
+    belief0 = stationary_belief(params) if initial_belief is None \
+        else float(initial_belief)
+    code, bits, drop, j_next, n_j, stride = _slot_tables(policies, params,
+                                                         belief0, horizon)
     cdf = _harvest_cdf(params)
-    harvest = np.minimum(np.searchsorted(cdf, u[:, :, 1], side="right"),
-                         params.n_arrivals - 1)
 
-    lam = np.array([params.lambda0, params.lambda1])
-    e_tx, b_max = params.e_tx, params.b_max
-    out = slot_outcomes(params)
-    bits_tab, spend_tab, sensed_tab = out.bits, out.debit, out.reveals
-    total_bits = np.zeros(episodes)
-    visits = np.zeros(b_max + 1, dtype=np.int64) if collect_visits else None
+    first = np.arange(n_pol) * n_b
+    pb = np.repeat(first + int(initial_battery), episodes)
+    cap = np.repeat(first + params.b_max, episodes)
+    j = np.zeros_like(pb)
+    c, i = np.empty_like(pb), np.empty_like(pb)
+    slot_bits = np.empty(pb.shape)
+    total_bits = np.zeros(pb.shape)
+    visits = np.zeros(n_pol * n_b, dtype=np.int64) if collect_visits else None
 
-    for t in range(horizon):
+    rngs = [episode_rng(seed, e) for e in range(episodes)]
+    p_good0 = belief0 if g0 is None else float(g0)
+    chan = (np.array([rng.random() for rng in rngs]) < p_good0).astype(np.intp)
+    for t0 in range(0, horizon, _CHUNK):
+        u = np.stack([rng.random((min(_CHUNK, horizon - t0), 2)) for rng in rngs])
+        n = u.shape[1]
+        # channel and harvest are exogenous: computed per episode, then the
+        # same rows serve every policy's lanes
+        path = _channel_path(chan, u[:, :, 0].T, params)
+        chan_c = np.tile(np.vstack([chan, path[:-1]]) * stride, n_pol)
+        chan = path[-1]  # the next chunk's first slot
+        harvest = np.tile(np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
+                                     params.n_arrivals - 1), n_pol)
+        history = np.empty((n, len(pb)), dtype=np.intp) if collect_visits else None
+        for t in range(n):  # mode="clip": the indices are in range by construction
+            if collect_visits:
+                history[t] = pb
+            np.multiply(pb, n_j, out=i)
+            i += j
+            code.take(i, out=c, mode="clip")
+            c += chan_c[t]
+            np.add(c, pb, out=i)
+            total_bits += bits.take(i, out=slot_bits, mode="clip")
+            drop.take(i, out=pb, mode="clip")
+            pb += harvest[t]
+            np.minimum(pb, cap, out=pb)
+            np.add(c, j, out=i)
+            j_next.take(i, out=j, mode="clip")
         if collect_visits:
-            np.add.at(visits, battery, 1)
-        k = np.sum(belief[:, None] >= breaks[battery], axis=1)
-        act = labels[battery, k]
-        can_tx = (battery >= e_tx).astype(np.intp)
-        total_bits += bits_tab[act, good, can_tx]
-        battery = np.minimum(battery - spend_tab[act, good, can_tx]
-                             + harvest[:, t], b_max)
-        belief = np.where(sensed_tab[act], lam[good],
-                          belief_update_no_obs(belief, params))
-        good = (u[:, t, 0] < lam[good]).astype(np.intp)  # next slot's channel
+            visits += np.bincount(history.ravel(), minlength=visits.size)
 
-    per_episode = total_bits / horizon
-    stderr = float(per_episode.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0
-    stats = ThroughputStats(mean_bits_per_slot=float(per_episode.mean()),
-                            std_error=stderr, episodes=episodes,
-                            horizon=horizon, seed=seed)
-    return (stats, visits) if collect_visits else stats
+    per_episode = (total_bits / horizon).reshape(n_pol, episodes)
+    stats = [ThroughputStats(
+        mean_bits_per_slot=float(row.mean()),
+        std_error=float(row.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0,
+        episodes=episodes, horizon=horizon, seed=seed) for row in per_episode]
+    if not collect_visits:
+        return stats[0] if single else stats
+    visits = list(visits.reshape(n_pol, n_b))
+    return (stats[0], visits[0]) if single else (stats, visits)
 
 
 def discounted_return(policy, params: SystemParams, b0: int, p0: float,
@@ -234,7 +370,7 @@ def discounted_return(policy, params: SystemParams, b0: int, p0: float,
     if horizon is None:
         # beta^horizon * max value < 1e-6 of the value scale
         horizon = max(1, int(np.ceil(np.log(1e-6) / np.log(max(beta, 1e-12)))))
-    _validate_policy(policy, params)
+    _lookup_arrays([policy], params)  # raises InfeasibleActionError
     returns = np.empty(episodes)
     for e in range(episodes):
         rng = episode_rng(seed, e)

@@ -263,13 +263,15 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     done = False
     for sweeps in range(1, max_iter + 1):
         new_values = op.step(values)
-        change = new_values - values
-        residual = float(np.max(np.abs(change)))
+        # the change overwrites the old iterate: no fresh full-grid arrays
+        change = np.subtract(new_values, values, out=values)
+        hi, lo = float(change.max()), float(change.min())
+        residual = max(hi, -lo)
         values = new_values
         if residual <= tol:
             done = True
         elif span_tol is not None:
-            done = float(np.max(change) - np.min(change)) <= span_tol
+            done = hi - lo <= span_tol
         if done:
             break
     if not done:

@@ -1,13 +1,21 @@
+import tracemalloc
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
 from ehsense import (Action, BeliefGrid, InfeasibleActionError, Observation,
-                     SimState, SystemParams, discounted_return, energy_audit,
+                     ParameterError, SimState, SystemParams,
+                     belief_update_no_obs, discounted_return, energy_audit,
                      episode_rng, greedy_policy, opportunistic_policy,
                      run_episodes, run_trace, step, stationary_belief,
                      value_iteration, extract_policy, encode_rows)
+from ehsense import cli
 from ehsense.policies import PolicyRow, ThresholdPolicy
+from ehsense.simulate import _CHUNK, _belief_orbits, _channel_path
 from conftest import two_point_pmf
+from test_cli import small_config, write_config
 
 
 def all_defer(params):
@@ -206,3 +214,126 @@ def test_episode_streams_are_independent_of_batching(region_params):
     singles = [run_trace(pol, region_params, 200, seed=8, episode=e).bits.sum() / 200
                for e in range(4)]
     assert np.mean(singles) == pytest.approx(full.mean_bits_per_slot, abs=1e-12)
+
+
+def lane_total(policy, params, horizon, seed, **kw):
+    """Bits of episode 0 summed slot by slot, as a simulator lane sums them."""
+    return reduce(add, run_trace(policy, params, horizon, seed, **kw).bits.tolist(),
+                  0.0)
+
+
+def mixed_policies(params, grid):
+    return [greedy_policy(params), all_defer(params), opportunistic_policy(params),
+            encode_rows(extract_policy(value_iteration(params, grid)))]
+
+
+class TestBatchedLanes:
+    def test_batch_equals_one_call_per_policy(self, tiny_params, coarse_grid):
+        pols = mixed_policies(tiny_params, coarse_grid)
+        kw = dict(initial_battery=3, initial_belief=0.37, g0=0.9,
+                  collect_visits=True)
+        stats, visits = run_episodes(pols, tiny_params, 4, 700, seed=5, **kw)
+        assert len(stats) == len(visits) == len(pols)
+        for pol, s, v in zip(pols, stats, visits):
+            s1, v1 = run_episodes(pol, tiny_params, 4, 700, seed=5, **kw)
+            assert s == s1
+            assert np.array_equal(v, v1)
+
+    def test_batched_lane_totals_equal_run_trace(self, region_params):
+        pols = mixed_policies(region_params, BeliefGrid.from_resolution(101))
+        stats = run_episodes(pols, region_params, 1, 900, seed=3)
+        for pol, s in zip(pols, stats):
+            assert s.mean_bits_per_slot == lane_total(pol, region_params, 900, 3) / 900
+
+    @pytest.mark.parametrize("horizon", [1, _CHUNK, 2 * _CHUNK + 7])
+    def test_horizons_around_the_chunk(self, tiny_params, horizon):
+        pols = [greedy_policy(tiny_params), opportunistic_policy(tiny_params)]
+        stats = run_episodes(pols, tiny_params, 1, horizon, seed=12,
+                             initial_battery=2)
+        for pol, s in zip(pols, stats):
+            want = lane_total(pol, tiny_params, horizon, 12, initial_battery=2)
+            assert s.mean_bits_per_slot == want / horizon
+
+    @pytest.mark.parametrize("lam0, lam1", [
+        (0.4, 0.4),          # i.i.d. channel: the orbits end after a step or two
+        (1.0, 0.0),          # the no-observation belief alternates 1, 0, 1, ...
+        (0.0005, 0.9995),    # slow contraction: the orbits are cut at the horizon
+    ])
+    def test_orbit_edge_cases(self, lam0, lam1):
+        p = SystemParams(lambda0=lam0, lambda1=lam1, energy_pmf=(0.5, 0.5),
+                         b_max=6, e_tx=2, e_sense=1, r_low=0.0, r_high=1.0,
+                         beta=0.9)
+        horizon = 60
+        p0 = stationary_belief(p)
+        beliefs, successor, reset = _belief_orbits(p0, p, horizon)
+        assert len(beliefs) == len(set(beliefs.tolist()))
+        for root, j in ((p0, 0), (lam0, reset[0]), (lam1, reset[1])):
+            belief = root
+            for _ in range(horizon):  # the successor walk is the float recursion
+                assert beliefs[j] == belief
+                j, belief = successor[j], belief_update_no_obs(belief, p)
+        if lam0 == 1.0:
+            assert sorted(beliefs.tolist()) == [0.0, 0.5, 1.0]
+        if lam0 == 0.0005:
+            assert len(beliefs) > 2 * horizon - 2
+            last = successor[reset[0] + horizon - 1]
+            assert last == reset[0] + horizon - 1
+        pols = [greedy_policy(p), opportunistic_policy(p)]
+        stats = run_episodes(pols, p, 1, horizon, seed=2)
+        for pol, s in zip(pols, stats):
+            assert s.mean_bits_per_slot == lane_total(pol, p, horizon, 2) / horizon
+
+    @pytest.mark.parametrize("lam0, lam1", [(0.2, 0.8), (0.9, 0.3), (0.4, 0.4),
+                                            (1.0, 0.0), (0.0, 1.0)])
+    def test_channel_path_is_the_slot_recursion(self, lam0, lam1):
+        p = SystemParams(lambda0=lam0, lambda1=lam1, energy_pmf=(0.5, 0.5),
+                         b_max=6, e_tx=2, e_sense=1, r_low=0.0, r_high=1.0,
+                         beta=0.9)
+        rng = np.random.default_rng(4)
+        stay = rng.random((300, 5))
+        stay[rng.random(stay.shape) < 0.1] = lam0  # ties with a transition row
+        start = np.array([0, 1, 0, 1, 1])
+        want, chan = [], start
+        for row in stay:
+            chan = (row < np.where(chan == 1, lam1, lam0)).astype(int)
+            want.append(chan)
+        assert np.array_equal(_channel_path(start, stay, p), want)
+
+    def test_memory_does_not_grow_with_the_horizon(self, region_params):
+        tracemalloc.start()
+        try:
+            run_episodes(opportunistic_policy(region_params), region_params,
+                         30, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # the whole-horizon uniforms alone were 48 MB
+
+    def test_label_mutated_after_construction_is_rejected(self, region_params):
+        pol = greedy_policy(region_params)
+        run_episodes(pol, region_params, 2, 10, seed=0)
+        pol.rows[0].labels = (Action.HIGH_RATE,)
+        with pytest.raises(InfeasibleActionError):
+            run_episodes(pol, region_params, 2, 10, seed=0)
+        with pytest.raises(InfeasibleActionError):
+            run_episodes([greedy_policy(region_params), pol], region_params,
+                         2, 10, seed=0)
+
+    def test_initial_battery_outside_the_range_is_rejected(self, region_params):
+        with pytest.raises(ParameterError):
+            run_episodes(greedy_policy(region_params), region_params, 2, 10,
+                         seed=0, initial_battery=region_params.b_max + 1)
+
+    def test_cmd_simulate_makes_one_call_per_sweep_point(self, tmp_path,
+                                                          monkeypatch):
+        calls = []
+
+        def counting(policy, *args, **kwargs):
+            calls.append(len(policy))
+            return run_episodes(policy, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_episodes", counting)
+        path = write_config(tmp_path, small_config(sweep={"q": [0.2, 0.6]}))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+        assert calls == [4, 4]
