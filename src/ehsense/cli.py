@@ -19,7 +19,7 @@ from .policies import (SINGLE_THRESHOLD_ACTIONS, StructureViolationError,
                        encode_rows, extract_policy, extract_thresholds,
                        greedy_policy, opportunistic_policy)
 from .simulate import run_episodes
-from .search import SearchConfig, search_thresholds, write_search_log
+from .search import search_thresholds, write_search_log
 from .config import ConfigError, ExperimentConfig, load_config
 from .oracle import (InstanceTooLargeError, check_good_state_dominance,
                      check_value_structure, compare_with_solver)
@@ -138,12 +138,11 @@ def cmd_search(runner: _Runner) -> int:
         return EXIT_CONFIG
     rows = []
     warm: dict = {}
-    scfg = SearchConfig(**vars(cfg.search))
     for label, params in cfg.sweep_points():
         runner.say(f"searching thresholds for {label or 'model'}")
         table = runner.solve_point(params, warm)
         init = extract_thresholds(extract_policy(table))
-        result = search_thresholds(params, scfg, init)
+        result = search_thresholds(params, cfg.search, init)
         result.policy.write_text(runner.path("search_thresholds", label, "txt"),
                                  cfg.config_hash)
         write_search_log(result.log_rows,

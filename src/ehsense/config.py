@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 import yaml
 
 from .model import ParameterError, SystemParams
+from .search import SearchConfig
+from .simulate import episode_start
 
-KNOWN_POLICIES = ("optimal", "single_threshold", "greedy", "opportunistic")
+# Every benchmark policy, in the default order (the row order of throughput.csv).
+KNOWN_POLICIES = ("optimal", "greedy", "single_threshold", "opportunistic")
 
 
 class ConfigError(ValueError):
@@ -32,15 +35,6 @@ class SimSettings:
 
 
 @dataclass
-class SearchSettings:
-    episodes: int = 16
-    horizon: int = 3000
-    max_passes: int = 2
-    seed: int | None = None          # defaults to the simulation seed
-    candidates: list | None = None   # None = reachable beliefs + coarse mesh
-
-
-@dataclass
 class ExperimentConfig:
     model: SystemParams
     grid_resolution: int = 1001
@@ -48,8 +42,8 @@ class ExperimentConfig:
     max_iter: int | None = None
     span_tol: float | None = None
     sim: SimSettings = field(default_factory=SimSettings)
-    search: SearchSettings = field(default_factory=SearchSettings)
-    policies: tuple = ("optimal", "greedy", "single_threshold", "opportunistic")
+    search: SearchConfig = field(default_factory=SearchConfig)
+    policies: tuple = KNOWN_POLICIES
     sweep_q: tuple = ()
     sweep_tau: tuple = ()
     output_dir: str = "out"
@@ -130,17 +124,16 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         sim_raw = dict(sim_raw, seed=int(seed_override))
     try:
         sim = SimSettings(**sim_raw)
-        search = SearchSettings(**search_raw)
-    except TypeError as exc:
+        episode_start(model, sim.initial_battery, sim.initial_belief, sim.g0)
+        if search_raw.get("seed") is None:  # defaults to the simulation seed
+            search_raw = dict(search_raw, seed=sim.seed)
+        search = SearchConfig(**search_raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulation/search settings: {exc}") from None
-    if search.seed is None:
-        search.seed = sim.seed
     if sim.episodes < 1 or sim.horizon < 1:
         raise ConfigError("simulation episodes and horizon must be >= 1")
 
-    policies = tuple(data.get("policies",
-                              ("optimal", "greedy", "single_threshold",
-                               "opportunistic")))
+    policies = tuple(data.get("policies", KNOWN_POLICIES))
     unknown = [p for p in policies if p not in KNOWN_POLICIES]
     if unknown:
         raise ConfigError(f"unknown policies {unknown}; valid: {KNOWN_POLICIES}")

@@ -71,7 +71,7 @@ def extract_policy(table: ValueTable) -> PolicyTable:
     return PolicyTable(actions=actions, grid=table.grid, params=table.params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyRow:
     """One battery level's action intervals.
 
@@ -92,21 +92,33 @@ class PolicyRow:
             raise ParameterError("breakpoints must be strictly increasing")
         if any(l1 == l0 for l0, l1 in zip(self.labels, self.labels[1:])):
             raise ParameterError("adjacent intervals must have distinct labels")
-        self.breakpoints = bp
-        self.labels = tuple(Action(a) for a in self.labels)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "labels", tuple(Action(a) for a in self.labels))
 
     def action_at(self, p: float) -> Action:
         return self.labels[int(np.searchsorted(self.breakpoints, p, side="right"))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per-battery piecewise-constant action rule on the belief interval."""
+    """Per-battery piecewise-constant action rule on the belief interval.
+
+    Immutable, and every label is affordable at its battery level
+    (`feasible_actions`).  `breaks` (b_max + 1, W - 1) and `labels`
+    (b_max + 1, W), with W the most intervals of any row, are read-only
+    arrays for vectorized lookup: breakpoints are padded with the NO_REGION
+    sentinel, so a padded column never matches a belief in [0, 1], and labels
+    (int8 action codes) by repeating the last label.  The interval of belief
+    p at battery b is the count of breaks[b] <= p.
+    """
 
     rows: tuple
     params: SystemParams
+    breaks: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.params.b_max + 1:
             raise ParameterError("need one row per battery level")
         for b, row in enumerate(self.rows):
@@ -115,17 +127,6 @@ class ThresholdPolicy:
                 if a not in ok:
                     raise ParameterError(
                         f"label {a.code} infeasible at battery {b}")
-
-    def action_at(self, battery: int, p: float) -> Action:
-        return self.rows[battery].action_at(p)
-
-    def padded_arrays(self):
-        """Rectangular (breakpoints, labels) arrays for vectorized lookup.
-
-        Breakpoint padding uses the NO_REGION sentinel so padded columns
-        never match a belief in [0, 1]; label padding repeats the last label.
-        Built from the current rows on each call: the rows are mutable.
-        """
         width = max(len(r.labels) for r in self.rows)
         breaks = np.full((len(self.rows), max(width - 1, 1)), NO_REGION)
         labels = np.zeros((len(self.rows), width), dtype=np.int8)
@@ -133,7 +134,12 @@ class ThresholdPolicy:
             breaks[b, :len(row.breakpoints)] = row.breakpoints
             labels[b, :len(row.labels)] = [int(a) for a in row.labels]
             labels[b, len(row.labels):] = int(row.labels[-1])
-        return breaks, labels
+        breaks.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "labels", labels)
+
+    def action_at(self, battery: int, p: float) -> Action:
+        return self.rows[battery].action_at(p)
 
     def write_text(self, path, config_hash: str = "") -> None:
         with open_artifact(path, config_hash) as f:

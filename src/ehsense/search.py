@@ -43,11 +43,11 @@ class SearchConfig:
     episodes: int = 16
     horizon: int = 3000
     seed: int = 0
-    max_passes: int = 4
+    max_passes: int = 2
 
     def __post_init__(self):
-        if self.episodes * self.horizon <= 0:
-            raise ParameterError("episodes * horizon must be positive")
+        if self.episodes < 1 or self.horizon < 1:
+            raise ParameterError("episodes and horizon must be >= 1")
         if self.candidates is not None:
             c = np.unique(np.asarray(self.candidates, dtype=float))
             if c.size == 0 or c[0] < 0.0 or c[-1] > 1.0:

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import write_csv_artifact
-from .model import (Action, InfeasibleActionError, ParameterError,
-                    SystemParams, feasible_actions, next_battery, slot_outcomes)
+from .model import (Action, ParameterError, SystemParams, next_battery,
+                    slot_outcomes)
 from .belief import (belief_after_observation, belief_update_no_obs,
                      observation_for, stationary_belief)
-from .policies import NO_REGION, ThresholdPolicy
+from .policies import ThresholdPolicy
 
 
 def episode_rng(seed: int, episode: int) -> np.random.Generator:
@@ -123,14 +123,25 @@ def _harvest_cdf(params: SystemParams) -> np.ndarray:
     return cdf
 
 
-def _initial_state(params: SystemParams, rng_u0: float, initial_battery: int,
-                   initial_belief, g0):
-    """First-slot state; by default the channel is drawn from the initial
-    belief so the posterior is calibrated from the very first slot."""
+def episode_start(params: SystemParams, initial_battery: int, initial_belief,
+                  g0):
+    """(belief, P[channel GOOD]) at the first slot of an episode.
+
+    The belief defaults to the stationary one and the first channel is drawn
+    from it, so the posterior is calibrated from the very first slot; `g0`
+    overrides the probability of that draw.  Raises ParameterError for a
+    battery outside [0, b_max] or a probability outside [0, 1].
+    """
+    if not 0 <= initial_battery <= params.b_max:
+        raise ParameterError(
+            f"initial battery {initial_battery} outside [0, {params.b_max}]")
     belief = stationary_belief(params) if initial_belief is None \
         else float(initial_belief)
     p_good = belief if g0 is None else float(g0)
-    return initial_battery, belief, int(rng_u0 < p_good)
+    if not (0.0 <= belief <= 1.0 and 0.0 <= p_good <= 1.0):
+        raise ParameterError(
+            f"initial belief {belief} and g0 {p_good} must lie in [0, 1]")
+    return belief, p_good
 
 
 def run_trace(policy, params: SystemParams, horizon: int, seed: int,
@@ -138,9 +149,9 @@ def run_trace(policy, params: SystemParams, horizon: int, seed: int,
               initial_belief=None, g0=None) -> EpisodeTrace:
     """Scalar reference episode; consumes the same stream as run_episodes."""
     rng = episode_rng(seed, episode)
-    b0, p0, g_first = _initial_state(params, rng.random(), initial_battery,
-                                     initial_belief, g0)
-    state = SimState(battery=b0, belief=p0, channel=g_first)
+    belief, p_good = episode_start(params, initial_battery, initial_belief, g0)
+    state = SimState(battery=initial_battery, belief=belief,
+                     channel=int(rng.random() < p_good))
     cols = {k: [] for k in ("channel", "harvest", "battery", "belief",
                             "action", "observation", "bits")}
     for _ in range(horizon):
@@ -165,33 +176,6 @@ def energy_audit(trace: EpisodeTrace, params: SystemParams) -> bool:
 # Uniforms are drawn this many slots at a time: memory grows with lanes times
 # this, not with the horizon, and chunked Philox draws equal one whole draw.
 _CHUNK = 512
-
-
-def _lookup_arrays(policies, params: SystemParams):
-    """Breakpoints (P, B, W - 1) and labels (P, B, W) of all policies, padded
-    to one width as in `ThresholdPolicy.padded_arrays`.
-
-    Raises InfeasibleActionError when a label is not in `feasible_actions`
-    of its battery, so a row mutated after construction is still caught.
-    """
-    pads = [p.padded_arrays() for p in policies]
-    width = max(lab.shape[1] for _, lab in pads)
-    n_b = params.b_max + 1
-    breaks = np.full((len(pads), n_b, max(width - 1, 1)), NO_REGION)
-    labels = np.empty((len(pads), n_b, width), dtype=np.intp)
-    for i, (br, lab) in enumerate(pads):
-        breaks[i, :, :br.shape[1]] = br
-        labels[i] = lab[:, -1:]
-        labels[i, :, :lab.shape[1]] = lab
-    feasible = np.zeros((n_b, len(Action)), dtype=bool)
-    for b in range(n_b):
-        feasible[b, list(feasible_actions(b, params))] = True
-    bad = ~feasible[np.arange(n_b)[:, None], labels]
-    if bad.any():
-        i, b, w = np.argwhere(bad)[0]
-        raise InfeasibleActionError(
-            f"policy {i} labels {Action(labels[i, b, w]).code} at battery {b}")
-    return breaks, labels
 
 
 def _belief_orbits(p0: float, params: SystemParams, horizon: int):
@@ -255,15 +239,17 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
     hundred unless |lambda1 - lambda0| is close to 1, and at most
     3 * horizon.
     """
-    breaks, labels = _lookup_arrays(policies, params)
-    n_pol, n_b = labels.shape[:2]
+    n_pol, n_b = len(policies), params.b_max + 1
     beliefs, successor, reset = _belief_orbits(belief0, params, horizon)
     n_j, n_pb = len(beliefs), n_pol * n_b
     s = max(n_pb, n_j)
-    k = np.zeros((n_pol, n_b, n_j), dtype=np.int8)  # interval of each belief
-    for w in range(breaks.shape[2]):
-        k += beliefs >= breaks[:, :, w, None]
-    code = np.take_along_axis(labels, k, axis=2).ravel()
+    code = np.empty((n_pol, n_b, n_j), dtype=np.intp)
+    for pol, block in zip(policies, code):
+        k = np.zeros((n_b, n_j), dtype=np.int8)  # interval of each belief
+        for col in pol.breaks.T:
+            k += beliefs >= col[:, None]
+        block[:] = np.take_along_axis(pol.labels, k, axis=1)
+    code = code.ravel()
     code *= 2 * s
 
     out = slot_outcomes(params)
@@ -295,14 +281,15 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     """
     if horizon < 1 or episodes < 1:
         raise ValueError("episodes and horizon must be >= 1")
-    if not 0 <= initial_battery <= params.b_max:
-        raise ParameterError(
-            f"initial battery {initial_battery} outside [0, {params.b_max}]")
+    belief0, p_good0 = episode_start(params, initial_battery, initial_belief, g0)
     single = isinstance(policy, ThresholdPolicy)
     policies = [policy] if single else list(policy)
+    costs = (params.b_max, params.e_sense, params.e_tx)
+    if any((p.params.b_max, p.params.e_sense, p.params.e_tx) != costs
+           for p in policies):
+        # a policy's labels are affordable under its own params only
+        raise ParameterError("policy built for another battery size or cost")
     n_pol, n_b = len(policies), params.b_max + 1
-    belief0 = stationary_belief(params) if initial_belief is None \
-        else float(initial_belief)
     code, bits, drop, j_next, n_j, stride = _slot_tables(policies, params,
                                                          belief0, horizon)
     cdf = _harvest_cdf(params)
@@ -317,7 +304,6 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     visits = np.zeros(n_pol * n_b, dtype=np.int64) if collect_visits else None
 
     rngs = [episode_rng(seed, e) for e in range(episodes)]
-    p_good0 = belief0 if g0 is None else float(g0)
     chan = (np.array([rng.random() for rng in rngs]) < p_good0).astype(np.intp)
     for t0 in range(0, horizon, _CHUNK):
         u = np.stack([rng.random((min(_CHUNK, horizon - t0), 2)) for rng in rngs])
@@ -370,16 +356,12 @@ def discounted_return(policy, params: SystemParams, b0: int, p0: float,
     if horizon is None:
         # beta^horizon * max value < 1e-6 of the value scale
         horizon = max(1, int(np.ceil(np.log(1e-6) / np.log(max(beta, 1e-12)))))
-    _lookup_arrays([policy], params)  # raises InfeasibleActionError
     returns = np.empty(episodes)
     for e in range(episodes):
-        rng = episode_rng(seed, e)
-        g0 = int(rng.random() < p0)  # channel drawn from the stated belief
-        state = SimState(battery=b0, belief=p0, channel=g0)
         total, disc = 0.0, 1.0
-        for _ in range(horizon):
-            action = policy.action_at(state.battery, state.belief)
-            state, bits, _ = step(state, action, rng, params)
+        trace = run_trace(policy, params, horizon, seed, episode=e,
+                          initial_battery=b0, initial_belief=p0)
+        for bits in trace.bits.tolist():
             total += disc * bits
             disc *= beta
         returns[e] = total

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 import yaml
 
@@ -64,6 +66,13 @@ class TestConfigParsing:
         lambda c: c.update(policies=["optimal", "mystery"]),
         lambda c: c.update(sweep={"q": []}),
         lambda c: c["solver"].update(tol=-1),
+        lambda c: c.update(search={"episodes": 0}),
+        lambda c: c.update(search={"candidates": [0.5, 1.5]}),
+        lambda c: c["simulation"].update(initial_belief=1.5),
+        lambda c: c["simulation"].update(g0=-0.3),
+        lambda c: c["simulation"].update(initial_battery=7),  # b_max is 6
+        lambda c: c["simulation"].update(initial_battery=-1),
+        lambda c: c.update(search={"episodes": -2, "horizon": -3}),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -177,3 +186,28 @@ class TestVerifyCommand:
         assert "PASS monotone_in_belief" in out
         assert "FAIL battery_gap_bound" in out
         assert "PASS threshold_structure" in out
+
+
+# SHA-256 of every artifact of `solve`, `simulate` and `search` on
+# small_config(); a change that alters an artifact updates its digest here and
+# says why.
+ARTIFACT_DIGESTS = {
+    "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
+    "search_log.csv": "bf408ac2611d9368db5b7e4c3d84489c17fcd1215e3f90f6e40ec36e9c1970f8",
+    "search_thresholds.txt": "d97db2ec75042e23d0740601fbeaf668636b1a30d952180c6787f18a3c25f43a",
+    "search_throughput.csv": "d3c7483a542e8f89f31257590ab96bed01afe560412cf5f81858d815be05f7c6",
+    "thresholds.txt": "d2c4db15f40aec9ca3632cfb8aba42a394801964a2f96da6e08c279a591db15e",
+    "throughput.csv": "d49663a30ab7f51528934461a0d8e26d27bd06116493c078c97efad6770c46e8",
+    "values.csv": "edf1377e4d1836e319c076996db118c0055ceab919462c7101137dbfdebad4aa",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path):
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "out"
+    for cmd in ("solve", "simulate", "search"):
+        assert main([cmd, "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir()}
+    assert got == ARTIFACT_DIGESTS

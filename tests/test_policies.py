@@ -165,7 +165,7 @@ class TestBaselines:
 def test_padded_arrays_lookup_matches_rows(tiny_params, coarse_grid):
     table = value_iteration(tiny_params, coarse_grid)
     tp = encode_rows(extract_policy(table))
-    breaks, labels = tp.padded_arrays()
+    breaks, labels = tp.breaks, tp.labels
     rng = np.random.default_rng(5)
     for _ in range(200):
         b = int(rng.integers(0, tiny_params.b_max + 1))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import reduce
 from operator import add
 
@@ -311,18 +312,34 @@ class TestBatchedLanes:
 
     def test_label_mutated_after_construction_is_rejected(self, region_params):
         pol = greedy_policy(region_params)
-        run_episodes(pol, region_params, 2, 10, seed=0)
-        pol.rows[0].labels = (Action.HIGH_RATE,)
-        with pytest.raises(InfeasibleActionError):
-            run_episodes(pol, region_params, 2, 10, seed=0)
-        with pytest.raises(InfeasibleActionError):
-            run_episodes([greedy_policy(region_params), pol], region_params,
+        before = run_episodes(pol, region_params, 2, 10, seed=0)
+        with pytest.raises(FrozenInstanceError):
+            pol.rows[0].labels = (Action.HIGH_RATE,)
+        with pytest.raises(FrozenInstanceError):
+            pol.rows = pol.rows[::-1]
+        with pytest.raises(ValueError):
+            pol.labels[0, 0] = Action.HIGH_RATE
+        with pytest.raises(ValueError):
+            pol.breaks[0, 0] = 0.5
+        assert run_episodes(pol, region_params, 2, 10, seed=0) == before
+
+    def test_policy_for_other_costs_is_rejected(self, region_params):
+        cheaper = greedy_policy(region_params.replace(e_tx=5))
+        with pytest.raises(ParameterError):
+            run_episodes([greedy_policy(region_params), cheaper], region_params,
                          2, 10, seed=0)
 
-    def test_initial_battery_outside_the_range_is_rejected(self, region_params):
+    @pytest.mark.parametrize("start", [
+        {"initial_battery": 51}, {"initial_battery": -1},
+        {"initial_belief": 1.5}, {"g0": -0.3}, {"initial_belief": float("nan")},
+    ], ids=["battery51", "battery-1", "belief1.5", "g0-0.3", "belief-nan"])
+    def test_initial_battery_outside_the_range_is_rejected(self, region_params,
+                                                           start):
+        pol = greedy_policy(region_params)
         with pytest.raises(ParameterError):
-            run_episodes(greedy_policy(region_params), region_params, 2, 10,
-                         seed=0, initial_battery=region_params.b_max + 1)
+            run_episodes(pol, region_params, 2, 10, seed=0, **start)
+        with pytest.raises(ParameterError):
+            run_trace(pol, region_params, 10, seed=0, **start)
 
     def test_cmd_simulate_makes_one_call_per_sweep_point(self, tmp_path,
                                                           monkeypatch):
