@@ -8,16 +8,14 @@ random number Monte Carlo simulator.
 """
 
 from .model import (Action, InfeasibleActionError, Observation, ParameterError,
-                    SystemParams, SystemState, expected_reward, feasible_actions,
-                    next_battery, slot_outcomes)
+                    SystemParams, feasible_actions, next_battery, slot_outcomes)
 from .belief import (BeliefGrid, belief_after_observation, belief_update_no_obs,
-                     reachable_beliefs, stationary_belief)
+                     orbits, reachable_beliefs, stationary_belief)
 from .solver import (BellmanOperator, ConvergenceError, ValueTable, backup,
                      bellman_step, value_iteration, zero_table)
 from .policies import (PolicyRow, PolicyTable, StructureViolationError,
                        ThresholdPolicy, encode_rows, extract_policy,
-                       extract_thresholds, greedy_policy, opportunistic_policy,
-                       single_threshold_policy)
+                       extract_thresholds, greedy_policy, opportunistic_policy)
 from .simulate import (EpisodeTrace, SimState, ThroughputStats, discounted_return,
                        energy_audit, episode_rng, run_episodes, run_trace, step)
 from .search import (SearchConfig, SearchResult, default_candidates,

@@ -3,7 +3,8 @@
 The channel-state posterior ("belief") is the probability that the channel
 is GOOD at the start of the current slot.  Without feedback it propagates
 through the channel's one-step transition; observations reset it to one of
-the two transition rows.
+the two transition rows.  `orbits` builds the beliefs a process can hold,
+once, for the simulator and for `reachable_beliefs`.
 """
 from __future__ import annotations
 
@@ -52,23 +53,50 @@ def stationary_belief(params: SystemParams) -> float:
     return params.lambda0 / denom
 
 
+def orbits(params: SystemParams, roots, length: int):
+    """Every belief within `length - 1` no-observation steps of some root.
+
+    Without an observation the belief moves to f(p) = belief_update_no_obs(p);
+    an observation resets it to lambda0 or lambda1.  So with the roots (start
+    belief, lambda0, lambda1) these are all the beliefs of the first `length`
+    slots.  Each belief is walked on from the fewest steps it lies from any
+    root.  Returns (beliefs, successor, root_index): root_index[i] is the
+    index of roots[i], and beliefs[successor[j]] is f(beliefs[j]), or
+    successor[j] = j when f(beliefs[j]) is not in the set; that happens only
+    `length - 1` steps deep, for a belief that only the last slot holds.
+    """
+    depth = {}  # belief -> fewest steps from any root; order gives the index
+    for root in roots:
+        p = float(root)
+        for k in range(length):
+            if depth.get(p, length) <= k:
+                break  # this walk already went on from here, as deep or deeper
+            depth[p] = k
+            p = belief_update_no_obs(p, params)
+    beliefs = np.array(list(depth))
+    order = np.argsort(beliefs)
+
+    def find(p):  # index of the least belief >= each of p
+        return order[np.minimum(np.searchsorted(beliefs, p, sorter=order),
+                                len(order) - 1)]
+
+    images = belief_update_no_obs(beliefs, params)  # the walk's float ops
+    successor = find(images)
+    successor = np.where(beliefs[successor] == images, successor,
+                         np.arange(len(beliefs)))
+    return beliefs, successor, find(np.array(roots, dtype=float)).tolist()
+
+
 def reachable_beliefs(p0: float, depth: int, params: SystemParams) -> np.ndarray:
     """All beliefs reachable from p0 within `depth` no-observation steps.
 
-    Observation resets jump to lambda0/lambda1, so the reachable set is the
-    union of the propagation orbits of {p0, lambda0, lambda1}, at most
-    3 * (depth + 1) points.  Values closer than 1e-12 are merged.
+    The `orbits` of {p0, lambda0, lambda1}, sorted, at most 3 * (depth + 1)
+    points; values closer than 1e-12 are merged.
     """
     if depth < 0:
         raise ParameterError("depth must be >= 0")
-    points = []
-    for root in (p0, params.lambda0, params.lambda1):
-        p = root
-        points.append(p)
-        for _ in range(depth):
-            p = belief_update_no_obs(p, params)
-            points.append(p)
-    points.sort()
+    roots = (p0, params.lambda0, params.lambda1)
+    points = np.sort(orbits(params, roots, depth + 1)[0]).tolist()
     out = [points[0]]
     for p in points[1:]:
         if p - out[-1] > _DEDUP_TOL:

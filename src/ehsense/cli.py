@@ -73,8 +73,6 @@ class _Runner:
             return greedy_policy(params)
         if name == "opportunistic":
             return opportunistic_policy(params)
-        if name not in _SOLVED_POLICIES:
-            raise ConfigError(f"unknown policy {name}")
         return encode_rows(extract_policy(self.solve_point(params, warm, name)))
 
     def write_throughput(self, stem: str, rows) -> Path:

@@ -33,6 +33,15 @@ class SimSettings:
     initial_belief: float | None = None
     g0: float | None = None
 
+    def __post_init__(self):
+        for name in ("episodes", "horizon", "seed", "initial_battery"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"simulation.{name} must be an integer, "
+                                f"got {value!r}")
+        if self.episodes < 1 or self.horizon < 1:
+            raise ValueError("simulation episodes and horizon must be >= 1")
+
 
 @dataclass
 class ExperimentConfig:
@@ -130,8 +139,6 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         search = SearchConfig(**search_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulation/search settings: {exc}") from None
-    if sim.episodes < 1 or sim.horizon < 1:
-        raise ConfigError("simulation episodes and horizon must be >= 1")
 
     policies = tuple(data.get("policies", KNOWN_POLICIES))
     unknown = [p for p in policies if p not in KNOWN_POLICIES]

@@ -1,4 +1,4 @@
-"""Core model: parameters, actions, states, rewards and battery transitions.
+"""Core model: parameters, actions, slot outcomes and battery transitions.
 
 Everything here is a pure function over immutable data; the solver,
 simulator and policy modules all build on this module.  The per-slot
@@ -166,21 +166,6 @@ class SystemParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Decision state: battery level plus posterior probability the channel is GOOD."""
-
-    battery: int
-    belief: float
-
-    def __post_init__(self):
-        if not _is_integral(self.battery):
-            raise ParameterError("battery must be integral")
-        object.__setattr__(self, "battery", int(self.battery))
-        if not 0.0 <= self.belief <= 1.0:
-            raise ParameterError(f"belief {self.belief} outside [0, 1]")
-
-
 def feasible_actions(battery: int, params: SystemParams) -> tuple:
     """Actions affordable at the given battery level.
 
@@ -239,17 +224,6 @@ def slot_outcomes(params: SystemParams) -> SlotOutcomes:
     for a in (bits, debit, reveals):
         a.flags.writeable = False
     return SlotOutcomes(bits=bits, debit=debit, reveals=reveals)
-
-
-def expected_reward(state: SystemState, action: Action, params: SystemParams) -> float:
-    """Expected bits delivered in one slot, given the current belief.
-
-    Infeasible (state, action) pairs earn 0; the function is total.
-    """
-    p = state.belief
-    (bad, _), (good, _) = slot_outcomes(params).legs(
-        action, int(state.battery >= params.e_tx))
-    return p * good + (1.0 - p) * bad
 
 
 def next_battery(battery: int, harvest: int, action: Action,

@@ -1,5 +1,5 @@
 """Policy representations: grid tables, per-battery threshold intervals,
-greedy extraction and the three baseline policies.
+greedy extraction and the two fixed baseline policies.
 
 A threshold policy stores, for every battery level, a partition of the
 belief interval into labeled action intervals.  That form is what the
@@ -15,14 +15,15 @@ import numpy as np
 from .artifacts import open_artifact, write_csv_artifact
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
-from .solver import Q_TIE_TOL, ValueTable, value_iteration
+from .solver import Q_TIE_TOL, ValueTable
 
 # Canonical single-rate interval patterns: what an optimal row may look like
 # (as a subsequence) once the low-rate code is disabled.
 PATTERN_FULL = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.HIGH_RATE)
 PATTERN_SENSE_ONLY = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER)
 
-# The no-sensing baseline's action set (the `single_threshold` policy).
+# The no-sensing baseline's action set: the `single_threshold` policy is the
+# model solved over these actions only.
 SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
 
 # Ordering used to break exact ties in the greedy argmax; later wins.
@@ -234,17 +235,17 @@ def validate_two_rate_row(actions: np.ndarray, battery: int,
             f"({'|'.join(a.code for a in labels)})")
 
 
-def extract_thresholds(policy: PolicyTable, validate: bool = True) -> ThresholdPolicy:
-    """Run-length encode and (optionally) structure-check a grid policy.
+def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
+    """Structure-check and run-length encode a grid policy.
 
     A violation raises rather than being silently repaired: it signals a
-    solver bug or an insufficient grid resolution.
+    solver bug or an insufficient grid resolution.  `encode_rows` is the
+    unchecked form.
     """
-    if validate:
-        check = validate_two_rate_row if policy.params.two_rate \
-            else validate_single_rate_row
-        for b in range(policy.params.b_max + 1):
-            check(policy.actions[b], b, policy.params)
+    check = validate_two_rate_row if policy.params.two_rate \
+        else validate_single_rate_row
+    for b in range(policy.params.b_max + 1):
+        check(policy.actions[b], b, policy.params)
     return encode_rows(policy)
 
 
@@ -266,15 +267,3 @@ def opportunistic_policy(params: SystemParams) -> ThresholdPolicy:
     """Sense every slot the battery allows; transmission follows the sensed state."""
     return _uniform_rows(params, Action.SENSE_DEFER)
 
-
-def single_threshold_policy(params: SystemParams, grid: BeliefGrid,
-                            tol: float = 1e-9, max_iter: int | None = None,
-                            **solver_kw) -> ThresholdPolicy:
-    """Best defer/transmit policy without sensing.
-
-    Solves the model restricted to {DEFER, HIGH_RATE}; the result is one
-    belief threshold per battery level (trivial below the transmit cost).
-    """
-    table = value_iteration(params, grid, tol, max_iter,
-                            allowed=SINGLE_THRESHOLD_ACTIONS, **solver_kw)
-    return encode_rows(extract_policy(table))

@@ -46,6 +46,10 @@ class SearchConfig:
     max_passes: int = 2
 
     def __post_init__(self):
+        for name in ("episodes", "horizon", "seed", "max_passes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"search.{name} must be an integer, got {value!r}")
         if self.episodes < 1 or self.horizon < 1:
             raise ParameterError("episodes and horizon must be >= 1")
         if self.candidates is not None:

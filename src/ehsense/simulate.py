@@ -8,10 +8,11 @@ exactly the same realizations.  `run_episodes` uses this to run several
 policies in one pass: its lanes are (policy, episode) pairs, the channel and
 harvest of a slot are computed once per episode and shared by every policy,
 and the uniforms are drawn a chunk of slots at a time, so memory does not
-grow with the horizon.  A lane's belief is kept as an index into the orbits
-of the no-observation update (from the start belief, lambda0 and lambda1),
-which makes each slot's action a lookup in a (policy, battery, orbit index)
-table.  What each action delivers, spends and reveals in a slot is read from
+grow with the horizon.  A lane's belief is kept as an index into
+`belief.orbits`, the beliefs that the no-observation update reaches from
+the start belief, lambda0 and lambda1 within the horizon; this makes each
+slot's action a lookup in a (policy, battery, orbit index) table.  What
+each action delivers, spends and reveals in a slot is read from
 `model.slot_outcomes`, the table the solver uses too; only
 `oracle.exact_finite_horizon` restates it, on purpose.  The scalar `step`,
 `run_trace` and `discounted_return` follow the float recursion slot by slot
@@ -26,8 +27,8 @@ import numpy as np
 from .artifacts import write_csv_artifact
 from .model import (Action, ParameterError, SystemParams, next_battery,
                     slot_outcomes)
-from .belief import (belief_after_observation, belief_update_no_obs,
-                     observation_for, stationary_belief)
+from .belief import (belief_after_observation, observation_for, orbits,
+                     stationary_belief)
 from .policies import ThresholdPolicy
 
 
@@ -178,32 +179,6 @@ def energy_audit(trace: EpisodeTrace, params: SystemParams) -> bool:
 _CHUNK = 512
 
 
-def _belief_orbits(p0: float, params: SystemParams, horizon: int):
-    """Every belief an episode can hold, as (beliefs, successor, reset).
-
-    Without an observation the belief moves to f(p) = belief_update_no_obs(p);
-    an observation resets it to lambda0 or lambda1.  So the beliefs are the
-    orbits f^k of p0, lambda0 and lambda1.  An orbit stops at its first float
-    seen before (the successor of its last point is then that float's index)
-    or after `horizon` points (the last point is its own successor; no action
-    reads it).  reset[g] is the index of lambda_g.
-    """
-    beliefs, successor, index = [], [], {}
-    for root in (float(p0), float(params.lambda0), float(params.lambda1)):
-        p, prev = root, None
-        for _ in range(horizon):
-            j = index.setdefault(p, len(beliefs))
-            if prev is not None:
-                successor[prev] = j
-            if j < len(beliefs):
-                break
-            beliefs.append(p)
-            successor.append(j)
-            prev, p = j, belief_update_no_obs(p, params)
-    reset = [index[float(params.lambda0)], index[float(params.lambda1)]]
-    return np.array(beliefs), np.array(successor, dtype=np.intp), reset
-
-
 def _channel_path(start, stay, params: SystemParams) -> np.ndarray:
     """Channel of slots 1..n from the channel `start` of slot 0 and the
     (n, episodes) uniforms `stay`: slot t + 1 is GOOD iff
@@ -230,17 +205,19 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
     """Flat lookup tables of the slot loop: (code, bits, drop, j_next, n_j, s).
 
     A lane carries pb = policy * (b_max + 1) + battery and j, the index of
-    its belief in `_belief_orbits`.  code[pb * n_j + j] is the lane's action
-    as c = 2 * action * s; adding channel * s gives its (action, channel)
-    row, where bits[c + pb] and drop[c + pb] (pb minus the energy debit)
-    hold the slot outcome from `slot_outcomes` and j_next[c + j] the next
-    belief index.  The stride s is the larger of the pb and j ranges.  The
+    its belief in `belief.orbits` of (belief0, lambda0, lambda1), where
+    belief0, the first root, has index 0.  code[pb * n_j + j] is the lane's
+    action as c = 2 * action * s; adding channel * s gives its (action,
+    channel) row, where bits[c + pb] and drop[c + pb] (pb minus the energy
+    debit) hold the slot outcome from `slot_outcomes` and j_next[c + j] the
+    next belief index.  The stride s is the larger of the pb and j ranges.  The
     action table holds (policies x batteries x n_j) words; n_j is a few
     hundred unless |lambda1 - lambda0| is close to 1, and at most
     3 * horizon.
     """
     n_pol, n_b = len(policies), params.b_max + 1
-    beliefs, successor, reset = _belief_orbits(belief0, params, horizon)
+    beliefs, successor, (_, *reset) = orbits(
+        params, (belief0, params.lambda0, params.lambda1), horizon)
     n_j, n_pb = len(beliefs), n_pol * n_b
     s = max(n_pb, n_j)
     code = np.empty((n_pol, n_b, n_j), dtype=np.intp)

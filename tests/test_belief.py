@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ehsense import (BeliefGrid, Observation, ParameterError, SystemParams,
-                     belief_after_observation, belief_update_no_obs,
+                     belief_after_observation, belief_update_no_obs, orbits,
                      reachable_beliefs, stationary_belief)
 
 
@@ -100,6 +100,28 @@ class TestReachable:
             # orbits of the two transition rows plus the query point
             assert len(reachable_beliefs(0.5, depth, p)) <= 3 * depth + 3
             assert len(reachable_beliefs(p.lambda0, depth, p)) <= 2 * depth + 3
+
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("lam0", [0.7, 0.9995])
+    def test_root_two_steps_deep_in_another_orbit(self, lam0):
+        # f(1) = lambda1 = 0 and f(0) = lambda0: both resets lie on the start
+        # belief's orbit, lambda0 two steps deep
+        p, length = chain(lam0, 0.0), 60
+        roots = (1.0, lam0, 0.0)
+        beliefs, successor, root_index = orbits(p, roots, length)
+        walks = []
+        for root in roots:
+            walk = [root]
+            for _ in range(length - 1):
+                walk.append(belief_update_no_obs(walk[-1], p))
+            walks.append(walk)
+        assert sorted(beliefs.tolist()) == sorted(set().union(*walks))
+        for walk, j in zip(walks, root_index):
+            for belief in walk:  # the successor walk is the float recursion
+                assert beliefs[j] == belief
+                j = successor[j]
 
 
 class TestGrid:

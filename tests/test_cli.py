@@ -80,6 +80,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("section", ["simulation", "search"])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"), ("episodes", 2.5), ("horizon", "300"),
+        ("episodes", True)])
+    def test_badly_typed_integer_exits_at_parse(self, tmp_path, capsys,
+                                                section, field, value):
+        cfg = small_config()
+        cfg.setdefault(section, {})[field] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{section}.{field}" in err
+        assert not out.exists()  # failed before any solve
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")

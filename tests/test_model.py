@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ehsense import (Action, InfeasibleActionError, ParameterError, SystemParams,
-                     SystemState, expected_reward, feasible_actions, next_battery)
+                     feasible_actions, next_battery, slot_outcomes)
 from conftest import two_point_pmf
 
 
@@ -67,38 +67,45 @@ class TestFeasibleActions:
         assert acts == (Action.DEFER, Action.SENSE_DEFER, Action.HIGH_RATE)
 
 
+def expected_reward(battery, p, action, params):
+    """Expected bits of one slot at belief p: p * good + (1 - p) * bad."""
+    (bad, _), (good, _) = slot_outcomes(params).legs(
+        action, int(battery >= params.e_tx))
+    return p * good + (1.0 - p) * bad
+
+
 class TestExpectedReward:
     def test_infeasible_high_rate_earns_nothing(self):
         p = make_params()
-        assert expected_reward(SystemState(5, 0.9), Action.HIGH_RATE, p) == 0.0
+        assert expected_reward(5, 0.9, Action.HIGH_RATE, p) == 0.0
 
     def test_high_rate_scales_with_belief(self):
         p = make_params()
-        assert expected_reward(SystemState(10, 0.5), Action.HIGH_RATE, p) \
+        assert expected_reward(10, 0.5, Action.HIGH_RATE, p) \
             == pytest.approx(1.5)
 
     def test_sense_transmit_mixes_both_rates(self):
         p = make_params()
-        got = expected_reward(SystemState(10, 0.5), Action.SENSE_TRANSMIT, p)
+        got = expected_reward(10, 0.5, Action.SENSE_TRANSMIT, p)
         assert got == pytest.approx(0.8 * (0.5 * 1.0 + 0.5 * 3.0))
 
     def test_sense_defer_certain_good(self):
         p = make_params()
-        got = expected_reward(SystemState(10, 1.0), Action.SENSE_DEFER, p)
+        got = expected_reward(10, 1.0, Action.SENSE_DEFER, p)
         assert got == pytest.approx(2.4)
 
     def test_defer_is_free(self):
         p = make_params()
-        assert expected_reward(SystemState(50, 1.0), Action.DEFER, p) == 0.0
+        assert expected_reward(50, 1.0, Action.DEFER, p) == 0.0
 
     def test_linear_in_belief(self):
         p = make_params()
         rng = np.random.default_rng(0)
         for action in (Action.HIGH_RATE, Action.SENSE_DEFER, Action.SENSE_TRANSMIT):
-            lo = expected_reward(SystemState(20, 0.0), action, p)
-            hi = expected_reward(SystemState(20, 1.0), action, p)
+            lo = expected_reward(20, 0.0, action, p)
+            hi = expected_reward(20, 1.0, action, p)
             for x in rng.random(20):
-                mid = expected_reward(SystemState(20, float(x)), action, p)
+                mid = expected_reward(20, float(x), action, p)
                 assert mid == pytest.approx(x * hi + (1 - x) * lo, abs=1e-12)
 
 
@@ -147,12 +154,3 @@ class TestNextBattery:
                     assert debit == p.e_sense
                 else:
                     assert debit == p.e_tx
-
-
-def test_state_validation():
-    with pytest.raises(ParameterError):
-        SystemState(3, 1.5)
-    with pytest.raises(ParameterError):
-        SystemState(2.5, 0.5)
-    s = SystemState(3.0, 0.5)
-    assert s.battery == 3

@@ -5,8 +5,9 @@ against it, never the other way around.
 import numpy as np
 import pytest
 
-from ehsense import (InstanceTooLargeError, SystemParams, exact_finite_horizon,
-                     reachable_beliefs)
+from ehsense import (BeliefGrid, InstanceTooLargeError, SystemParams,
+                     bellman_step, exact_finite_horizon, reachable_beliefs,
+                     stationary_belief, zero_table)
 
 
 def myopic_value(params, b, p):
@@ -109,3 +110,24 @@ def test_reachable_belief_count_matches_memo_need(tiny_params):
     assert len(beliefs) <= 3 * 5
     assert any(abs(b - 0.3) < 1e-12 for b in beliefs)
     assert any(abs(b - 0.8) < 1e-12 for b in beliefs)
+
+
+@pytest.mark.parametrize("resolution", [101, 1001])
+def test_grid_matches_exact_on_grid_transition_rows(resolution):
+    # test_01's instance, whose lambda0 and lambda1 lie on the grid: on the
+    # reachable beliefs the grid solve agrees with the exact recursion to
+    # rounding (gaps up to 4.5e-16 measured), so this catches regressions
+    # that test_01's bound of 10 * step * n lets through
+    params = SystemParams(lambda0=0.3, lambda1=0.8, energy_pmf=(0.5, 0.5),
+                          b_max=4, e_tx=2, e_sense=1, r_low=0.0, r_high=1.0,
+                          beta=0.9)
+    grid = BeliefGrid.from_resolution(resolution)
+    beliefs = reachable_beliefs(stationary_belief(params), 8, params)
+    table = zero_table(params, grid)
+    for n in range(1, 9):
+        table = bellman_step(table)
+        for b in range(params.b_max + 1):
+            for p in beliefs:
+                gap = abs(exact_finite_horizon(params, b, float(p), n)
+                          - float(grid.interp(table.values[b], float(p))))
+                assert gap <= 1e-12, (n, b, p, gap)

@@ -3,9 +3,16 @@ import pytest
 
 from ehsense import (Action, BeliefGrid, ParameterError, StructureViolationError,
                      encode_rows, extract_policy, extract_thresholds, greedy_policy,
-                     opportunistic_policy, single_threshold_policy, value_iteration)
-from ehsense.policies import PolicyRow, PolicyTable, ThresholdPolicy
+                     opportunistic_policy, value_iteration)
+from ehsense.policies import (SINGLE_THRESHOLD_ACTIONS, PolicyRow, PolicyTable,
+                              ThresholdPolicy)
 from conftest import two_point_pmf
+
+
+def single_threshold_policy(params, grid):
+    """The no-sensing baseline, built as the CLI builds it."""
+    return encode_rows(extract_policy(
+        value_iteration(params, grid, allowed=SINGLE_THRESHOLD_ACTIONS)))
 
 
 class TestExtractPolicy:

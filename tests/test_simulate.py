@@ -9,12 +9,12 @@ import pytest
 from ehsense import (Action, BeliefGrid, InfeasibleActionError, Observation,
                      ParameterError, SimState, SystemParams,
                      belief_update_no_obs, discounted_return, energy_audit,
-                     episode_rng, greedy_policy, opportunistic_policy,
+                     episode_rng, greedy_policy, opportunistic_policy, orbits,
                      run_episodes, run_trace, step, stationary_belief,
                      value_iteration, extract_policy, encode_rows)
 from ehsense import cli
 from ehsense.policies import PolicyRow, ThresholdPolicy
-from ehsense.simulate import _CHUNK, _belief_orbits, _channel_path
+from ehsense.simulate import _CHUNK, _channel_path
 from conftest import two_point_pmf
 from test_cli import small_config, write_config
 
@@ -266,9 +266,10 @@ class TestBatchedLanes:
                          beta=0.9)
         horizon = 60
         p0 = stationary_belief(p)
-        beliefs, successor, reset = _belief_orbits(p0, p, horizon)
+        beliefs, successor, (j0, *reset) = orbits(p, (p0, lam0, lam1), horizon)
+        assert j0 == 0
         assert len(beliefs) == len(set(beliefs.tolist()))
-        for root, j in ((p0, 0), (lam0, reset[0]), (lam1, reset[1])):
+        for root, j in ((p0, j0), (lam0, reset[0]), (lam1, reset[1])):
             belief = root
             for _ in range(horizon):  # the successor walk is the float recursion
                 assert beliefs[j] == belief
@@ -283,6 +284,28 @@ class TestBatchedLanes:
         stats = run_episodes(pols, p, 1, horizon, seed=2)
         for pol, s in zip(pols, stats):
             assert s.mean_bits_per_slot == lane_total(pol, p, horizon, 2) / horizon
+
+    def test_root_deep_in_an_earlier_orbit_is_walked_to_the_horizon(self):
+        # From belief 1 the no-observation beliefs are 1, lambda1 = 0,
+        # lambda0, ...: lambda0 sits two steps deep in the start belief's
+        # orbit.  A lane reset to lambda0 after slot 0 must follow the float
+        # recursion to the last slot, not freeze where that orbit was cut.
+        p = SystemParams(lambda0=0.9995, lambda1=0.0, energy_pmf=(0.5, 0.5),
+                         b_max=50, e_tx=2, e_sense=1, r_low=0.5, r_high=1.0,
+                         beta=0.9)
+        transmit = PolicyRow((0.5, 0.99999),
+                             (Action.LOW_RATE, Action.DEFER, Action.HIGH_RATE))
+        pol = ThresholdPolicy(rows=tuple(
+            transmit if b >= p.e_tx else PolicyRow((), (Action.DEFER,))
+            for b in range(p.b_max + 1)), params=p)
+        kw = dict(initial_battery=50, initial_belief=1.0, g0=0.0)
+        stats = run_episodes(pol, p, 4, 60, seed=1, **kw)
+        totals = [run_trace(pol, p, 60, seed=1, episode=e, **kw).bits.sum()
+                  for e in range(4)]
+        # H on BAD at slot 0, then D and L alternate: L in 29 of the 59 slots
+        assert totals == [29 * 0.5] * 4
+        assert stats.mean_bits_per_slot == pytest.approx(29 * 0.5 / 60,
+                                                         abs=1e-15)
 
     @pytest.mark.parametrize("lam0, lam1", [(0.2, 0.8), (0.9, 0.3), (0.4, 0.4),
                                             (1.0, 0.0), (0.0, 1.0)])
