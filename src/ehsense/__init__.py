@@ -7,10 +7,10 @@ per-battery belief thresholds, and benchmarks policies with a common
 random number Monte Carlo simulator.
 """
 
-from .model import (Action, InfeasibleActionError, Observation, ParameterError,
-                    SystemParams, feasible_actions, next_battery, slot_outcomes)
-from .belief import (BeliefGrid, belief_after_observation, belief_update_no_obs,
-                     orbits, reachable_beliefs, stationary_belief)
+from .model import (Action, InfeasibleActionError, ParameterError, SystemParams,
+                    feasible_actions, next_battery, slot_outcomes)
+from .belief import (BeliefGrid, belief_update_no_obs, orbits, reachable_beliefs,
+                     stationary_belief)
 from .solver import (BellmanOperator, ConvergenceError, ValueTable, backup,
                      bellman_step, value_iteration, zero_table)
 from .policies import (PolicyRow, PolicyTable, StructureViolationError,

@@ -2,9 +2,10 @@
 
 The channel-state posterior ("belief") is the probability that the channel
 is GOOD at the start of the current slot.  Without feedback it propagates
-through the channel's one-step transition; observations reset it to one of
-the two transition rows.  `orbits` builds the beliefs a process can hold,
-once, for the simulator and for `reachable_beliefs`.
+through the channel's one-step transition, `belief_update_no_obs`; an action
+that reveals the channel (`model.slot_outcomes`) resets it to lambda1 on
+GOOD and lambda0 on BAD.  `orbits` builds the beliefs a process can hold, once, for the
+simulator and for `reachable_beliefs`.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, Observation, ParameterError, SystemParams
+from .model import ParameterError, SystemParams
 
 _DEDUP_TOL = 1e-12
 
@@ -20,29 +21,6 @@ _DEDUP_TOL = 1e-12
 def belief_update_no_obs(p: float, params: SystemParams) -> float:
     """One-step belief propagation when no channel feedback was obtained."""
     return params.lambda0 * (1.0 - p) + params.lambda1 * p
-
-
-def belief_after_observation(obs: Observation, p: float, params: SystemParams) -> float:
-    """Belief at the start of the next slot, given this slot's observation.
-
-    Observations that reveal the channel state collapse the posterior to a
-    point mass, so the next-slot belief is the matching transition
-    probability; with no observation the belief just propagates.
-    """
-    if obs in (Observation.ACK_HIGH, Observation.SENSED_GOOD):
-        return params.lambda1
-    if obs in (Observation.NACK_HIGH, Observation.SENSED_BAD):
-        return params.lambda0
-    return belief_update_no_obs(p, params)
-
-
-def observation_for(action: Action, channel_good: bool) -> Observation:
-    """Observation produced by taking `action` on the given true channel state."""
-    if action == Action.HIGH_RATE:
-        return Observation.ACK_HIGH if channel_good else Observation.NACK_HIGH
-    if action in (Action.SENSE_DEFER, Action.SENSE_TRANSMIT):
-        return Observation.SENSED_GOOD if channel_good else Observation.SENSED_BAD
-    return Observation.NONE
 
 
 def stationary_belief(params: SystemParams) -> float:

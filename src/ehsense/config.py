@@ -112,6 +112,36 @@ def _section(data, name) -> dict:
     return sect
 
 
+def _integer(sect: dict, section: str, name: str, default, least: int):
+    """sect[name], an integer >= least, or `default` when absent or null."""
+    value = sect.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{section}.{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return value
+
+
+def _positive(sect: dict, section: str, name: str, default):
+    """sect[name] as a float > 0, or `default` when absent or null.
+
+    A numeric string is read as its number: YAML reads 1e-9, which has no
+    dot, as a string.
+    """
+    value = sect.get(name)
+    if value is None:
+        return default
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if isinstance(value, bool) or not number > 0:
+        raise ConfigError(f"{section}.{name} must be a positive number, "
+                          f"got {value!r}")
+    return number
+
+
 def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(data, dict) or "model" not in data:
         raise ConfigError("config must be a mapping with a 'model' section")
@@ -160,17 +190,12 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     digest = hashlib.sha256(
         json.dumps(effective, sort_keys=True, default=str).encode()).hexdigest()[:12]
 
-    resolution = int(grid.get("resolution", 1001))
-    if resolution < 2:
-        raise ConfigError("grid.resolution must be >= 2")
     cfg = ExperimentConfig(
         model=model,
-        grid_resolution=resolution,
-        tol=float(solver.get("tol", 1e-9)),
-        max_iter=(int(solver["max_iter"]) if solver.get("max_iter") is not None
-                  else None),
-        span_tol=(float(solver["span_tol"]) if solver.get("span_tol") is not None
-                  else None),
+        grid_resolution=_integer(grid, "grid", "resolution", 1001, least=2),
+        tol=_positive(solver, "solver", "tol", 1e-9),
+        max_iter=_integer(solver, "solver", "max_iter", None, least=1),
+        span_tol=_positive(solver, "solver", "span_tol", None),
         sim=sim,
         search=search,
         policies=policies,
@@ -179,8 +204,6 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         output_dir=str(data.get("output_dir", "out")),
         config_hash=digest,
     )
-    if cfg.tol <= 0:
-        raise ConfigError("solver.tol must be positive")
     # fail fast on sweep points that violate model invariants
     try:
         cfg.sweep_points()

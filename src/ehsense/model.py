@@ -55,16 +55,6 @@ _ACTION_CODES = {
 ACTION_BY_CODE = {c: a for a, c in _ACTION_CODES.items()}
 
 
-class Observation(IntEnum):
-    """Channel-state information obtained during a slot."""
-
-    NONE = 0          # defer / low rate: nothing learned
-    ACK_HIGH = 1      # high-rate success, channel was GOOD
-    NACK_HIGH = 2     # high-rate failure, channel was BAD
-    SENSED_GOOD = 3
-    SENSED_BAD = 4
-
-
 def _is_integral(x) -> bool:
     return float(x) == float(int(x))
 

@@ -154,6 +154,13 @@ class ThresholdPolicy:
                 f.write(f"battery={b}: " + " | ".join(parts) + "\n")
 
 
+def _runs(actions: np.ndarray):
+    """Run-length encoding of one grid row: (last, labels), where run k
+    ends at cell last[k] and holds labels[k]."""
+    last = np.append(np.nonzero(actions[1:] != actions[:-1])[0], len(actions) - 1)
+    return last, [Action(int(actions[i])) for i in last]
+
+
 def encode_rows(policy: PolicyTable) -> ThresholdPolicy:
     """Run-length encode a grid policy into intervals.
 
@@ -162,26 +169,18 @@ def encode_rows(policy: PolicyTable) -> ThresholdPolicy:
     """
     pts = policy.grid.points
     rows = []
-    for b in range(policy.params.b_max + 1):
-        acts = policy.actions[b]
-        change = np.nonzero(acts[1:] != acts[:-1])[0]
-        breakpoints = tuple((pts[i] + pts[i + 1]) / 2.0 for i in change)
-        labels = tuple(Action(int(acts[i])) for i in np.append(change, len(acts) - 1))
-        rows.append(PolicyRow(breakpoints=breakpoints, labels=labels))
+    for acts in policy.actions:
+        last, labels = _runs(acts)
+        breakpoints = tuple((pts[i] + pts[i + 1]) / 2.0 for i in last[:-1])
+        rows.append(PolicyRow(breakpoints=breakpoints, labels=tuple(labels)))
     return ThresholdPolicy(rows=tuple(rows), params=policy.params)
-
-
-def _runs(actions: np.ndarray):
-    """(label, length) run-length pairs of one grid row."""
-    change = np.nonzero(actions[1:] != actions[:-1])[0]
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [len(actions)]))
-    return [(Action(int(actions[s])), int(e - s)) for s, e in zip(starts, ends)]
 
 
 def _significant_labels(actions: np.ndarray):
     """Run labels with single-cell runs dropped (grid-step slack) and merged."""
-    labels = [a for a, length in _runs(actions) if length > 1]
+    last, labels = _runs(actions)
+    labels = [a for a, length in zip(labels, np.diff(last, prepend=-1))
+              if length > 1]
     merged = []
     for a in labels:
         if not merged or merged[-1] != a:

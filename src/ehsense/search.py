@@ -50,8 +50,8 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"search.{name} must be an integer, got {value!r}")
-        if self.episodes < 1 or self.horizon < 1:
-            raise ParameterError("episodes and horizon must be >= 1")
+        if min(self.episodes, self.horizon, self.max_passes) < 1:
+            raise ParameterError("episodes, horizon and max_passes must be >= 1")
         if self.candidates is not None:
             c = np.unique(np.asarray(self.candidates, dtype=float))
             if c.size == 0 or c[0] < 0.0 or c[-1] > 1.0:
@@ -161,12 +161,12 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
     rho = rho_from_policy(init, params)
 
     def evaluate(policies):
-        """Stats and visits per policy, all in one simulator pass."""
+        """Stats of one policy, or per policy of a sequence, in one pass."""
         return run_episodes(policies, params, config.episodes, config.horizon,
-                            config.seed, collect_visits=True)
+                            config.seed)
 
     policy = policy_from_rho(rho, params)
-    (stats,), (visits,) = evaluate([policy])
+    stats = evaluate(policy)
     best = stats.mean_bits_per_slot
     log = []
     passes = 0
@@ -174,7 +174,7 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
         passes = sweep
         improved = False
         for b in range(params.b_max + 1):
-            if visits[b] == 0:
+            if stats.visits[b] == 0:
                 continue  # row never visited: changing it cannot move the estimate
             for k in _thresholds_for(b, params):
                 current = rho[b, k]
@@ -191,7 +191,7 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
                     rows = policy.rows[:b] + (_row_from_rho(b, row, params),) \
                         + policy.rows[b + 1:]
                     trials.append(ThresholdPolicy(rows=rows, params=params))
-                trial_stats, trial_visits = evaluate(trials)
+                trial_stats = evaluate(trials)
                 winner = None
                 for i, (cand, st) in enumerate(zip(window, trial_stats)):
                     accepted = st.mean_bits_per_slot > best
@@ -202,7 +202,6 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
                 if winner is not None:
                     rho[b, k] = window[winner]
                     policy, stats = trials[winner], trial_stats[winner]
-                    visits = trial_visits[winner]
                     improved = True
         if not improved:
             break

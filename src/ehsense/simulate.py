@@ -11,24 +11,26 @@ and the uniforms are drawn a chunk of slots at a time, so memory does not
 grow with the horizon.  A lane's belief is kept as an index into
 `belief.orbits`, the beliefs that the no-observation update reaches from
 the start belief, lambda0 and lambda1 within the horizon; this makes each
-slot's action a lookup in a (policy, battery, orbit index) table.  What
-each action delivers, spends and reveals in a slot is read from
-`model.slot_outcomes`, the table the solver uses too; only
-`oracle.exact_finite_horizon` restates it, on purpose.  The scalar `step`,
-`run_trace` and `discounted_return` follow the float recursion slot by slot
-and referee the vectorized path.
+slot's action a lookup in a (policy, battery, orbit index) table.  Each
+result also counts the slots spent at each battery level
+(`ThroughputStats.visits`); the threshold search skips the rows no slot
+visits.  What each action delivers, spends and reveals in a slot is read
+from `model.slot_outcomes`, by `run_episodes` and the scalar `step` alike,
+and the solver reads the same table; only `oracle.exact_finite_horizon`
+restates it, on purpose.  The scalar `step`, `run_trace` and
+`discounted_return` follow the float recursion slot by slot and referee the
+vectorized path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .artifacts import write_csv_artifact
 from .model import (Action, ParameterError, SystemParams, next_battery,
                     slot_outcomes)
-from .belief import (belief_after_observation, observation_for, orbits,
-                     stationary_belief)
+from .belief import belief_update_no_obs, orbits, stationary_belief
 from .policies import ThresholdPolicy
 
 
@@ -50,13 +52,18 @@ class SimState:
 
 @dataclass
 class ThroughputStats:
-    """Average-throughput estimate from independent episodes."""
+    """Average-throughput estimate from independent episodes.
+
+    `visits[b]` counts the slots, over all episodes, that start at battery
+    b; it sums to episodes * horizon and is left out of comparisons.
+    """
 
     mean_bits_per_slot: float
     std_error: float
     episodes: int
     horizon: int
     seed: int
+    visits: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -68,21 +75,10 @@ class EpisodeTrace:
     battery: np.ndarray = field(repr=False)      # battery at slot start
     belief: np.ndarray = field(repr=False)       # belief at slot start
     action: np.ndarray = field(repr=False)
-    observation: np.ndarray = field(repr=False)
     bits: np.ndarray = field(repr=False)         # bits actually delivered
 
     def __len__(self):
         return len(self.bits)
-
-    def write_csv(self, path, config_hash: str = "") -> None:
-        write_csv_artifact(
-            path, config_hash,
-            ["slot", "channel", "harvest", "battery", "belief", "action",
-             "observation", "bits"],
-            ([t, int(self.channel[t]), int(self.harvest[t]), int(self.battery[t]),
-              repr(float(self.belief[t])), int(self.action[t]),
-              int(self.observation[t]), repr(float(self.bits[t]))]
-             for t in range(len(self))))
 
 
 def step(state: SimState, action: Action, rng: np.random.Generator,
@@ -90,37 +86,37 @@ def step(state: SimState, action: Action, rng: np.random.Generator,
     """Advance one slot: execute the action against the slot's channel state,
     then sample the next channel state and the harvest.
 
-    Returns (next state, delivered bits, trace row dict).  `next_battery`
-    raises InfeasibleActionError if the policy chose an unaffordable action;
-    that is a policy bug, not a recoverable condition.
+    The bits and whether the action reveals the channel come from
+    `slot_outcomes`: a revealed channel resets the next belief to lambda1
+    (GOOD) or lambda0 (BAD), otherwise it propagates.  Returns (next state,
+    delivered bits, trace row dict).  `next_battery` raises
+    InfeasibleActionError if the policy chose an unaffordable action; that
+    is a policy bug, not a recoverable condition.
     """
     good = bool(state.channel)
-    stay = params.lambda1 if good else params.lambda0
-    next_good = bool(rng.random() < stay)
-    harvest = min(int(np.searchsorted(_harvest_cdf(params), rng.random(),
-                                      side="right")), params.n_arrivals - 1)
-    bits = float(slot_outcomes(params).bits[action, int(good),
-                                            int(state.battery >= params.e_tx)])
-    obs = observation_for(action, good)
+    to_good = params.lambda1 if good else params.lambda0  # P[next slot GOOD]
+    next_good = bool(rng.random() < to_good)
+    harvest = min(int(np.searchsorted(_harvest_cdf(params.energy_pmf),
+                                      rng.random(), side="right")),
+                  params.n_arrivals - 1)
+    out = slot_outcomes(params)
+    bits = float(out.bits[action, int(good), int(state.battery >= params.e_tx)])
     nxt = SimState(
         battery=next_battery(state.battery, harvest, action, good, params),
-        belief=belief_after_observation(obs, state.belief, params),
+        belief=(to_good if out.reveals[action]  # the channel was learned
+                else belief_update_no_obs(state.belief, params)),
         channel=int(next_good),
     )
     row = {"channel": state.channel, "harvest": harvest, "battery": state.battery,
-           "belief": state.belief, "action": int(action),
-           "observation": int(obs), "bits": bits}
+           "belief": state.belief, "action": int(action), "bits": bits}
     return nxt, bits, row
 
 
-_CDF_CACHE = {}
-
-
-def _harvest_cdf(params: SystemParams) -> np.ndarray:
-    cdf = _CDF_CACHE.get(params.energy_pmf)
-    if cdf is None:
-        cdf = np.cumsum(np.asarray(params.energy_pmf))
-        _CDF_CACHE[params.energy_pmf] = cdf
+@lru_cache(maxsize=64)
+def _harvest_cdf(energy_pmf: tuple) -> np.ndarray:
+    """Read-only cumulative harvest pmf; arrivals are drawn by searchsorted."""
+    cdf = np.cumsum(energy_pmf)
+    cdf.flags.writeable = False
     return cdf
 
 
@@ -154,7 +150,7 @@ def run_trace(policy, params: SystemParams, horizon: int, seed: int,
     state = SimState(battery=initial_battery, belief=belief,
                      channel=int(rng.random() < p_good))
     cols = {k: [] for k in ("channel", "harvest", "battery", "belief",
-                            "action", "observation", "bits")}
+                            "action", "bits")}
     for _ in range(horizon):
         action = policy.action_at(state.battery, state.belief)
         state, _, row = step(state, action, rng, params)
@@ -244,17 +240,16 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
 
 def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
                  seed: int, initial_battery: int = 0, initial_belief=None,
-                 g0=None, collect_visits: bool = False):
+                 g0=None):
     """Vectorized throughput estimate over independent episodes.
 
     `policy` is one ThresholdPolicy or a sequence of them.  For one policy
-    it returns ThroughputStats; with collect_visits also a per-battery
-    visit count array (used by the threshold search to skip untouched
-    rows).  For a sequence it returns a list of each, in policy order; all
-    policies run in one pass over a (policy x episode) lane array and
-    read the same uniforms, so each result equals its single-policy call.
-    Episode e draws from the (seed, e) stream, so the result is independent
-    of how episodes are batched.
+    it returns ThroughputStats, with its per-battery slot counts `visits`.
+    For a sequence it returns a list of them, in policy order; all policies
+    run in one pass over a (policy x episode) lane array and read the same
+    uniforms, so each result equals its single-policy call.  Episode e draws
+    from the (seed, e) stream, so the result is independent of how episodes
+    are batched.
     """
     if horizon < 1 or episodes < 1:
         raise ValueError("episodes and horizon must be >= 1")
@@ -269,7 +264,7 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     n_pol, n_b = len(policies), params.b_max + 1
     code, bits, drop, j_next, n_j, stride = _slot_tables(policies, params,
                                                          belief0, horizon)
-    cdf = _harvest_cdf(params)
+    cdf = _harvest_cdf(params.energy_pmf)
 
     first = np.arange(n_pol) * n_b
     pb = np.repeat(first + int(initial_battery), episodes)
@@ -278,7 +273,8 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     c, i = np.empty_like(pb), np.empty_like(pb)
     slot_bits = np.empty(pb.shape)
     total_bits = np.zeros(pb.shape)
-    visits = np.zeros(n_pol * n_b, dtype=np.int64) if collect_visits else None
+    history = np.empty((min(_CHUNK, horizon), len(pb)), dtype=np.intp)  # pb per slot
+    visits = np.zeros(n_pol * n_b, dtype=np.int64)
 
     rngs = [episode_rng(seed, e) for e in range(episodes)]
     chan = (np.array([rng.random() for rng in rngs]) < p_good0).astype(np.intp)
@@ -292,10 +288,8 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
         chan = path[-1]  # the next chunk's first slot
         harvest = np.tile(np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
                                      params.n_arrivals - 1), n_pol)
-        history = np.empty((n, len(pb)), dtype=np.intp) if collect_visits else None
         for t in range(n):  # mode="clip": the indices are in range by construction
-            if collect_visits:
-                history[t] = pb
+            history[t] = pb
             np.multiply(pb, n_j, out=i)
             i += j
             code.take(i, out=c, mode="clip")
@@ -307,18 +301,15 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
             np.minimum(pb, cap, out=pb)
             np.add(c, j, out=i)
             j_next.take(i, out=j, mode="clip")
-        if collect_visits:
-            visits += np.bincount(history.ravel(), minlength=visits.size)
+        visits += np.bincount(history[:n].ravel(), minlength=visits.size)
 
     per_episode = (total_bits / horizon).reshape(n_pol, episodes)
     stats = [ThroughputStats(
         mean_bits_per_slot=float(row.mean()),
         std_error=float(row.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0,
-        episodes=episodes, horizon=horizon, seed=seed) for row in per_episode]
-    if not collect_visits:
-        return stats[0] if single else stats
-    visits = list(visits.reshape(n_pol, n_b))
-    return (stats[0], visits[0]) if single else (stats, visits)
+        episodes=episodes, horizon=horizon, seed=seed, visits=v)
+        for row, v in zip(per_episode, visits.reshape(n_pol, n_b))]
+    return stats[0] if single else stats
 
 
 def discounted_return(policy, params: SystemParams, b0: int, p0: float,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ehsense import (BeliefGrid, Observation, ParameterError, SystemParams,
-                     belief_after_observation, belief_update_no_obs, orbits,
-                     reachable_beliefs, stationary_belief)
+from ehsense import (BeliefGrid, ParameterError, SystemParams,
+                     belief_update_no_obs, orbits, reachable_beliefs,
+                     stationary_belief)
 
 
 def chain(lambda0, lambda1):
@@ -36,28 +36,6 @@ class TestPropagation:
             nxt = belief_update_no_obs(x, p)
             assert abs(nxt - star) <= rate * abs(x - star) + 1e-12
             x = nxt
-
-
-class TestObservations:
-    def test_revealed_good_resets_high(self):
-        p = chain(0.6, 0.9)
-        assert belief_after_observation(Observation.ACK_HIGH, 0.3, p) == 0.9
-        assert belief_after_observation(Observation.SENSED_GOOD, 0.3, p) == 0.9
-
-    def test_revealed_bad_resets_low(self):
-        p = chain(0.6, 0.9)
-        assert belief_after_observation(Observation.NACK_HIGH, 0.3, p) == 0.6
-        assert belief_after_observation(Observation.SENSED_BAD, 0.3, p) == 0.6
-
-    def test_no_observation_propagates(self):
-        p = chain(0.6, 0.9)
-        assert belief_after_observation(Observation.NONE, 0.5, p) == pytest.approx(0.75)
-
-    def test_output_always_a_probability(self):
-        p = chain(0.1, 0.95)
-        for obs in Observation:
-            for x in (0.0, 0.37, 1.0):
-                assert 0.0 <= belief_after_observation(obs, x, p) <= 1.0
 
 
 class TestStationary:

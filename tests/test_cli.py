@@ -73,6 +73,13 @@ class TestConfigParsing:
         lambda c: c["simulation"].update(initial_battery=7),  # b_max is 6
         lambda c: c["simulation"].update(initial_battery=-1),
         lambda c: c.update(search={"episodes": -2, "horizon": -3}),
+        lambda c: c["grid"].update(resolution="abc"),
+        lambda c: c["grid"].update(resolution=51.7),
+        lambda c: c["solver"].update(tol="abc"),
+        lambda c: c["solver"].update(max_iter=0),
+        lambda c: c["solver"].update(span_tol=-1),
+        lambda c: c.update(search={"max_passes": 0}),
+        lambda c: c.update(search={"max_passes": -3}),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
