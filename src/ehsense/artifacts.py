@@ -1,12 +1,34 @@
 """Artifact files: every one starts with a `# config=<hash>` line.
 
 All writers go through `open_artifact`, so the header line is written in
-one place; CSV artifacts add one header row and their data rows.
+one place; CSV artifacts add one header row and their data rows, ended by
+`\\r\\n` as `csv.writer` ends them.  `write_csv_artifact` writes any rows;
+`write_grid_csv` writes a table with one row per (battery, belief) cell,
+formatting each column of a battery row in one pass.  Large tables are
+formatted on every core of the affinity set by forked worker processes,
+and the parent writes the battery rows in order as they arrive.
 """
 from __future__ import annotations
 
 import csv
+import os
 from contextlib import contextmanager
+
+import numpy as np
+
+# Battery rows per task sent to a worker process: about 16k lines (2 MB of
+# text for a value table on the 1001-point grid) per round trip.
+_TASK_ROWS = 16
+
+# Float cells from which `write_grid_csv` formats on worker processes.  A
+# float costs about 1 us to format and the pool about 25 ms to start, so on
+# two workers fanning out pays back from 2 * 25 ms / 1 us = 50k cells; the
+# factor 2 on top covers the transfer of the formatted rows to the parent.
+_FANOUT_MIN_FLOAT_CELLS = 100_000
+
+# The table a worker process formats, set in the worker by `_adopt`.  The
+# pool forks, so the arrays reach the workers without being pickled.
+_ADOPTED = None
 
 
 @contextmanager
@@ -24,3 +46,68 @@ def write_csv_artifact(path, config_hash: str, header, rows) -> None:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _format_column(cells: np.ndarray) -> list:
+    """repr of every cell of a 1-d array; NaN (infeasible) cells are ""."""
+    feasible = ~np.isnan(cells) if cells.dtype.kind == "f" else None
+    if feasible is None or feasible.all():
+        return list(map(repr, cells.tolist()))
+    text = np.full(cells.size, "", dtype=object)
+    text[feasible] = list(map(repr, cells[feasible].tolist()))
+    return text.tolist()
+
+
+def _format_row(table, b: int) -> str:
+    """CSV lines of battery row b of `table`, a (belief strings, columns) pair."""
+    beliefs, columns = table
+    cols = [_format_column(col[b]) for col in columns]
+    return "\r\n".join(map(",".join, zip([str(b)] * len(beliefs), beliefs,
+                                         *cols))) + "\r\n"
+
+
+def _adopt(table) -> None:
+    global _ADOPTED
+    _ADOPTED = table
+
+
+def _format_adopted_row(b: int) -> str:
+    return _format_row(_ADOPTED, b)
+
+
+def _workers(float_cells: int) -> int:
+    """Worker processes to format a table with `float_cells` float cells; 0: inline."""
+    if float_cells < _FANOUT_MIN_FLOAT_CELLS:
+        return 0
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else 1
+    if cores < 2:
+        return 0
+    import multiprocessing
+    return cores if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
+def write_grid_csv(path, config_hash: str, header, points, columns) -> None:
+    """CSV artifact with one row per (battery, belief) cell, battery-major.
+
+    The row of cell (b, j) is b, repr(points[j]), then repr(col[b, j]) for
+    each array in `columns` (each of shape (b_max + 1, len(points))); a NaN
+    cell, an infeasible action, is left empty.  The bytes are those of a
+    `csv.writer` writing these rows.
+    """
+    columns = [np.asarray(col) for col in columns]
+    table = (list(map(repr, np.asarray(points).tolist())), columns)
+    rows = range(len(columns[0]))
+    workers = _workers(sum(col.size for col in columns if col.dtype.kind == "f"))
+    with open_artifact(path, config_hash) as f:
+        csv.writer(f).writerow(header)
+        if not workers:
+            f.writelines(_format_row(table, b) for b in rows)
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # the pool forks all its workers before it starts its own threads
+        with ProcessPoolExecutor(min(workers, len(rows)),
+                                 multiprocessing.get_context("fork"),
+                                 initializer=_adopt, initargs=(table,)) as pool:
+            f.writelines(pool.map(_format_adopted_row, rows, chunksize=_TASK_ROWS))

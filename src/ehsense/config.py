@@ -142,6 +142,22 @@ def _positive(sect: dict, section: str, name: str, default):
     return number
 
 
+def _number_list(sweep: dict, name: str) -> tuple:
+    """sweep[name] as a tuple of floats; () when absent."""
+    if name not in sweep:
+        return ()
+    values = sweep[name]
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.{name} must be a nonempty list when present, "
+                          f"got {values!r}")
+    try:
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"sweep.{name} must be a list of numbers, got {values!r}")
+
+
 def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(data, dict) or "model" not in data:
         raise ConfigError("config must be a mapping with a 'model' section")
@@ -178,12 +194,8 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         raise ConfigError("policy list must not be empty")
 
     sweep = _section(data, "sweep")
-    sweep_q = tuple(sweep.get("q", ()) or ())
-    sweep_tau = tuple(sweep.get("tau", ()) or ())
-    if "q" in sweep and not sweep_q:
-        raise ConfigError("sweep.q must be a nonempty list when present")
-    if "tau" in sweep and not sweep_tau:
-        raise ConfigError("sweep.tau must be a nonempty list when present")
+    sweep_q = _number_list(sweep, "q")
+    sweep_tau = _number_list(sweep, "tau")
 
     effective = dict(data)
     effective["simulation"] = dict(sim_raw)

@@ -8,11 +8,10 @@ simulator consumes and what the threshold search optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .artifacts import open_artifact, write_csv_artifact
+from .artifacts import open_artifact, write_grid_csv
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
 from .solver import Q_TIE_TOL, ValueTable
@@ -46,10 +45,8 @@ class PolicyTable:
     params: SystemParams
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        beliefs = [repr(p) for p in self.grid.points.tolist()]
-        rows = (row for b in range(self.params.b_max + 1)
-                for row in zip(repeat(b), beliefs, self.actions[b].tolist()))
-        write_csv_artifact(path, config_hash, ["battery", "belief", "action"], rows)
+        write_grid_csv(path, config_hash, ["battery", "belief", "action"],
+                       self.grid.points, [self.actions])
 
     def cell_count(self, action: Action) -> int:
         return int(np.count_nonzero(self.actions == int(action)))

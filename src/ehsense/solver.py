@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .model import (Action, InfeasibleActionError, SystemParams, feasible_actions,
                     slot_outcomes)
-from .artifacts import write_csv_artifact
+from .artifacts import write_grid_csv
 from .belief import BeliefGrid, belief_update_no_obs
 
 DEFAULT_TOL = 1e-9
@@ -49,22 +48,15 @@ class ValueTable:
     params: SystemParams
     iterations: int
     residual: float
+    stop_reason: str | None = None  # value_iteration's rule: "sup_norm" or "span"
 
     def value_at(self, battery: int, p: float) -> float:
         return float(self.grid.interp(self.values[battery], p))
 
     def write_csv(self, path, config_hash: str = "") -> None:
         header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
-        beliefs = [repr(p) for p in self.grid.points.tolist()]
-
-        def rows():
-            for b in range(self.params.b_max + 1):
-                qs = [["" if q != q else repr(q) for q in self.q_values[a][b].tolist()]
-                      for a in Action]  # q != q: NaN, an infeasible action
-                yield from zip(repeat(b), beliefs,
-                               map(repr, self.values[b].tolist()), *qs)
-
-        write_csv_artifact(path, config_hash, header, rows())
+        write_grid_csv(path, config_hash, header, self.grid.points,
+                       [self.values] + [self.q_values[a] for a in Action])
 
 
 class BellmanOperator:
@@ -245,8 +237,8 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     run.  `span_tol`, when given, additionally stops once the span
     (max - min) of the change stabilizes; the extracted policy is already
     settled then even though the values still share a drifting offset.
-    Values are discounted bits, so the fixed point is below
-    r_high / (1 - beta).
+    The table's `stop_reason` says which rule stopped the run.  Values are
+    discounted bits, so the fixed point is below r_high / (1 - beta).
 
     Raises ConvergenceError when max_iter sweeps are exhausted first.
     """
@@ -260,7 +252,7 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     values = np.zeros((params.b_max + 1, grid.resolution)) if v_init is None \
         else np.array(v_init, dtype=float)
     residual = float("inf")
-    done = False
+    stop_reason = None
     for sweeps in range(1, max_iter + 1):
         new_values = op.step(values)
         # the change overwrites the old iterate: no fresh full-grid arrays
@@ -269,17 +261,18 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
         residual = max(hi, -lo)
         values = new_values
         if residual <= tol:
-            done = True
-        elif span_tol is not None:
-            done = hi - lo <= span_tol
-        if done:
+            stop_reason = "sup_norm"
+        elif span_tol is not None and hi - lo <= span_tol:
+            stop_reason = "span"
+        if stop_reason:
             break
-    if not done:
+    if not stop_reason:
         raise ConvergenceError(residual, max_iter)
     q = op.q_tables(values)
     final = np.fmax.reduce([q[a] for a in op.actions])
     return ValueTable(values=final, q_values=q, grid=grid, params=params,
-                      iterations=sweeps, residual=residual)
+                      iterations=sweeps, residual=residual,
+                      stop_reason=stop_reason)
 
 
 def sense_defer_on_good_backups(table: ValueTable):

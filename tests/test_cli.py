@@ -80,6 +80,9 @@ class TestConfigParsing:
         lambda c: c["solver"].update(span_tol=-1),
         lambda c: c.update(search={"max_passes": 0}),
         lambda c: c.update(search={"max_passes": -3}),
+        lambda c: c.update(sweep={"q": ["abc"]}),
+        lambda c: c.update(sweep={"tau": ["abc"]}),
+        lambda c: c.update(sweep={"q": 0.3}),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -132,6 +135,21 @@ class TestSolveCommand:
         cfg["model"]["e_sense"] = 5
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", str(path), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("beta, solver, message", [
+        (0.9, {"tol": 1e-8}, "  converged in "),
+        (0.999, {"tol": 1e-9, "span_tol": 1e-6},
+         "(span rule); values are relative\n")])
+    def test_stop_message_names_the_rule(self, tmp_path, capsys, beta, solver,
+                                         message):
+        cfg = small_config(solver=solver)
+        cfg["model"]["beta"] = beta
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert message in out
+        assert ("converged" in out) == (beta == 0.9)
 
     def test_export_regions_only(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -234,3 +252,31 @@ def test_artifact_bytes_are_pinned(tmp_path):
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in out.iterdir()}
     assert got == ARTIFACT_DIGESTS
+
+
+# SHA-256 of `solve`'s artifacts on a two-rate instance (a 51-point copy of
+# configs/two_rate_regions.yaml): unlike small_config(), its value table has
+# LOW_RATE values and both empty and filled Q cells on the same rows.
+TWO_RATE_DIGESTS = {
+    "regions.csv": "a32639df0b0c3de05a4c6d945189736f4ef88b363e0eaf4d379b45ab94cec38f",
+    "thresholds.txt": "6780d2f6cf725df6da86aee56bf1c9c97d9d4f35d768e48f21c3073387d907aa",
+    "values.csv": "bec653c673df273ca04205edf13f50ec264fef66a8a4f9ae4a4e17ae5d3fb9a8",
+}
+
+
+def test_two_rate_artifact_bytes_are_pinned(tmp_path):
+    cfg = {
+        "model": {"lambda0": 0.81, "lambda1": 0.98,
+                  "energy_pmf": {0: 0.9, 201: 0.1}, "b_max": 800, "e_tx": 200,
+                  "e_sense": 7, "r_low": 2.91, "r_high": 3.0, "beta": 0.7},
+        "solver": {"tol": 1.0e-9},
+        "output_dir": "out/tiny",
+        "grid": {"resolution": 51},
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out),
+                 "--quiet"]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir()}
+    assert got == TWO_RATE_DIGESTS

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,17 @@ class TestValueIteration:
             value_iteration(tiny_two_rate, coarse_grid, tol=1e-12, max_iter=3)
         assert err.value.residual > 1e-12
         assert err.value.iterations == 3
+
+    def test_sup_norm_rule_is_recorded(self, tiny_two_rate, coarse_grid):
+        t = value_iteration(tiny_two_rate, coarse_grid, tol=1e-9)
+        assert t.stop_reason == "sup_norm"
+        assert t.residual <= 1e-9
+
+    def test_span_rule_is_recorded(self, tiny_two_rate, coarse_grid):
+        params = replace(tiny_two_rate, beta=0.999)
+        t = value_iteration(params, coarse_grid, tol=1e-9, span_tol=1e-6)
+        assert t.stop_reason == "span"
+        assert t.residual > 1e-9  # the values still drift: not converged
 
     def test_default_budget_scales_with_discount(self):
         assert default_max_iter(0.0) == 100
