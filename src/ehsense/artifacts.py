@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,11 +21,20 @@ import numpy as np
 # text for a value table on the 1001-point grid) per round trip.
 _TASK_ROWS = 16
 
-# Float cells from which `write_grid_csv` formats on worker processes.  A
-# float costs about 1 us to format and the pool about 25 ms to start, so on
-# two workers fanning out pays back from 2 * 25 ms / 1 us = 50k cells; the
-# factor 2 on top covers the transfer of the formatted rows to the parent.
-_FANOUT_MIN_FLOAT_CELLS = 100_000
+# Float cells from which `write_grid_csv` formats on worker processes.  Set
+# from `ehsense solve` runs on 2 cores that timed the value table's write
+# forced inline and forced to fan out, in alternating pairs, each run a fresh
+# process so the lazy pool imports count (medians): 153k cells 150 -> 153 ms
+# (4 of 10 pairs won), 234k 222 -> 171 ms (9 of 10), 306k 324 -> 248 ms
+# (9 of 10), 606k 545 -> 335 ms (10 of 10).
+_FANOUT_MIN_FLOAT_CELLS = 200_000
+
+# CPython 3.11.1 and later fork every worker of a fork-context pool at its
+# first submit, before the pool's manager thread starts (gh-90622); earlier
+# releases may fork them on demand while that thread runs, which can
+# deadlock a child, so there the table is formatted inline.  The workers run
+# no BLAS routine, so the parent's BLAS threads do not matter.
+_POOL_FORKS_UP_FRONT = sys.version_info >= (3, 11, 1)
 
 # The table a worker process formats, set in the worker by `_adopt`.  The
 # pool forks, so the arrays reach the workers without being pickled.
@@ -75,16 +85,21 @@ def _format_adopted_row(b: int) -> str:
     return _format_row(_ADOPTED, b)
 
 
-def _workers(float_cells: int) -> int:
-    """Worker processes to format a table with `float_cells` float cells; 0: inline."""
-    if float_cells < _FANOUT_MIN_FLOAT_CELLS:
+def _workers(float_cells: int, rows: int) -> int:
+    """Worker processes to format a table of `rows` battery rows; 0: inline.
+
+    A table of one task stays inline: one worker would format all of it.
+    """
+    tasks = -(-rows // _TASK_ROWS)
+    if (float_cells < _FANOUT_MIN_FLOAT_CELLS or tasks < 2
+            or not _POOL_FORKS_UP_FRONT):
         return 0
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else 1
     if cores < 2:
         return 0
     import multiprocessing
-    return cores if "fork" in multiprocessing.get_all_start_methods() else 0
+    return min(cores, tasks) if "fork" in multiprocessing.get_all_start_methods() else 0
 
 
 def write_grid_csv(path, config_hash: str, header, points, columns) -> None:
@@ -98,7 +113,8 @@ def write_grid_csv(path, config_hash: str, header, points, columns) -> None:
     columns = [np.asarray(col) for col in columns]
     table = (list(map(repr, np.asarray(points).tolist())), columns)
     rows = range(len(columns[0]))
-    workers = _workers(sum(col.size for col in columns if col.dtype.kind == "f"))
+    workers = _workers(sum(col.size for col in columns if col.dtype.kind == "f"),
+                       len(rows))
     with open_artifact(path, config_hash) as f:
         csv.writer(f).writerow(header)
         if not workers:
@@ -106,8 +122,7 @@ def write_grid_csv(path, config_hash: str, header, points, columns) -> None:
             return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # the pool forks all its workers before it starts its own threads
-        with ProcessPoolExecutor(min(workers, len(rows)),
+        with ProcessPoolExecutor(workers,
                                  multiprocessing.get_context("fork"),
                                  initializer=_adopt, initargs=(table,)) as pool:
             f.writelines(pool.map(_format_adopted_row, rows, chunksize=_TASK_ROWS))

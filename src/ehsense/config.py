@@ -72,10 +72,10 @@ class ExperimentConfig:
                 params = self.model
                 tags = []
                 if q is not None:
-                    params = params.with_harvest(float(q))
+                    params = params.with_harvest(q)
                     tags.append(f"q{q:g}")
                 if tau is not None:
-                    e_sense = float(tau) * params.e_tx
+                    e_sense = tau * params.e_tx
                     if abs(e_sense - round(e_sense)) > 1e-9:
                         raise ConfigError(
                             f"tau={tau} gives non-integral sensing cost "

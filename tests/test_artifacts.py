@@ -43,8 +43,9 @@ def test_single_rate_value_table(tmp_path, tiny_params, coarse_grid):
 @pytest.fixture(params=["inline", "fan-out"])
 def path_taken(request, monkeypatch):
     if request.param == "fan-out":
-        if not artifacts._workers(artifacts._FANOUT_MIN_FLOAT_CELLS):
-            pytest.skip("one core or no fork start method: always inline")
+        if not artifacts._workers(artifacts._FANOUT_MIN_FLOAT_CELLS, 10**4):
+            pytest.skip("one core, no fork start method or a pool that may "
+                        "fork on demand: always inline")
         monkeypatch.setattr(artifacts, "_FANOUT_MIN_FLOAT_CELLS", 1)
         monkeypatch.setattr(artifacts, "_TASK_ROWS", 2)  # several tasks
     else:
@@ -67,8 +68,22 @@ def test_region_table(tmp_path, tiny_two_rate, coarse_grid):
                       coarse_grid.points, [actions])
 
 
-def test_small_tables_and_one_core_stay_inline(monkeypatch):
-    assert artifacts._workers(artifacts._FANOUT_MIN_FLOAT_CELLS - 1) == 0
+def test_small_tables_one_task_old_pools_and_one_core_stay_inline(monkeypatch):
+    many_rows = 100 * artifacts._TASK_ROWS
+    assert artifacts._workers(artifacts._FANOUT_MIN_FLOAT_CELLS - 1, many_rows) == 0
+    assert artifacts._workers(10**9, artifacts._TASK_ROWS) == 0
+    monkeypatch.setattr(artifacts, "_POOL_FORKS_UP_FRONT", False)
+    assert artifacts._workers(10**9, many_rows) == 0
+    monkeypatch.undo()
     monkeypatch.setattr(artifacts.os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    assert artifacts._workers(10**9) == 0
+    assert artifacts._workers(10**9, many_rows) == 0
+
+
+def test_workers_never_outnumber_tasks(monkeypatch):
+    if not artifacts._workers(10**9, 10**4):
+        pytest.skip("one core, no fork start method or a pool that may "
+                    "fork on demand: always inline")
+    monkeypatch.setattr(artifacts.os, "sched_getaffinity",
+                        lambda pid: set(range(64)), raising=False)
+    assert artifacts._workers(10**9, 3 * artifacts._TASK_ROWS) == 3
