@@ -102,12 +102,8 @@ def cmd_solve(runner: _Runner, regions_only: bool = False) -> int:
         thresholds = extract_thresholds(policy)
         thresholds.write_text(runner.path("thresholds", label, "txt"),
                               cfg.config_hash)
-        if table.stop_reason == "span":
-            runner.say(f"  policy settled after {table.iterations} sweeps "
-                       "(span rule); values are relative")
-        else:
-            runner.say(f"  converged in {table.iterations} sweeps, "
-                       f"residual {table.residual:.2e}")
+        runner.say(f"  converged in {table.iterations} sweeps, values within "
+                   f"{table.bound:.1e} of the fixed point")
     return EXIT_OK
 
 

@@ -24,12 +24,13 @@ Q_TIE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration ran out of sweeps before reaching the tolerance."""
+    """Value iteration ran out of sweeps before the span of the change met
+    its limit; `span` is the span of the last change."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, span: float, iterations: int):
         super().__init__(
-            f"no convergence after {iterations} sweeps, residual {residual:.3e}")
-        self.residual = residual
+            f"no convergence after {iterations} sweeps, span {span:.3e}")
+        self.span = span
         self.iterations = iterations
 
 
@@ -39,7 +40,10 @@ class ValueTable:
 
     values[b, j] approximates the optimal discounted reward from battery b
     and belief grid.points[j].  q_values maps each action to a same-shape
-    array that is NaN wherever the action is infeasible.
+    array that is NaN wherever the action is infeasible.  `span` is the span
+    of the last change value_iteration saw, and `bound` = beta / (1 - beta)
+    * span / 2 the certified sup-norm distance of `values` to the grid's
+    fixed point (both inf for tables value_iteration did not make).
     """
 
     values: np.ndarray = field(repr=False)
@@ -47,8 +51,8 @@ class ValueTable:
     grid: BeliefGrid
     params: SystemParams
     iterations: int
-    residual: float
-    stop_reason: str | None = None  # value_iteration's rule: "sup_norm" or "span"
+    span: float = math.inf
+    bound: float = math.inf
 
     def value_at(self, battery: int, p: float) -> float:
         return float(self.grid.interp(self.values[battery], p))
@@ -209,18 +213,15 @@ def bellman_step(table: ValueTable) -> ValueTable:
     op = BellmanOperator(table.params, table.grid)
     q = op.q_tables(table.values)
     feasible = [q[a] for a in op.actions]
-    new_values = np.fmax.reduce(feasible)
-    residual = float(np.max(np.abs(new_values - table.values)))
-    return ValueTable(values=new_values, q_values=q, grid=table.grid,
-                      params=table.params, iterations=table.iterations + 1,
-                      residual=residual)
+    return ValueTable(values=np.fmax.reduce(feasible), q_values=q, grid=table.grid,
+                      params=table.params, iterations=table.iterations + 1)
 
 
 def zero_table(params: SystemParams, grid: BeliefGrid) -> ValueTable:
     shape = (params.b_max + 1, grid.resolution)
     op = BellmanOperator(params, grid)
     return ValueTable(values=np.zeros(shape), q_values=op.q_tables(np.zeros(shape)),
-                      grid=grid, params=params, iterations=0, residual=float("inf"))
+                      grid=grid, params=params, iterations=0)
 
 
 def default_max_iter(beta: float) -> int:
@@ -231,14 +232,18 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
                     tol: float = DEFAULT_TOL, max_iter: int | None = None, *,
                     allowed=None, v_init: np.ndarray | None = None,
                     span_tol: float | None = None) -> ValueTable:
-    """Iterate the backup operator until the sup-norm change drops below tol.
+    """Iterate the backup operator until the span of the change is small.
 
     Starts from zero (monotone iterates) unless `v_init` warm-starts the
-    run.  `span_tol`, when given, additionally stops once the span
-    (max - min) of the change stabilizes; the extracted policy is already
-    settled then even though the values still share a drifting offset.
-    The table's `stop_reason` says which rule stopped the run.  Values are
-    discounted bits, so the fixed point is below r_high / (1 - beta).
+    run.  With change D = V_n - V_{n-1}, the MacQueen bounds V_n + c * min D
+    <= V* <= V_n + c * max D, c = beta / (1 - beta), hold after every sweep
+    (Puterman 1994, 6.6.3).  The run stops once max D - min D <= 2 * tol
+    (or `span_tol`, when smaller) and moves the iterate to the bounds'
+    midpoint, which is then within c * tol of the fixed point: the accuracy
+    a sup-norm change <= tol certifies, reached without waiting for the
+    constant part of the change to decay like beta^n.  A final backup gives
+    `values` and `q_values`.  Values are discounted bits, so the fixed point
+    is below r_high / (1 - beta).
 
     Raises ConvergenceError when max_iter sweeps are exhausted first.
     """
@@ -251,28 +256,23 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     op = BellmanOperator(params, grid, allowed=allowed)
     values = np.zeros((params.b_max + 1, grid.resolution)) if v_init is None \
         else np.array(v_init, dtype=float)
-    residual = float("inf")
-    stop_reason = None
+    limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
     for sweeps in range(1, max_iter + 1):
         new_values = op.step(values)
         # the change overwrites the old iterate: no fresh full-grid arrays
         change = np.subtract(new_values, values, out=values)
         hi, lo = float(change.max()), float(change.min())
-        residual = max(hi, -lo)
         values = new_values
-        if residual <= tol:
-            stop_reason = "sup_norm"
-        elif span_tol is not None and hi - lo <= span_tol:
-            stop_reason = "span"
-        if stop_reason:
+        if hi - lo <= limit:
             break
-    if not stop_reason:
-        raise ConvergenceError(residual, max_iter)
+    else:
+        raise ConvergenceError(hi - lo, max_iter)
+    c = params.beta / (1.0 - params.beta)
+    values += c * (hi + lo) / 2.0
     q = op.q_tables(values)
     final = np.fmax.reduce([q[a] for a in op.actions])
     return ValueTable(values=final, q_values=q, grid=grid, params=params,
-                      iterations=sweeps, residual=residual,
-                      stop_reason=stop_reason)
+                      iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
 
 
 def sense_defer_on_good_backups(table: ValueTable):

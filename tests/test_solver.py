@@ -6,6 +6,7 @@ import pytest
 from ehsense import (Action, BellmanOperator, ConvergenceError,
                      InfeasibleActionError, backup, bellman_step,
                      value_iteration, zero_table)
+from ehsense.policies import SINGLE_THRESHOLD_ACTIONS
 from ehsense.solver import default_max_iter
 
 
@@ -153,7 +154,8 @@ class TestValueIteration:
     def test_zero_discount_converges_in_two_sweeps(self, tiny_two_rate, coarse_grid):
         t = value_iteration(tiny_two_rate.replace(beta=0.0), coarse_grid)
         assert t.iterations == 2
-        assert t.residual == 0.0
+        assert t.span == 0.0
+        assert t.bound == 0.0
 
     def test_no_energy_no_value_at_empty_battery(self, tiny_params, coarse_grid):
         starved = tiny_params.replace(energy_pmf=(1.0,))
@@ -169,19 +171,22 @@ class TestValueIteration:
     def test_nonconvergence_raises_with_residual(self, tiny_two_rate, coarse_grid):
         with pytest.raises(ConvergenceError) as err:
             value_iteration(tiny_two_rate, coarse_grid, tol=1e-12, max_iter=3)
-        assert err.value.residual > 1e-12
+        assert err.value.span > 2e-12
         assert err.value.iterations == 3
 
     def test_sup_norm_rule_is_recorded(self, tiny_two_rate, coarse_grid):
+        beta = tiny_two_rate.beta
         t = value_iteration(tiny_two_rate, coarse_grid, tol=1e-9)
-        assert t.stop_reason == "sup_norm"
-        assert t.residual <= 1e-9
+        assert t.span <= 2e-9
+        assert t.bound == beta / (1 - beta) * t.span / 2
+        assert t.bound <= beta / (1 - beta) * 1e-9
 
     def test_span_rule_is_recorded(self, tiny_two_rate, coarse_grid):
         params = replace(tiny_two_rate, beta=0.999)
-        t = value_iteration(params, coarse_grid, tol=1e-9, span_tol=1e-6)
-        assert t.stop_reason == "span"
-        assert t.residual > 1e-9  # the values still drift: not converged
+        t = value_iteration(params, coarse_grid, tol=1e-5, span_tol=1e-6)
+        assert t.span <= 1e-6  # binding: 2 * tol would allow 2e-5
+        assert t.bound <= 0.999 / 0.001 * 1e-6 / 2
+        assert value_iteration(params, coarse_grid, tol=1e-5).iterations < t.iterations
 
     def test_default_budget_scales_with_discount(self):
         assert default_max_iter(0.0) == 100
@@ -194,6 +199,31 @@ class TestValueIteration:
                                v_init=cold.values + 3.0)
         assert np.max(np.abs(warm.values - cold.values)) < 1e-8
         assert warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("beta", [0.9, 0.98, 0.99])
+    @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
+    @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
+    def test_values_lie_within_the_bound_of_the_fixed_point(
+            self, fixture, allowed, beta, coarse_grid, request):
+        # the referee iterates plain sweeps to a sup-norm change <= 1e-13,
+        # independent of value_iteration's stop rule; its own error, at most
+        # beta / (1 - beta) * 1e-13 <= 1e-11, is far below the bounds checked
+        params = request.getfixturevalue(fixture).replace(beta=beta)
+        op = BellmanOperator(params, coarse_grid, allowed=allowed)
+        v_star = np.zeros((params.b_max + 1, 101))
+        for _ in range(10_000):
+            nxt = op.step(v_star)
+            change = np.max(np.abs(nxt - v_star))
+            v_star = nxt
+            if change <= 1e-13:
+                break
+        assert change <= 1e-13
+        cold = value_iteration(params, coarse_grid, allowed=allowed)
+        warm = value_iteration(params, coarse_grid, allowed=allowed,
+                               v_init=cold.values + 3.0)
+        for t in (cold, warm):
+            assert np.max(np.abs(t.values - v_star)) <= t.bound + 1e-12
+            assert t.bound <= beta / (1 - beta) * 1e-9
 
     def test_restricted_action_set_never_beats_full(self, tiny_two_rate, coarse_grid):
         full = value_iteration(tiny_two_rate, coarse_grid)
