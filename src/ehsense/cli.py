@@ -157,17 +157,16 @@ def cmd_verify(runner: _Runner) -> int:
     cfg = runner.cfg
     reports = []  # (passed, text) pairs; text carries its own PASS/FAIL
 
+    grid = BeliefGrid.from_resolution(1001)
     try:
         oracle_params = cfg.model
-        res = compare_with_solver(oracle_params, BeliefGrid.from_resolution(1001),
-                                  n=4)
+        res = compare_with_solver(oracle_params, grid, n=4)
     except InstanceTooLargeError:
         oracle_params = SystemParams(**_ORACLE_CHECK)
-        res = compare_with_solver(oracle_params, BeliefGrid.from_resolution(1001),
-                                  n=4)
+        res = compare_with_solver(oracle_params, grid, n=4)
         runner.say("model too large for the exact recursion; "
                    "oracle agreement checked on the canonical small instance")
-    bound = 10 * 0.001 * res.horizon * oracle_params.r_high
+    bound = 10 * grid.step * res.horizon * oracle_params.r_high
     ok = res.max_abs_gap_vs_solver <= bound
     reports.append((ok, f"{'PASS' if ok else 'FAIL'} oracle_agreement: "
                         f"gap {res.max_abs_gap_vs_solver:.2e} (bound {bound:.2e})"))

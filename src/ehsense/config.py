@@ -2,7 +2,8 @@
 
 One config file describes a model instance, solver and simulation settings,
 optional sweep axes (`q` rebuilds the two-point harvest pmf, `tau` rescales
-the sensing cost) and the policies to benchmark.
+the sensing cost) and the policies to benchmark.  An unknown key, at the top
+level or in any section, is a ConfigError.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ class ExperimentConfig:
                         raise ConfigError(
                             f"tau={tau} gives non-integral sensing cost "
                             f"{e_sense} at e_tx={params.e_tx}")
-                    params = params.with_sense_cost(int(round(e_sense)))
+                    params = params.replace(e_sense=int(round(e_sense)))
                     tags.append(f"tau{tau:g}")
                 points.append(("_".join(tags), params))
         return points
@@ -103,12 +104,25 @@ def _parse_pmf(raw) -> tuple:
     raise ConfigError("energy_pmf must be a list or an {arrival: prob} map")
 
 
-def _section(data, name) -> dict:
+_TOP_KEYS = ("model", "grid", "solver", "simulation", "search", "policies",
+             "sweep", "output_dir")
+
+
+def _check_keys(mapping: dict, where: str, known: tuple) -> None:
+    unknown = [k for k in mapping if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}; valid: {list(known)}")
+
+
+def _section(data, name, keys=None) -> dict:
+    """data[name] as a mapping, {} when absent; with `keys`, no other key."""
     sect = data.get(name, {})
     if sect is None:
         sect = {}
     if not isinstance(sect, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
+    if keys is not None:
+        _check_keys(sect, f"section '{name}'", keys)
     return sect
 
 
@@ -161,6 +175,7 @@ def _number_list(sweep: dict, name: str) -> tuple:
 def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(data, dict) or "model" not in data:
         raise ConfigError("config must be a mapping with a 'model' section")
+    _check_keys(data, "config", _TOP_KEYS)
     model_raw = dict(_section(data, "model"))
     if "energy_pmf" not in model_raw:
         raise ConfigError("model.energy_pmf is required")
@@ -170,8 +185,8 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     except (ParameterError, TypeError) as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
-    grid = _section(data, "grid")
-    solver = _section(data, "solver")
+    grid = _section(data, "grid", ("resolution",))
+    solver = _section(data, "solver", ("tol", "max_iter", "span_tol"))
     sim_raw = _section(data, "simulation")
     search_raw = _section(data, "search")
 
@@ -193,7 +208,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     if not policies:
         raise ConfigError("policy list must not be empty")
 
-    sweep = _section(data, "sweep")
+    sweep = _section(data, "sweep", ("q", "tau"))
     sweep_q = _number_list(sweep, "q")
     sweep_tau = _number_list(sweep, "tau")
 

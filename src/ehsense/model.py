@@ -139,16 +139,12 @@ class SystemParams:
                     Action.SENSE_TRANSMIT, Action.HIGH_RATE)
         return (Action.DEFER, Action.SENSE_DEFER, Action.HIGH_RATE)
 
-    def with_harvest(self, q: float, arrival: int | None = None) -> "SystemParams":
-        """Two-point harvest pmf: `arrival` units w.p. q, nothing otherwise."""
-        m = (self.n_arrivals - 1) if arrival is None else int(arrival)
-        pmf = [0.0] * (m + 1)
+    def with_harvest(self, q: float) -> "SystemParams":
+        """Two-point harvest pmf: the largest arrival w.p. q, nothing otherwise."""
+        pmf = [0.0] * self.n_arrivals
         pmf[0] = 1.0 - q
-        pmf[m] += q
+        pmf[-1] += q
         return self.replace(energy_pmf=tuple(pmf))
-
-    def with_sense_cost(self, e_sense: int) -> "SystemParams":
-        return self.replace(e_sense=e_sense)
 
     def replace(self, **changes) -> "SystemParams":
         from dataclasses import replace

@@ -136,18 +136,17 @@ class OracleResult:
     max_abs_gap_vs_solver: float = float("nan")
 
 
-def compare_with_solver(params: SystemParams, grid, n: int,
-                        beliefs=None, **guard) -> OracleResult:
+def compare_with_solver(params: SystemParams, grid, n: int) -> OracleResult:
     """Exact n-step values vs. n applications of the solver's backup operator.
 
-    Interpolates the truncated grid table at each exact belief; the gap is
-    the maximum absolute difference over all batteries and beliefs.
+    Interpolates the truncated grid table at each belief reachable from the
+    stationary one within n slots; the gap is the maximum absolute
+    difference over all batteries and those beliefs.
     """
     from .solver import BellmanOperator
     from .belief import reachable_beliefs, stationary_belief
 
-    if beliefs is None:
-        beliefs = reachable_beliefs(stationary_belief(params), n, params)
+    beliefs = reachable_beliefs(stationary_belief(params), n, params)
     op = BellmanOperator(params, grid)
     values = np.zeros((params.b_max + 1, grid.resolution))
     for _ in range(n):
@@ -156,7 +155,7 @@ def compare_with_solver(params: SystemParams, grid, n: int,
     gap = 0.0
     for b in range(params.b_max + 1):
         for p in beliefs:
-            v = exact_finite_horizon(params, b, float(p), n, **guard)
+            v = exact_finite_horizon(params, b, float(p), n)
             exact[(b, float(p))] = v
             gap = max(gap, abs(v - float(grid.interp(values[b], float(p)))))
     return OracleResult(horizon=n, values=exact, max_abs_gap_vs_solver=gap)

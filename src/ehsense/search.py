@@ -58,10 +58,6 @@ class SearchConfig:
                 raise ParameterError("candidates must be a nonempty subset of [0, 1]")
             self.candidates = c
 
-    def resolved_candidates(self, params: SystemParams) -> np.ndarray:
-        return default_candidates(params) if self.candidates is None \
-            else self.candidates
-
 
 @dataclass
 class SearchResult:
@@ -152,12 +148,15 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
     Sweeps battery rows in order; for each threshold every candidate that
     keeps the row ordered is evaluated with the same seed, all in one
     simulator pass, and the best strict improvement is kept.  Stops after a
-    full pass with no accepted move, or after max_passes.  Rows the current
-    policy never visits are skipped: changing them cannot alter the
-    estimate.  The returned stats are those of the final policy's own
-    evaluation.
+    full pass with no accepted move, or after max_passes.  The returned
+    stats are those of the final policy's own evaluation.
+
+    Every row is tried.  Under common random numbers a trial that moves only
+    a row the current policy never reaches follows it slot for slot and
+    scores exactly its estimate, so the strict comparison never accepts it.
     """
-    candidates = config.resolved_candidates(params)
+    candidates = default_candidates(params) if config.candidates is None \
+        else config.candidates
     rho = rho_from_policy(init, params)
 
     def evaluate(policies):
@@ -174,8 +173,6 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
         passes = sweep
         improved = False
         for b in range(params.b_max + 1):
-            if stats.visits[b] == 0:
-                continue  # row never visited: changing it cannot move the estimate
             for k in _thresholds_for(b, params):
                 current = rho[b, k]
                 lo = rho[b, k - 1] if k > 0 else 0.0

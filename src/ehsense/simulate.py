@@ -11,12 +11,10 @@ and the uniforms are drawn a chunk of slots at a time, so memory does not
 grow with the horizon.  A lane's belief is kept as an index into
 `belief.orbits`, the beliefs that the no-observation update reaches from
 the start belief, lambda0 and lambda1 within the horizon; this makes each
-slot's action a lookup in a (policy, battery, orbit index) table.  Each
-result also counts the slots spent at each battery level
-(`ThroughputStats.visits`); the threshold search skips the rows no slot
-visits.  What each action delivers, spends and reveals in a slot is read
-from `model.slot_outcomes`, by `run_episodes` and the scalar `step` alike,
-and the solver reads the same table; only `oracle.exact_finite_horizon`
+slot's action a lookup in a (policy, battery, orbit index) table.  What
+each action delivers, spends and reveals in a slot is read from
+`model.slot_outcomes`, by `run_episodes` and the scalar `step` alike, and
+the solver reads the same table; only `oracle.exact_finite_horizon`
 restates it, on purpose.  The scalar `step`, `run_trace` and
 `discounted_return` follow the float recursion slot by slot and referee the
 vectorized path.
@@ -52,18 +50,13 @@ class SimState:
 
 @dataclass
 class ThroughputStats:
-    """Average-throughput estimate from independent episodes.
-
-    `visits[b]` counts the slots, over all episodes, that start at battery
-    b; it sums to episodes * horizon and is left out of comparisons.
-    """
+    """Average-throughput estimate from independent episodes."""
 
     mean_bits_per_slot: float
     std_error: float
     episodes: int
     horizon: int
     seed: int
-    visits: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -244,10 +237,10 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     """Vectorized throughput estimate over independent episodes.
 
     `policy` is one ThresholdPolicy or a sequence of them.  For one policy
-    it returns ThroughputStats, with its per-battery slot counts `visits`.
-    For a sequence it returns a list of them, in policy order; all policies
-    run in one pass over a (policy x episode) lane array and read the same
-    uniforms, so each result equals its single-policy call.  Episode e draws
+    it returns ThroughputStats; for a sequence, a list of them in policy
+    order.  All policies run in one pass over a (policy x episode) lane
+    array and read the same uniforms, so each result equals its
+    single-policy call.  Episode e draws
     from the (seed, e) stream, so the result is independent of how episodes
     are batched.
     """
@@ -273,8 +266,6 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     c, i = np.empty_like(pb), np.empty_like(pb)
     slot_bits = np.empty(pb.shape)
     total_bits = np.zeros(pb.shape)
-    history = np.empty((min(_CHUNK, horizon), len(pb)), dtype=np.intp)  # pb per slot
-    visits = np.zeros(n_pol * n_b, dtype=np.int64)
 
     rngs = [episode_rng(seed, e) for e in range(episodes)]
     chan = (np.array([rng.random() for rng in rngs]) < p_good0).astype(np.intp)
@@ -289,7 +280,6 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
         harvest = np.tile(np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
                                      params.n_arrivals - 1), n_pol)
         for t in range(n):  # mode="clip": the indices are in range by construction
-            history[t] = pb
             np.multiply(pb, n_j, out=i)
             i += j
             code.take(i, out=c, mode="clip")
@@ -301,14 +291,13 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
             np.minimum(pb, cap, out=pb)
             np.add(c, j, out=i)
             j_next.take(i, out=j, mode="clip")
-        visits += np.bincount(history[:n].ravel(), minlength=visits.size)
 
     per_episode = (total_bits / horizon).reshape(n_pol, episodes)
     stats = [ThroughputStats(
         mean_bits_per_slot=float(row.mean()),
         std_error=float(row.std(ddof=1) / np.sqrt(episodes)) if episodes > 1 else 0.0,
-        episodes=episodes, horizon=horizon, seed=seed, visits=v)
-        for row, v in zip(per_episode, visits.reshape(n_pol, n_b))]
+        episodes=episodes, horizon=horizon, seed=seed)
+        for row in per_episode]
     return stats[0] if single else stats
 
 

@@ -180,7 +180,7 @@ def test_06_region_sensitivity():
 
     sense_cells = {}
     for e_sense in (2, 3):
-        t = value_iteration(base.with_sense_cost(e_sense), GRID, tol=1e-9)
+        t = value_iteration(base.replace(e_sense=e_sense), GRID, tol=1e-9)
         sense_cells[e_sense] = extract_policy(t).cell_count(Action.SENSE_DEFER)
     sense_ok = sense_cells[2] > sense_cells[3]
 

@@ -84,6 +84,10 @@ class TestConfigParsing:
         lambda c: c.update(sweep={"q": ["abc"]}),
         lambda c: c.update(sweep={"tau": ["abc"]}),
         lambda c: c.update(sweep={"q": 0.3}),
+        lambda c: c.update(solver={"tolerance": 1e-3}),
+        lambda c: c.update(grid={"resolutoin": 11}),
+        lambda c: c.update(sweep={"qs": [0.3]}),
+        lambda c: c.update(polices=["greedy"]),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -235,10 +239,12 @@ class TestVerifyCommand:
 
 # SHA-256 of every artifact of `solve`, `simulate` and `search` on
 # small_config(); a change that alters an artifact updates its digest here and
-# says why.
+# says why.  search_log.csv: the search tries the battery rows the incumbent
+# never visits too (404 -> 884 trial rows); none of the added trials is
+# accepted, and every other artifact is unchanged.
 ARTIFACT_DIGESTS = {
     "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
-    "search_log.csv": "bf408ac2611d9368db5b7e4c3d84489c17fcd1215e3f90f6e40ec36e9c1970f8",
+    "search_log.csv": "55bcac50e50d7d0358f8811e8e0793808481ed5a679f1f04ed92c5182be5c68e",
     "search_thresholds.txt": "d97db2ec75042e23d0740601fbeaf668636b1a30d952180c6787f18a3c25f43a",
     "search_throughput.csv": "d3c7483a542e8f89f31257590ab96bed01afe560412cf5f81858d815be05f7c6",
     "thresholds.txt": "d2c4db15f40aec9ca3632cfb8aba42a394801964a2f96da6e08c279a591db15e",

@@ -71,15 +71,23 @@ class TestCandidates:
 
 class TestSearch:
     def test_single_candidate_per_threshold_returns_init(self, search_params):
-        # every window holds exactly the current value: nothing to try
+        # rows that can transmit hold 0.5 in every threshold, so their windows
+        # are empty; rows in [e_sense, e_tx) anchor rho1 = rho2 = 1.0, so 0.5
+        # is tried there, but the start never visits them (its battery stays
+        # a multiple of e_tx) and each trial scores exactly the start's estimate
         init = flat_threshold_policy(search_params, 0.5)
         cfg = SearchConfig(candidates=[0.5], episodes=3, horizon=200, seed=2,
                            max_passes=4)
+        start = run_episodes(init, search_params, cfg.episodes, cfg.horizon,
+                             cfg.seed)
         res = search_thresholds(search_params, cfg, init)
         assert np.array_equal(rho_from_policy(res.policy, search_params),
                               rho_from_policy(init, search_params))
         assert res.passes == 1
-        assert res.log_rows == []
+        assert res.log_rows  # the trials at the unvisited rows
+        assert not any(accepted for *_, accepted in res.log_rows)
+        assert all(val == start.mean_bits_per_slot
+                   for *_, val, _ in res.log_rows)
 
     def test_improves_a_deliberately_bad_start(self, search_params):
         # "transmit only when almost certain" wastes most of the harvest

@@ -239,20 +239,6 @@ class TestBatchedLanes:
         for pol, s in zip(pols, stats):
             s1 = run_episodes(pol, tiny_params, 4, 700, seed=5, **kw)
             assert s == s1
-            assert np.array_equal(s.visits, s1.visits)
-
-    @pytest.mark.parametrize("horizon", [1, _CHUNK, 2 * _CHUNK + 7])
-    def test_visits_count_the_slots_of_each_battery(self, tiny_params, horizon):
-        pols = mixed_policies(tiny_params, BeliefGrid.from_resolution(101))
-        episodes, n_b = 3, tiny_params.b_max + 1
-        stats = run_episodes(pols, tiny_params, episodes, horizon, seed=6,
-                             initial_battery=1)
-        for pol, s in zip(pols, stats):
-            assert s.visits.sum() == episodes * horizon
-            want = sum(np.bincount(run_trace(pol, tiny_params, horizon, seed=6,
-                                             episode=e, initial_battery=1).battery,
-                                   minlength=n_b) for e in range(episodes))
-            assert np.array_equal(s.visits, want)
 
     def test_batched_lane_totals_equal_run_trace(self, region_params):
         pols = mixed_policies(region_params, BeliefGrid.from_resolution(101))
