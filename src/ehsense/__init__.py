@@ -20,8 +20,8 @@ from .simulate import (EpisodeTrace, SimState, ThroughputStats, discounted_retur
                        energy_audit, episode_rng, run_episodes, run_trace, step)
 from .search import (SearchConfig, SearchResult, default_candidates,
                      search_thresholds)
-from .oracle import (CheckReport, InstanceTooLargeError, OracleResult,
-                     check_good_state_dominance, check_value_structure,
-                     compare_with_solver, exact_finite_horizon)
+from .oracle import (CheckReport, OracleResult, check_good_state_dominance,
+                     check_value_structure, compare_with_solver,
+                     exact_finite_horizon)
 
 __version__ = "0.1.0"

@@ -21,18 +21,13 @@ from .policies import (SINGLE_THRESHOLD_ACTIONS, StructureViolationError,
 from .simulate import run_episodes
 from .search import search_thresholds, write_search_log
 from .config import ConfigError, ExperimentConfig, load_config
-from .oracle import (InstanceTooLargeError, check_good_state_dominance,
-                     check_value_structure, compare_with_solver)
+from .oracle import (check_good_state_dominance, check_value_structure,
+                     compare_with_solver)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
-
-# canonical instance for the exact-recursion agreement check in `verify`;
-# kept tiny so the brute-force tree stays exact and fast
-_ORACLE_CHECK = dict(lambda0=0.3, lambda1=0.8, energy_pmf=(0.5, 0.5), b_max=4,
-                     e_tx=2, e_sense=1, r_low=0.0, r_high=1.0, beta=0.9)
 
 # solved benchmark policies and their action sets (None: the model's own)
 _SOLVED_POLICIES = {"optimal": None, "single_threshold": SINGLE_THRESHOLD_ACTIONS}
@@ -158,15 +153,8 @@ def cmd_verify(runner: _Runner) -> int:
     reports = []  # (passed, text) pairs; text carries its own PASS/FAIL
 
     grid = BeliefGrid.from_resolution(1001)
-    try:
-        oracle_params = cfg.model
-        res = compare_with_solver(oracle_params, grid, n=4)
-    except InstanceTooLargeError:
-        oracle_params = SystemParams(**_ORACLE_CHECK)
-        res = compare_with_solver(oracle_params, grid, n=4)
-        runner.say("model too large for the exact recursion; "
-                   "oracle agreement checked on the canonical small instance")
-    bound = 10 * grid.step * res.horizon * oracle_params.r_high
+    res = compare_with_solver(cfg.model, grid, n=4)
+    bound = 10 * grid.step * res.horizon * cfg.model.r_high
     ok = res.max_abs_gap_vs_solver <= bound
     reports.append((ok, f"{'PASS' if ok else 'FAIL'} oracle_agreement: "
                         f"gap {res.max_abs_gap_vs_solver:.2e} (bound {bound:.2e})"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -91,8 +92,12 @@ def _parse_pmf(raw) -> tuple:
     if isinstance(raw, dict):
         try:
             items = {int(k): float(v) for k, v in raw.items()}
-        except (TypeError, ValueError) as exc:
+            fractional = [k for k in raw if float(k) != int(k)]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad energy_pmf mapping: {exc}") from None
+        if fractional:
+            raise ConfigError(f"energy_pmf arrival levels must be integers, "
+                              f"got {fractional}")
         if min(items) < 0:
             raise ConfigError("energy_pmf arrival levels must be >= 0")
         pmf = [0.0] * (max(items) + 1)
@@ -138,7 +143,7 @@ def _integer(sect: dict, section: str, name: str, default, least: int):
 
 
 def _positive(sect: dict, section: str, name: str, default):
-    """sect[name] as a float > 0, or `default` when absent or null.
+    """sect[name] as a finite float > 0, or `default` when absent or null.
 
     A numeric string is read as its number: YAML reads 1e-9, which has no
     dot, as a string.
@@ -150,14 +155,14 @@ def _positive(sect: dict, section: str, name: str, default):
         number = float(value)
     except (TypeError, ValueError):
         number = float("nan")
-    if isinstance(value, bool) or not number > 0:
-        raise ConfigError(f"{section}.{name} must be a positive number, "
+    if isinstance(value, bool) or not 0 < number < math.inf:
+        raise ConfigError(f"{section}.{name} must be a finite positive number, "
                           f"got {value!r}")
     return number
 
 
 def _number_list(sweep: dict, name: str) -> tuple:
-    """sweep[name] as a tuple of floats; () when absent."""
+    """sweep[name] as a tuple of finite floats; () when absent."""
     if name not in sweep:
         return ()
     values = sweep[name]
@@ -165,11 +170,14 @@ def _number_list(sweep: dict, name: str) -> tuple:
         raise ConfigError(f"sweep.{name} must be a nonempty list when present, "
                           f"got {values!r}")
     try:
-        if not any(isinstance(v, bool) for v in values):
-            return tuple(float(v) for v in values)
+        numbers = tuple(float(v) for v in values)
+        if all(map(math.isfinite, numbers)) \
+                and not any(isinstance(v, bool) for v in values):
+            return numbers
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"sweep.{name} must be a list of numbers, got {values!r}")
+    raise ConfigError(f"sweep.{name} must be a list of finite numbers, "
+                      f"got {values!r}")
 
 
 def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
@@ -182,7 +190,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     model_raw["energy_pmf"] = _parse_pmf(model_raw["energy_pmf"])
     try:
         model = SystemParams(**model_raw)
-    except (ParameterError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
         raise ConfigError(f"invalid model: {exc}") from None
 
     grid = _section(data, "grid", ("resolution",))

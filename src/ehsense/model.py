@@ -56,7 +56,8 @@ ACTION_BY_CODE = {c: a for a, c in _ACTION_CODES.items()}
 
 
 def _is_integral(x) -> bool:
-    return float(x) == float(int(x))
+    x = float(x)
+    return bool(np.isfinite(x)) and x == int(x)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class SystemParams:
         pmf = np.asarray(self.energy_pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ParameterError("energy_pmf must be a non-empty vector")
-        if np.any(pmf < 0):
-            raise ParameterError("energy_pmf entries must be nonnegative")
+        if not np.all(pmf >= 0):  # NaN fails this test too
+            raise ParameterError("energy_pmf entries must be nonnegative numbers")
         if abs(pmf.sum() - 1.0) > PMF_TOL:
             raise ParameterError(f"energy_pmf sums to {pmf.sum()!r}, expected 1")
         object.__setattr__(self, "energy_pmf", tuple(float(q) for q in pmf))
@@ -108,8 +109,8 @@ class SystemParams:
             )
         if not (0.0 <= self.lambda0 <= 1.0 and 0.0 <= self.lambda1 <= 1.0):
             raise ParameterError("lambda0 and lambda1 must lie in [0, 1]")
-        if not (0.0 <= self.r_low < self.r_high):
-            raise ParameterError("need 0 <= r_low < r_high")
+        if not (0.0 <= self.r_low < self.r_high < np.inf):
+            raise ParameterError("need 0 <= r_low < r_high < inf")
         if not (0.0 <= self.beta < 1.0):
             raise ParameterError("beta must lie in [0, 1)")
 

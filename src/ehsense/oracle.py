@@ -1,9 +1,10 @@
 """Independent brute-force finite-horizon solver and solver certification checks.
 
-The finite-horizon recursion here works over the exact reachable-belief tree
-(no grid, no interpolation) and is deliberately restricted to small
-instances.  It is the reference the grid solver is tested against and it
-never shares code with the solver's backup path.
+The finite-horizon recursion here works over the exact reachable beliefs
+(no grid, no interpolation), memoized on (battery, belief, slots left), so
+an n-slot query is backward induction over at most
+(b_max + 1) * 3(n + 1) * n states.  It is the reference the grid solver is
+tested against and it never shares code with the solver's backup path.
 """
 from __future__ import annotations
 
@@ -14,104 +15,49 @@ import numpy as np
 from .model import SystemParams
 from .belief import belief_update_no_obs
 
-DEFAULT_MAX_HORIZON = 10
-DEFAULT_MAX_BATTERY = 10
-DEFAULT_MAX_ARRIVALS = 3
 
+def _exact_solver(params: SystemParams):
+    """solve(b, p, h): the optimal h-slot value from (b, p) under `params`.
 
-class InstanceTooLargeError(ValueError):
-    """The instance exceeds the exact-recursion size guard."""
-
-
-class _BeliefTree:
-    """Beliefs keyed by (root, propagation count) so memoization is exact.
-
-    Roots: 0 = query belief, 1 = lambda0 (post-BAD reset), 2 = lambda1
-    (post-GOOD reset).  Propagating a belief increments its count; an
-    observation maps any belief to root 1 or 2 with count 0.
+    The returned function keeps one memo for all its queries.  A value
+    depends on the belief only through its float, so the float is an exact
+    key; the beliefs reached are the query's, lambda0 and lambda1, each
+    propagated by `belief_update_no_obs` fewer than h times.
     """
-
-    def __init__(self, p0: float, params: SystemParams, depth: int):
-        self._values = []
-        for root in (p0, params.lambda0, params.lambda1):
-            orbit = [root]
-            for _ in range(depth):
-                orbit.append(belief_update_no_obs(orbit[-1], params))
-            self._values.append(orbit)
-
-    def value(self, key) -> float:
-        root, k = key
-        return self._values[root][k]
-
-
-_AFTER_GOOD = (2, 0)
-_AFTER_BAD = (1, 0)
-
-
-def _check_guard(params: SystemParams, n: int, max_horizon: int,
-                 max_battery: int, max_arrivals: int) -> None:
-    problems = []
-    if n > max_horizon:
-        problems.append(f"horizon {n} > {max_horizon}")
-    if params.b_max > max_battery:
-        problems.append(f"b_max {params.b_max} > {max_battery}")
-    if params.n_arrivals > max_arrivals:
-        problems.append(f"{params.n_arrivals} arrival levels > {max_arrivals}")
-    if problems:
-        raise InstanceTooLargeError(
-            "exact recursion guard exceeded: " + "; ".join(problems)
-        )
-
-
-def exact_finite_horizon(params: SystemParams, b0: int, p0: float, n: int, *,
-                         max_horizon: int = DEFAULT_MAX_HORIZON,
-                         max_battery: int = DEFAULT_MAX_BATTERY,
-                         max_arrivals: int = DEFAULT_MAX_ARRIVALS) -> float:
-    """Optimal n-slot expected discounted reward from (b0, p0), computed exactly.
-
-    The recursion enumerates every reachable (battery, belief) pair; the
-    guard keyword arguments bound the instance size and can be loosened
-    explicitly by callers that accept the cost.
-    """
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    _check_guard(params, n, max_horizon, max_battery, max_arrivals)
-    tree = _BeliefTree(p0, params, n)
     support = params.harvest_support
     beta = params.beta
     e_tx, e_sense, b_max = params.e_tx, params.e_sense, params.b_max
     r1, r2 = params.r_low, params.r_high
     one_minus_tau = 1.0 - params.tau
     two_rate = params.two_rate
+    after_good, after_bad = params.lambda1, params.lambda0
     memo = {}
 
-    def cont(h: int, b: int, debit: int, belief_key) -> float:
+    def cont(h: int, b: int, debit: int, p: float) -> float:
         # expected next-stage value after spending `debit`, before clamping
         acc = 0.0
         for m, q in support:
-            acc += q * solve(min(b + m - debit, b_max), belief_key, h)
+            acc += q * solve(min(b + m - debit, b_max), p, h)
         return beta * acc
 
-    def solve(b: int, belief_key, h: int) -> float:
-        key = (b, belief_key, h)
+    def solve(b: int, p: float, h: int) -> float:
+        if h == 0:
+            return 0.0
+        key = (b, p, h)
         got = memo.get(key)
         if got is not None:
             return got
-        p = tree.value(belief_key)
-        if h == 0:
-            return 0.0
-        root, k = belief_key
-        propagated = (root, k + 1)
+        propagated = belief_update_no_obs(p, params)
         best = cont(h - 1, b, 0, propagated)  # defer
         if b >= e_sense and b < e_tx:
             # sense without the energy to transmit afterwards
-            v = (p * cont(h - 1, b, e_sense, _AFTER_GOOD)
-                 + (1.0 - p) * cont(h - 1, b, e_sense, _AFTER_BAD))
+            v = (p * cont(h - 1, b, e_sense, after_good)
+                 + (1.0 - p) * cont(h - 1, b, e_sense, after_bad))
             best = max(best, v)
         if b >= e_tx:
-            good_tx = cont(h - 1, b, e_tx, _AFTER_GOOD)
-            bad_tx = cont(h - 1, b, e_tx, _AFTER_BAD)
-            bad_sense = cont(h - 1, b, e_sense, _AFTER_BAD)
+            good_tx = cont(h - 1, b, e_tx, after_good)
+            bad_tx = cont(h - 1, b, e_tx, after_bad)
+            bad_sense = cont(h - 1, b, e_sense, after_bad)
             high = p * (r2 + good_tx) + (1.0 - p) * bad_tx
             sense_defer = (p * (one_minus_tau * r2 + good_tx)
                            + (1.0 - p) * bad_sense)
@@ -124,7 +70,14 @@ def exact_finite_horizon(params: SystemParams, b0: int, p0: float, n: int, *,
         memo[key] = best
         return best
 
-    return solve(b0, (0, 0), n)
+    return solve
+
+
+def exact_finite_horizon(params: SystemParams, b0: int, p0: float, n: int) -> float:
+    """Optimal n-slot expected discounted reward from (b0, p0), computed exactly."""
+    if n < 1:
+        raise ValueError("horizon must be >= 1")
+    return _exact_solver(params)(b0, p0, n)
 
 
 @dataclass
@@ -151,11 +104,12 @@ def compare_with_solver(params: SystemParams, grid, n: int) -> OracleResult:
     values = np.zeros((params.b_max + 1, grid.resolution))
     for _ in range(n):
         values = op.step(values)
+    solve = _exact_solver(params)  # one memo for every (b, p) query
     exact = {}
     gap = 0.0
     for b in range(params.b_max + 1):
         for p in beliefs:
-            v = exact_finite_horizon(params, b, float(p), n)
+            v = solve(b, float(p), n)
             exact[(b, float(p))] = v
             gap = max(gap, abs(v - float(grid.interp(values[b], float(p)))))
     return OracleResult(horizon=n, values=exact, max_abs_gap_vs_solver=gap)

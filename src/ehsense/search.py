@@ -17,7 +17,8 @@ import numpy as np
 from .artifacts import write_csv_artifact
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import reachable_beliefs
-from .policies import NO_REGION, PolicyRow, ThresholdPolicy
+from .policies import (NO_REGION, PATTERN_FULL, PolicyRow, ThresholdPolicy,
+                       _is_subsequence)
 from .simulate import ThroughputStats, run_episodes
 
 _ORBIT_DEPTH = 20
@@ -54,7 +55,7 @@ class SearchConfig:
             raise ParameterError("episodes, horizon and max_passes must be >= 1")
         if self.candidates is not None:
             c = np.unique(np.asarray(self.candidates, dtype=float))
-            if c.size == 0 or c[0] < 0.0 or c[-1] > 1.0:
+            if c.size == 0 or not np.all((c >= 0.0) & (c <= 1.0)):
                 raise ParameterError("candidates must be a nonempty subset of [0, 1]")
             self.candidates = c
 
@@ -73,29 +74,25 @@ def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray
     Row semantics: defer on [0, rho1), sense on [rho1, rho2), defer on
     [rho2, rho3), high rate on [rho3, 1].  Rows that cannot transmit carry
     the NO_REGION sentinel as rho3; rows that cannot sense have rho1 == rho2.
+    A row must fit D|OD|D|H, the single-rate threshold form.
     """
     if params.two_rate:
         raise ParameterError("threshold search requires the single-rate model")
     rho = np.full((params.b_max + 1, 3), NO_REGION)
     for b, row in enumerate(policy.rows):
-        labels, bps = row.labels, row.breakpoints
-        edges = (0.0,) + bps + (1.0,)
-        if not set(labels) <= {Action.DEFER, Action.SENSE_DEFER, Action.HIGH_RATE}:
-            raise ParameterError(f"battery {b}: labels outside the D/O/H family")
-        n_o = labels.count(Action.SENSE_DEFER)
-        n_h = labels.count(Action.HIGH_RATE)
-        if n_o > 1 or n_h > 1 or (n_h == 1 and labels[-1] != Action.HIGH_RATE):
-            raise ParameterError(f"battery {b}: row is not in threshold form")
-        r3 = edges[labels.index(Action.HIGH_RATE)] if n_h else NO_REGION
-        if n_o:
+        labels = row.labels
+        if not _is_subsequence(labels, PATTERN_FULL):
+            raise ParameterError(
+                f"battery {b}: intervals {'|'.join(a.code for a in labels)} "
+                f"are not in threshold form D|OD|D|H")
+        edges = (0.0,) + row.breakpoints + (1.0,)
+        r3 = edges[-2] if labels[-1] == Action.HIGH_RATE else NO_REGION
+        if Action.SENSE_DEFER in labels:
             i = labels.index(Action.SENSE_DEFER)
             r1, r2 = edges[i], edges[i + 1]
         else:
-            anchor = r3 if n_h else 1.0
-            r1 = r2 = anchor
-        rho[b] = (r1, r2, min(r3, NO_REGION))
-        if not (r1 <= r2 <= (r3 if n_h else NO_REGION)):
-            raise ParameterError(f"battery {b}: breakpoints out of order")
+            r1 = r2 = min(r3, 1.0)  # no sensing: both at the high-rate edge, or 1
+        rho[b] = (r1, r2, r3)
     return rho
 
 

@@ -4,6 +4,7 @@ import re
 import pytest
 import yaml
 
+from ehsense import BeliefGrid, compare_with_solver
 from ehsense.cli import main
 from ehsense.config import ConfigError, load_config, parse_config
 
@@ -88,6 +89,19 @@ class TestConfigParsing:
         lambda c: c.update(grid={"resolutoin": 11}),
         lambda c: c.update(sweep={"qs": [0.3]}),
         lambda c: c.update(polices=["greedy"]),
+        lambda c: c["model"].update(energy_pmf=[float("nan"), 1.0]),
+        lambda c: c["model"].update(energy_pmf={0: 0.5, 1.7: 0.5}),
+        lambda c: c["model"].update(energy_pmf={0: 0.5, float("inf"): 0.5}),
+        lambda c: c["model"].update(r_high=float("inf")),
+        lambda c: c["model"].update(b_max=float("nan")),
+        lambda c: c["model"].update(b_max=float("inf")),
+        lambda c: c["model"].update(b_max="abc"),
+        lambda c: c.update(sweep={"q": [float("nan")]}),
+        lambda c: c.update(sweep={"tau": [float("nan")]}),
+        lambda c: c.update(sweep={"tau": [float("inf")]}),
+        lambda c: c["solver"].update(tol=float("inf")),
+        lambda c: c["solver"].update(span_tol=float("inf")),
+        lambda c: c.update(search={"candidates": [0.5, float("nan")]}),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -235,6 +249,21 @@ class TestVerifyCommand:
         assert "PASS monotone_in_belief" in out
         assert "FAIL battery_gap_bound" in out
         assert "PASS threshold_structure" in out
+
+    def test_oracle_agreement_checks_the_configs_own_model(self, tmp_path,
+                                                           capsys):
+        # b_max 12 and r_high 2.0: the bound is 10 * 0.001 * 4 * 2.0
+        cfg = small_config()
+        cfg["model"].update(b_max=12, r_high=2.0)
+        path = write_config(tmp_path, cfg)
+        main(["verify", "--config", str(path), "--out", str(tmp_path / "v"),
+              "--quiet"])
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "oracle_agreement" in ln]
+        grid = BeliefGrid.from_resolution(1001)
+        res = compare_with_solver(parse_config(cfg).model, grid, n=4)
+        assert line == (f"PASS oracle_agreement: gap "
+                        f"{res.max_abs_gap_vs_solver:.2e} (bound 8.00e-02)")
 
 
 # SHA-256 of every artifact of `solve`, `simulate` and `search` on

@@ -5,9 +5,10 @@ against it, never the other way around.
 import numpy as np
 import pytest
 
-from ehsense import (BeliefGrid, InstanceTooLargeError, SystemParams,
-                     bellman_step, exact_finite_horizon, reachable_beliefs,
-                     stationary_belief, zero_table)
+from ehsense import (BeliefGrid, SystemParams, bellman_step,
+                     exact_finite_horizon, reachable_beliefs, stationary_belief,
+                     zero_table)
+from ehsense.oracle import _exact_solver
 
 
 def myopic_value(params, b, p):
@@ -87,21 +88,8 @@ class TestProperties:
                     == pytest.approx(myopic_value(p, b, x))
 
 
-class TestGuard:
-    def test_rejects_long_horizon(self, tiny_params):
-        with pytest.raises(InstanceTooLargeError):
-            exact_finite_horizon(tiny_params, 2, 0.5, 11)
-
-    def test_rejects_big_battery(self):
-        big = SystemParams(lambda0=0.3, lambda1=0.8, energy_pmf=(0.5, 0.5),
-                           b_max=40, e_tx=2, e_sense=1, r_low=0.0, r_high=1.0,
-                           beta=0.9)
-        with pytest.raises(InstanceTooLargeError):
-            exact_finite_horizon(big, 2, 0.5, 3)
-
-    def test_guard_can_be_loosened(self, tiny_params):
-        v = exact_finite_horizon(tiny_params, 2, 0.5, 12, max_horizon=12)
-        assert v > 0
+def test_horizon_beyond_ten(tiny_params):
+    assert exact_finite_horizon(tiny_params, 2, 0.5, 12) > 0
 
 
 def test_reachable_belief_count_matches_memo_need(tiny_params):
@@ -112,22 +100,35 @@ def test_reachable_belief_count_matches_memo_need(tiny_params):
     assert any(abs(b - 0.8) < 1e-12 for b in beliefs)
 
 
+# On-grid instances: lambda0, lambda1 and the stationary belief lie on both
+# grids.  test_01's instance, one with b_max 12 and 4 arrival levels, and a
+# two-rate one with b_max 12; on each the largest gap measured is 2.7e-15.
+ON_GRID_INSTANCES = {
+    "test_01": dict(energy_pmf=(0.5, 0.5), b_max=4, e_tx=2, r_low=0.0,
+                    r_high=1.0),
+    "four_arrivals": dict(energy_pmf=(0.4, 0.3, 0.2, 0.1), b_max=12, e_tx=3,
+                          r_low=0.0, r_high=1.0),
+    "two_rate": dict(energy_pmf=(0.4, 0.3, 0.2, 0.1), b_max=12, e_tx=3,
+                     r_low=1.0, r_high=2.0),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(ON_GRID_INSTANCES))
 @pytest.mark.parametrize("resolution", [101, 1001])
-def test_grid_matches_exact_on_grid_transition_rows(resolution):
-    # test_01's instance, whose lambda0 and lambda1 lie on the grid: on the
-    # reachable beliefs the grid solve agrees with the exact recursion to
-    # rounding (gaps up to 4.5e-16 measured), so this catches regressions
-    # that test_01's bound of 10 * step * n lets through
-    params = SystemParams(lambda0=0.3, lambda1=0.8, energy_pmf=(0.5, 0.5),
-                          b_max=4, e_tx=2, e_sense=1, r_low=0.0, r_high=1.0,
-                          beta=0.9)
+def test_grid_matches_exact_on_grid_transition_rows(resolution, instance):
+    # on the reachable beliefs the grid solve agrees with the exact recursion
+    # to rounding, so this catches regressions that test_01's bound of
+    # 10 * step * n lets through
+    params = SystemParams(lambda0=0.3, lambda1=0.8, e_sense=1, beta=0.9,
+                          **ON_GRID_INSTANCES[instance])
     grid = BeliefGrid.from_resolution(resolution)
     beliefs = reachable_beliefs(stationary_belief(params), 8, params)
+    exact = _exact_solver(params)  # exact_finite_horizon's, with one memo
     table = zero_table(params, grid)
     for n in range(1, 9):
         table = bellman_step(table)
         for b in range(params.b_max + 1):
             for p in beliefs:
-                gap = abs(exact_finite_horizon(params, b, float(p), n)
+                gap = abs(exact(b, float(p), n)
                           - float(grid.interp(table.values[b], float(p))))
                 assert gap <= 1e-12, (n, b, p, gap)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ehsense import (ParameterError, SearchConfig, default_candidates,
+from ehsense import (Action, ParameterError, SearchConfig, default_candidates,
                      encode_rows, extract_policy, greedy_policy, run_episodes,
                      search_thresholds, value_iteration)
-from ehsense.policies import NO_REGION
+from ehsense.policies import NO_REGION, PolicyRow, ThresholdPolicy
 from ehsense.search import policy_from_rho, rho_from_policy
 from conftest import two_point_pmf
 
@@ -53,6 +53,20 @@ class TestRhoRoundtrip:
         pol = greedy_policy(tiny_two_rate)
         with pytest.raises(ParameterError):
             rho_from_policy(pol, tiny_two_rate)
+
+    @pytest.mark.parametrize("labels", [
+        (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.SENSE_DEFER),
+        (Action.HIGH_RATE, Action.DEFER),
+        (Action.SENSE_DEFER, Action.HIGH_RATE, Action.DEFER)])
+    def test_row_outside_threshold_form_rejected(self, search_params, labels):
+        b = search_params.e_tx
+        bps = tuple(np.linspace(0.0, 1.0, len(labels) + 1)[1:-1])
+        rows = [PolicyRow(breakpoints=(), labels=(Action.DEFER,))] \
+            * (search_params.b_max + 1)
+        rows[b] = PolicyRow(breakpoints=bps, labels=labels)
+        pol = ThresholdPolicy(rows=tuple(rows), params=search_params)
+        with pytest.raises(ParameterError, match=f"battery {b}:"):
+            rho_from_policy(pol, search_params)
 
 
 class TestCandidates:
