@@ -64,7 +64,8 @@ class ExperimentConfig:
         """(label, params) per sweep point; cartesian when both axes are set.
 
         Labels are stable file-name fragments like "q0.3" or "q0.3_tau0.2";
-        a config without sweep axes yields one unlabeled point.
+        a config without sweep axes yields one unlabeled point.  Two points
+        with one label would write one set of files: a ConfigError.
         """
         qs = self.sweep_q or (None,)
         taus = self.sweep_tau or (None,)
@@ -85,28 +86,32 @@ class ExperimentConfig:
                     params = params.replace(e_sense=int(round(e_sense)))
                     tags.append(f"tau{tau:g}")
                 points.append(("_".join(tags), params))
+        labels = [label for label, _ in points]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"two sweep values share a label: {labels}")
         return points
 
 
 def _parse_pmf(raw) -> tuple:
-    if isinstance(raw, dict):
-        try:
-            items = {int(k): float(v) for k, v in raw.items()}
-            fractional = [k for k in raw if float(k) != int(k)]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad energy_pmf mapping: {exc}") from None
-        if fractional:
-            raise ConfigError(f"energy_pmf arrival levels must be integers, "
-                              f"got {fractional}")
-        if min(items) < 0:
-            raise ConfigError("energy_pmf arrival levels must be >= 0")
-        pmf = [0.0] * (max(items) + 1)
-        for m, p in items.items():
-            pmf[m] = p
-        return tuple(pmf)
+    """energy_pmf, a list or an {arrival: prob} map, as a tuple."""
     if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    raise ConfigError("energy_pmf must be a list or an {arrival: prob} map")
+        raw = dict(enumerate(raw))
+    if not isinstance(raw, dict):
+        raise ConfigError("energy_pmf must be a list or an {arrival: prob} map")
+    try:
+        items = {int(k): float(v) for k, v in raw.items()}
+        fractional = [k for k in raw if float(k) != int(k)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad energy_pmf: {exc}") from None
+    if fractional:
+        raise ConfigError(f"energy_pmf arrival levels must be integers, "
+                          f"got {fractional}")
+    if min(items, default=0) < 0:
+        raise ConfigError("energy_pmf arrival levels must be >= 0")
+    pmf = [0.0] * (max(items, default=-1) + 1)
+    for m, p in items.items():
+        pmf[m] = p
+    return tuple(pmf)
 
 
 _TOP_KEYS = ("model", "grid", "solver", "simulation", "search", "policies",
@@ -209,7 +214,9 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulation/search settings: {exc}") from None
 
-    policies = tuple(data.get("policies", KNOWN_POLICIES))
+    policies = data.get("policies", KNOWN_POLICIES)
+    if not isinstance(policies, (list, tuple)):
+        raise ConfigError(f"policies must be a list of names, got {policies!r}")
     unknown = [p for p in policies if p not in KNOWN_POLICIES]
     if unknown:
         raise ConfigError(f"unknown policies {unknown}; valid: {KNOWN_POLICIES}")
@@ -233,7 +240,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         span_tol=_positive(solver, "solver", "span_tol", None),
         sim=sim,
         search=search,
-        policies=policies,
+        policies=tuple(policies),
         sweep_q=sweep_q,
         sweep_tau=sweep_tau,
         output_dir=str(data.get("output_dir", "out")),

@@ -142,6 +142,9 @@ class SystemParams:
 
     def with_harvest(self, q: float) -> "SystemParams":
         """Two-point harvest pmf: the largest arrival w.p. q, nothing otherwise."""
+        if self.n_arrivals < 2:
+            raise ParameterError("a harvest sweep needs an energy_pmf with at "
+                                 "least two arrival levels")
         pmf = [0.0] * self.n_arrivals
         pmf[0] = 1.0 - q
         pmf[-1] += q

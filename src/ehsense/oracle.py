@@ -1,10 +1,11 @@
 """Independent brute-force finite-horizon solver and solver certification checks.
 
-The finite-horizon recursion here works over the exact reachable beliefs
-(no grid, no interpolation), memoized on (battery, belief, slots left), so
-an n-slot query is backward induction over at most
-(b_max + 1) * 3(n + 1) * n states.  It is the reference the grid solver is
-tested against and it never shares code with the solver's backup path.
+The finite-horizon values here are computed over the exact reachable
+beliefs (no grid, no interpolation) by backward induction: the beliefs with
+h slots left are those with h + 1 left propagated once, plus lambda0 and
+lambda1, and each stage is evaluated from the one after it for every
+battery.  It is the reference the grid solver is tested against and it
+never shares code with the solver's backup path.
 """
 from __future__ import annotations
 
@@ -16,68 +17,62 @@ from .model import SystemParams
 from .belief import belief_update_no_obs
 
 
-def _exact_solver(params: SystemParams):
-    """solve(b, p, h): the optimal h-slot value from (b, p) under `params`.
+def _exact_values(params: SystemParams, roots, n: int) -> dict:
+    """{p: the optimal n-slot values from (b, p), b = 0..b_max} per root p.
 
-    The returned function keeps one memo for all its queries.  A value
-    depends on the belief only through its float, so the float is an exact
-    key; the beliefs reached are the query's, lambda0 and lambda1, each
-    propagated by `belief_update_no_obs` fewer than h times.
+    A value depends on the belief only through its float, so the float is
+    an exact key.  Stage 0 is zero everywhere.
     """
-    support = params.harvest_support
-    beta = params.beta
-    e_tx, e_sense, b_max = params.e_tx, params.e_sense, params.b_max
-    r1, r2 = params.r_low, params.r_high
-    one_minus_tau = 1.0 - params.tau
-    two_rate = params.two_rate
+    beta, e_tx, e_sense, b_max = params.beta, params.e_tx, params.e_sense, params.b_max
+    r1, r2, one_minus_tau = params.r_low, params.r_high, 1.0 - params.tau
     after_good, after_bad = params.lambda1, params.lambda0
-    memo = {}
+    b = np.arange(b_max + 1)
+    # next battery per harvest level after each debit; the rows that cannot
+    # afford the debit read row 0 and are dropped below
+    nxt = {debit: [(np.minimum(b + m - debit, b_max).clip(min=0), q)
+                   for m, q in params.harvest_support]
+           for debit in (0, e_sense, e_tx)}
+    stages = [{float(p) for p in roots}]  # stages[k]: n - k slots left
+    for _ in range(n):
+        stages.append({belief_update_no_obs(p, params) for p in stages[-1]}
+                      | {after_good, after_bad})
+    later = dict.fromkeys(stages.pop(), np.zeros(b_max + 1))
 
-    def cont(h: int, b: int, debit: int, p: float) -> float:
-        # expected next-stage value after spending `debit`, before clamping
+    def cont(debit: int, p: float) -> np.ndarray:
+        # expected next-stage value after spending `debit`, per battery
         acc = 0.0
-        for m, q in support:
-            acc += q * solve(min(b + m - debit, b_max), p, h)
+        for idx, q in nxt[debit]:
+            acc = acc + q * later[p][idx]
         return beta * acc
 
-    def solve(b: int, p: float, h: int) -> float:
-        if h == 0:
-            return 0.0
-        key = (b, p, h)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        propagated = belief_update_no_obs(p, params)
-        best = cont(h - 1, b, 0, propagated)  # defer
-        if b >= e_sense and b < e_tx:
+    band, tx = slice(e_sense, e_tx), slice(e_tx, None)
+    while stages:
+        good_tx, bad_tx = cont(e_tx, after_good)[tx], cont(e_tx, after_bad)[tx]
+        good_sense, bad_sense = cont(e_sense, after_good), cont(e_sense, after_bad)
+        now = {}
+        for p in stages.pop():
+            propagated = belief_update_no_obs(p, params)
+            best = now[p] = cont(0, propagated)  # defer
             # sense without the energy to transmit afterwards
-            v = (p * cont(h - 1, b, e_sense, after_good)
-                 + (1.0 - p) * cont(h - 1, b, e_sense, after_bad))
-            best = max(best, v)
-        if b >= e_tx:
-            good_tx = cont(h - 1, b, e_tx, after_good)
-            bad_tx = cont(h - 1, b, e_tx, after_bad)
-            bad_sense = cont(h - 1, b, e_sense, after_bad)
-            high = p * (r2 + good_tx) + (1.0 - p) * bad_tx
-            sense_defer = (p * (one_minus_tau * r2 + good_tx)
-                           + (1.0 - p) * bad_sense)
-            best = max(best, high, sense_defer)
-            if two_rate:
-                low = r1 + cont(h - 1, b, e_tx, propagated)
-                sense_tx = (p * (one_minus_tau * r2 + good_tx)
-                            + (1.0 - p) * (one_minus_tau * r1 + bad_tx))
-                best = max(best, low, sense_tx)
-        memo[key] = best
-        return best
-
-    return solve
+            best[band] = np.maximum(best[band], p * good_sense[band]
+                                    + (1.0 - p) * bad_sense[band])
+            sensed_good = p * (one_minus_tau * r2 + good_tx)
+            best[tx] = np.maximum.reduce([
+                best[tx], p * (r2 + good_tx) + (1.0 - p) * bad_tx,  # high rate
+                sensed_good + (1.0 - p) * bad_sense[tx]])  # sense, defer on BAD
+            if params.two_rate:
+                best[tx] = np.maximum.reduce([
+                    best[tx], r1 + cont(e_tx, propagated)[tx],  # low rate
+                    sensed_good + (1.0 - p) * (one_minus_tau * r1 + bad_tx)])
+        later = now
+    return later
 
 
 def exact_finite_horizon(params: SystemParams, b0: int, p0: float, n: int) -> float:
     """Optimal n-slot expected discounted reward from (b0, p0), computed exactly."""
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    return _exact_solver(params)(b0, p0, n)
+    return float(_exact_values(params, [p0], n)[float(p0)][b0])
 
 
 @dataclass
@@ -104,12 +99,12 @@ def compare_with_solver(params: SystemParams, grid, n: int) -> OracleResult:
     values = np.zeros((params.b_max + 1, grid.resolution))
     for _ in range(n):
         values = op.step(values)
-    solve = _exact_solver(params)  # one memo for every (b, p) query
+    induced = _exact_values(params, beliefs, n)  # one induction for every query
     exact = {}
     gap = 0.0
     for b in range(params.b_max + 1):
         for p in beliefs:
-            v = solve(b, float(p), n)
+            v = float(induced[float(p)][b])
             exact[(b, float(p))] = v
             gap = max(gap, abs(v - float(grid.interp(values[b], float(p)))))
     return OracleResult(horizon=n, values=exact, max_abs_gap_vs_solver=gap)

@@ -16,18 +16,13 @@ from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
 from .solver import Q_TIE_TOL, ValueTable
 
-# Canonical single-rate interval patterns: what an optimal row may look like
+# Canonical single-rate interval pattern: what an optimal row may look like
 # (as a subsequence) once the low-rate code is disabled.
 PATTERN_FULL = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.HIGH_RATE)
-PATTERN_SENSE_ONLY = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER)
 
 # The no-sensing baseline's action set: the `single_threshold` policy is the
 # model solved over these actions only.
 SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
-
-# Ordering used to break exact ties in the greedy argmax; later wins.
-ARGMAX_ORDER = (Action.DEFER, Action.LOW_RATE, Action.SENSE_DEFER,
-                Action.SENSE_TRANSMIT, Action.HIGH_RATE)
 
 NO_REGION = 2.0  # sentinel breakpoint meaning "interval is empty"
 
@@ -53,19 +48,17 @@ class PolicyTable:
 
 
 def extract_policy(table: ValueTable) -> PolicyTable:
-    """Greedy policy from the per-action values.
+    """Greedy policy: the argmax over actions of `table.q_values`.
 
-    Ties within 1e-12 go to the action latest in DEFER < LOW_RATE <
-    SENSE_DEFER < SENSE_TRANSMIT < HIGH_RATE, so region plots are
-    reproducible.
+    Ties within 1e-12 go to the action latest in `Action`'s order (DEFER <
+    LOW_RATE < SENSE_DEFER < SENSE_TRANSMIT < HIGH_RATE), so region plots
+    are reproducible.
     """
-    q_stack = [table.q_values[a] for a in ARGMAX_ORDER]
-    best = np.fmax.reduce(q_stack)
+    q = table.q_values
+    best = np.fmax.reduce(q)
     actions = np.zeros(best.shape, dtype=np.int8)
-    for a in ARGMAX_ORDER:
-        q = table.q_values[a]
-        take = q >= best - Q_TIE_TOL  # NaN compares False
-        actions[take] = int(a)
+    for a in Action:
+        actions[q[a] >= best - Q_TIE_TOL] = a  # NaN compares False
     return PolicyTable(actions=actions, grid=table.grid, params=table.params)
 
 
@@ -173,16 +166,16 @@ def encode_rows(policy: PolicyTable) -> ThresholdPolicy:
     return ThresholdPolicy(rows=tuple(rows), params=policy.params)
 
 
+def _merged(labels) -> list:
+    """`labels` with each run of equal neighbours merged into one."""
+    return [a for k, a in enumerate(labels) if k == 0 or a != labels[k - 1]]
+
+
 def _significant_labels(actions: np.ndarray):
     """Run labels with single-cell runs dropped (grid-step slack) and merged."""
     last, labels = _runs(actions)
-    labels = [a for a, length in zip(labels, np.diff(last, prepend=-1))
-              if length > 1]
-    merged = []
-    for a in labels:
-        if not merged or merged[-1] != a:
-            merged.append(a)
-    return merged
+    return _merged([a for a, length in zip(labels, np.diff(last, prepend=-1))
+                    if length > 1])
 
 
 def _is_subsequence(seq, template) -> bool:
@@ -192,20 +185,16 @@ def _is_subsequence(seq, template) -> bool:
 
 def validate_single_rate_row(actions: np.ndarray, battery: int,
                              params: SystemParams) -> None:
-    """Check one grid row against the canonical single-rate patterns.
+    """Check one grid row against the canonical single-rate pattern.
 
-    Rows that can transmit may look like D|O|D|H (any subsequence); rows in
-    the sense-only band like D|O|D; rows below the sensing cost must defer
-    everywhere.  Runs of a single grid cell are ignored as discretization
-    slack.
+    A row may look like any subsequence of the actions of D|O|D|H that its
+    battery affords: D|O|D|H where it can transmit, D|O|D in the sense-only
+    band, D below the sensing cost.  Runs of a single grid cell are ignored
+    as discretization slack.
     """
     labels = _significant_labels(actions)
-    if battery >= params.e_tx:
-        template = PATTERN_FULL
-    elif battery >= params.e_sense:
-        template = PATTERN_SENSE_ONLY
-    else:
-        template = (Action.DEFER,)
+    affordable = feasible_actions(battery, params)
+    template = _merged([a for a in PATTERN_FULL if a in affordable])
     if not _is_subsequence(labels, template):
         raise StructureViolationError(
             f"battery {battery}: intervals {'|'.join(a.code for a in labels)} "

@@ -39,15 +39,17 @@ class ValueTable:
     """Converged (or truncated) values plus per-action values on the grid.
 
     values[b, j] approximates the optimal discounted reward from battery b
-    and belief grid.points[j].  q_values maps each action to a same-shape
-    array that is NaN wherever the action is infeasible.  `span` is the span
-    of the last change value_iteration saw, and `bound` = beta / (1 - beta)
-    * span / 2 the certified sup-norm distance of `values` to the grid's
-    fixed point (both inf for tables value_iteration did not make).
+    and belief grid.points[j].  q_values[a, b, j] is the backup of action a
+    there, NaN wherever the action is infeasible or not allowed; in tables
+    from value_iteration and bellman_step, values = np.fmax.reduce(q_values).
+    `span` is the span of the last change value_iteration saw, and `bound` =
+    beta / (1 - beta) * span / 2 the certified sup-norm distance of `values`
+    to the grid's fixed point (both inf for tables value_iteration did not
+    make).
     """
 
     values: np.ndarray = field(repr=False)
-    q_values: dict = field(repr=False)
+    q_values: np.ndarray = field(repr=False)
     grid: BeliefGrid
     params: SystemParams
     iterations: int
@@ -60,7 +62,7 @@ class ValueTable:
     def write_csv(self, path, config_hash: str = "") -> None:
         header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
         write_grid_csv(path, config_hash, header, self.grid.points,
-                       [self.values] + [self.q_values[a] for a in Action])
+                       [self.values, *self.q_values])
 
 
 class BellmanOperator:
@@ -85,11 +87,12 @@ class BellmanOperator:
         support = params.harvest_support
         arrivals = np.array([m for m, _ in support])
         self._probs = np.array([q for _, q in support])
+        outcomes = slot_outcomes(params)
         # next-battery indices per harvest level for each energy debit
         self._idx = {
             debit: np.minimum(b[:, None] + arrivals[None, :] - debit,
                               params.b_max).clip(min=0)
-            for debit in {0, params.e_tx, params.e_sense}
+            for debit in map(int, np.unique(outcomes.debit))
         }
         j_of = belief_update_no_obs(grid.points, params)
         self._j_lo, self._j_w = grid.locate(j_of)
@@ -106,7 +109,6 @@ class BellmanOperator:
         # mode="raise" goes through a buffer (all indices are in range)
         self._vj, self._buf, self._tmp = (np.empty(b.shape + grid.points.shape)
                                           for _ in range(3))
-        outcomes = slot_outcomes(params)
         self._plan = []  # (action, rows, SlotOutcomes.legs, reveals)
         for a in self.actions:
             for can_tx, band in ((0, b[:params.e_tx]), (1, b[params.e_tx:])):
@@ -165,11 +167,12 @@ class BellmanOperator:
                     np.add(bits_bad, q, out=q)
             yield a, rows, q
 
-    def q_tables(self, values: np.ndarray) -> dict:
-        """Per-action backups of `values`; NaN where the action is infeasible."""
-        q = {a: np.full(values.shape, np.nan) for a in Action}
+    def q_tables(self, values: np.ndarray) -> np.ndarray:
+        """Backups of `values` as one [action, battery, belief] array; NaN
+        where the action is infeasible or not allowed."""
+        q = np.full((len(Action),) + values.shape, np.nan)
         for a, rows, qa in self.backups(values):
-            q[a][rows] = qa
+            q[a, rows] = qa
         return q
 
     def step(self, values: np.ndarray) -> np.ndarray:
@@ -210,10 +213,8 @@ def backup(table: ValueTable, action: Action, b: int, p: float) -> float:
 
 def bellman_step(table: ValueTable) -> ValueTable:
     """One sweep of the backup operator, returning a fresh table with Q-values."""
-    op = BellmanOperator(table.params, table.grid)
-    q = op.q_tables(table.values)
-    feasible = [q[a] for a in op.actions]
-    return ValueTable(values=np.fmax.reduce(feasible), q_values=q, grid=table.grid,
+    q = BellmanOperator(table.params, table.grid).q_tables(table.values)
+    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=table.grid,
                       params=table.params, iterations=table.iterations + 1)
 
 
@@ -270,8 +271,7 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     c = params.beta / (1.0 - params.beta)
     values += c * (hi + lo) / 2.0
     q = op.q_tables(values)
-    final = np.fmax.reduce([q[a] for a in op.actions])
-    return ValueTable(values=final, q_values=q, grid=grid, params=params,
+    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid, params=params,
                       iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
 
 

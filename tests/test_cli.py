@@ -102,6 +102,16 @@ class TestConfigParsing:
         lambda c: c["solver"].update(tol=float("inf")),
         lambda c: c["solver"].update(span_tol=float("inf")),
         lambda c: c.update(search={"candidates": [0.5, float("nan")]}),
+        lambda c: c.update(policies=None),
+        lambda c: c.update(policies=5),
+        lambda c: c.update(policies="greedy"),
+        lambda c: c["model"].update(energy_pmf=["a", "b"]),
+        lambda c: c["model"].update(energy_pmf={}),
+        lambda c: c.update(sweep={"q": [0.3, 0.3]}),
+        lambda c: c.update(sweep={"q": [0.3, 0.3000001]}),
+        lambda c: c.update(sweep={"tau": [0.5, 0.5]}),
+        lambda c: (c["model"].update(energy_pmf=[1.0]),
+                   c.update(sweep={"q": [0.3]})),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -124,6 +134,15 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{section}.{field}" in err
         assert not out.exists()  # failed before any solve
+
+    @pytest.mark.parametrize("policies", [None, 5, "greedy"])
+    def test_policies_must_be_a_list(self, tmp_path, capsys, policies):
+        path = write_config(tmp_path, small_config(policies=policies))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: policies must be a list of names")
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

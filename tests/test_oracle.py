@@ -8,7 +8,7 @@ import pytest
 from ehsense import (BeliefGrid, SystemParams, bellman_step,
                      exact_finite_horizon, reachable_beliefs, stationary_belief,
                      zero_table)
-from ehsense.oracle import _exact_solver
+from ehsense.oracle import _exact_values
 
 
 def myopic_value(params, b, p):
@@ -92,6 +92,17 @@ def test_horizon_beyond_ten(tiny_params):
     assert exact_finite_horizon(tiny_params, 2, 0.5, 12) > 0
 
 
+@pytest.mark.parametrize("lambdas", [(0.3, 0.8), (0.4, 0.4)])
+def test_long_horizon_has_no_depth_limit(tiny_params, lambdas):
+    # 600 slots is beyond what a recursion of a frame or two per slot can
+    # reach; the i.i.d. channel holds only two beliefs
+    params = tiny_params.replace(lambda0=lambdas[0], lambda1=lambdas[1])
+    v300 = exact_finite_horizon(params, 2, 0.5, 300)
+    v600 = exact_finite_horizon(params, 2, 0.5, 600)
+    tail = params.beta ** 300 * params.r_high / (1.0 - params.beta)
+    assert v300 <= v600 <= v300 + tail
+
+
 def test_reachable_belief_count_matches_memo_need(tiny_params):
     # every belief the depth-4 recursion touches is in the reachable set
     beliefs = reachable_beliefs(0.5, 4, tiny_params)
@@ -123,12 +134,12 @@ def test_grid_matches_exact_on_grid_transition_rows(resolution, instance):
                           **ON_GRID_INSTANCES[instance])
     grid = BeliefGrid.from_resolution(resolution)
     beliefs = reachable_beliefs(stationary_belief(params), 8, params)
-    exact = _exact_solver(params)  # exact_finite_horizon's, with one memo
     table = zero_table(params, grid)
     for n in range(1, 9):
         table = bellman_step(table)
+        exact = _exact_values(params, beliefs, n)  # exact_finite_horizon's
         for b in range(params.b_max + 1):
             for p in beliefs:
-                gap = abs(exact(b, float(p), n)
+                gap = abs(exact[float(p)][b]
                           - float(grid.interp(table.values[b], float(p))))
                 assert gap <= 1e-12, (n, b, p, gap)

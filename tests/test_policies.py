@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -36,13 +38,19 @@ class TestExtractPolicy:
         j = list(coarse_grid.points).index(0.5)
         assert pol.actions[10, j] == int(Action.HIGH_RATE)  # 1.5 > 1.2 > 0
 
-    def test_ties_prefer_later_action(self, tiny_params, coarse_grid):
-        table = value_iteration(tiny_params, coarse_grid)
+    @pytest.mark.parametrize("gap, later_wins", [
+        (0.0, True), (5e-13, True), (1e-11, False), (-1e-11, True)])
+    @pytest.mark.parametrize("earlier, later", list(combinations(Action, 2)))
+    def test_ties_prefer_later_action(self, tiny_two_rate, coarse_grid,
+                                      earlier, later, gap, later_wins):
+        # at (4, 50) every action is feasible; put the pair above the rest,
+        # the later action `gap` below the earlier one
+        table = value_iteration(tiny_two_rate, coarse_grid)
         q = table.q_values
-        # force an exact tie between defer and high rate at one state
-        q[Action.DEFER][4, 50] = q[Action.HIGH_RATE][4, 50]
+        top = np.nanmax(q[:, 4, 50]) + 1.0
+        q[earlier, 4, 50], q[later, 4, 50] = top, top - gap
         pol = extract_policy(table)
-        assert pol.actions[4, 50] == int(Action.HIGH_RATE)
+        assert pol.actions[4, 50] == (later if later_wins else earlier)
 
     def test_scaling_rewards_leaves_policy_unchanged(self, tiny_two_rate, coarse_grid):
         t1 = value_iteration(tiny_two_rate, coarse_grid)

@@ -232,6 +232,37 @@ class TestValueIteration:
         assert np.all(no_sense.values <= full.values + 1e-9)
 
 
+class TestQValues:
+    """q_values is one [action, battery, belief] array whose NaN-skipping
+    max over actions is the table's values."""
+
+    @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
+    def test_value_iteration_table(self, tiny_two_rate, coarse_grid, allowed):
+        t = value_iteration(tiny_two_rate, coarse_grid, allowed=allowed)
+        self.check(t, tiny_two_rate, allowed)
+
+    @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
+    def test_bellman_step_table(self, fixture, coarse_grid, request):
+        params = request.getfixturevalue(fixture)
+        t = zero_table(params, coarse_grid)
+        # zero_table's q_values back up its zero values, so they are one
+        # step ahead of them
+        self.check_shape(t.q_values, params)
+        self.check(bellman_step(bellman_step(t)), params, None)
+
+    def check_shape(self, q, params):
+        assert isinstance(q, np.ndarray) and q.dtype == float
+        assert q.shape == (len(Action), params.b_max + 1, 101)
+
+    def check(self, table, params, allowed):
+        q = table.q_values
+        self.check_shape(q, params)
+        assert np.array_equal(table.values, np.fmax.reduce(q))
+        kept = params.actions() if allowed is None else allowed
+        for a in Action:
+            assert np.isnan(q[a]).all() == (a not in kept)
+
+
 class TestOracleAgreement:
     def test_truncations_match_exact_recursion(self, tiny_params, fine_grid):
         from ehsense import compare_with_solver
