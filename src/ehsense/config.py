@@ -223,6 +223,10 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     if not policies:
         raise ConfigError("policy list must not be empty")
 
+    output_dir = data.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+
     sweep = _section(data, "sweep", ("q", "tau"))
     sweep_q = _number_list(sweep, "q")
     sweep_tau = _number_list(sweep, "tau")
@@ -243,7 +247,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         policies=tuple(policies),
         sweep_q=sweep_q,
         sweep_tau=sweep_tau,
-        output_dir=str(data.get("output_dir", "out")),
+        output_dir=output_dir,
         config_hash=digest,
     )
     # fail fast on sweep points that violate model invariants

@@ -109,22 +109,28 @@ class ThresholdPolicy:
     labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.params.b_max + 1:
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
+        params = self.params
+        if len(rows) != params.b_max + 1:
             raise ParameterError("need one row per battery level")
-        for b, row in enumerate(self.rows):
-            ok = feasible_actions(b, self.params)
-            for a in row.labels:
-                if a not in ok:
-                    raise ParameterError(
-                        f"label {a.code} infeasible at battery {b}")
-        width = max(len(r.labels) for r in self.rows)
-        breaks = np.full((len(self.rows), max(width - 1, 1)), NO_REGION)
-        labels = np.zeros((len(self.rows), width), dtype=np.int8)
-        for b, row in enumerate(self.rows):
-            breaks[b, :len(row.breakpoints)] = row.breakpoints
-            labels[b, :len(row.labels)] = [int(a) for a in row.labels]
-            labels[b, len(row.labels):] = int(row.labels[-1])
+        width = max(len(r.labels) for r in rows)
+        labels = np.array([r.labels + r.labels[-1:] * (width - len(r.labels))
+                           for r in rows], dtype=np.int8)
+        pad = max(width - 1, 1)
+        breaks = np.array([r.breakpoints + (NO_REGION,) * (pad - len(r.breakpoints))
+                           for r in rows])
+        # feasible_actions is constant on its three battery bands
+        firsts = (0, params.e_sense, params.e_tx)
+        ok = np.zeros((len(firsts), len(Action)), dtype=bool)
+        for band, b in enumerate(firsts):
+            ok[band, list(feasible_actions(b, params))] = True
+        band = np.searchsorted(firsts, np.arange(len(rows)), side="right") - 1
+        bad = np.argwhere(~ok[band[:, None], labels])
+        if bad.size:
+            b, i = bad[0]
+            raise ParameterError(
+                f"label {Action(labels[b, i]).code} infeasible at battery {b}")
         breaks.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "labels", labels)

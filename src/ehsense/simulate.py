@@ -264,6 +264,9 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     cap = np.repeat(first + params.b_max, episodes)
     j = np.zeros_like(pb)
     c, i = np.empty_like(pb), np.empty_like(pb)
+    # (policy, episode) views: a slot's channel and harvest row per episode
+    # is added to every policy's lanes by broadcasting
+    c_lanes, pb_lanes = c.reshape(n_pol, episodes), pb.reshape(n_pol, episodes)
     slot_bits = np.empty(pb.shape)
     total_bits = np.zeros(pb.shape)
 
@@ -272,22 +275,21 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     for t0 in range(0, horizon, _CHUNK):
         u = np.stack([rng.random((min(_CHUNK, horizon - t0), 2)) for rng in rngs])
         n = u.shape[1]
-        # channel and harvest are exogenous: computed per episode, then the
-        # same rows serve every policy's lanes
+        # channel and harvest are exogenous: computed once per episode
         path = _channel_path(chan, u[:, :, 0].T, params)
-        chan_c = np.tile(np.vstack([chan, path[:-1]]) * stride, n_pol)
+        chan_c = np.vstack([chan, path[:-1]]) * stride
         chan = path[-1]  # the next chunk's first slot
-        harvest = np.tile(np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
-                                     params.n_arrivals - 1), n_pol)
+        harvest = np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
+                             params.n_arrivals - 1)
         for t in range(n):  # mode="clip": the indices are in range by construction
             np.multiply(pb, n_j, out=i)
             i += j
             code.take(i, out=c, mode="clip")
-            c += chan_c[t]
+            c_lanes += chan_c[t]
             np.add(c, pb, out=i)
             total_bits += bits.take(i, out=slot_bits, mode="clip")
             drop.take(i, out=pb, mode="clip")
-            pb += harvest[t]
+            pb_lanes += harvest[t]
             np.minimum(pb, cap, out=pb)
             np.add(c, j, out=i)
             j_next.take(i, out=j, mode="clip")

@@ -40,8 +40,8 @@ class ValueTable:
 
     values[b, j] approximates the optimal discounted reward from battery b
     and belief grid.points[j].  q_values[a, b, j] is the backup of action a
-    there, NaN wherever the action is infeasible or not allowed; in tables
-    from value_iteration and bellman_step, values = np.fmax.reduce(q_values).
+    there (0 in a zero_table), NaN wherever the action is infeasible or not
+    allowed, and values = np.fmax.reduce(q_values).
     `span` is the span of the last change value_iteration saw, and `bound` =
     beta / (1 - beta) * span / 2 the certified sup-norm distance of `values`
     to the grid's fixed point (both inf for tables value_iteration did not
@@ -219,10 +219,13 @@ def bellman_step(table: ValueTable) -> ValueTable:
 
 
 def zero_table(params: SystemParams, grid: BeliefGrid) -> ValueTable:
+    """All-zero values; q_values are 0 where an action is feasible, else NaN."""
     shape = (params.b_max + 1, grid.resolution)
-    op = BellmanOperator(params, grid)
-    return ValueTable(values=np.zeros(shape), q_values=op.q_tables(np.zeros(shape)),
-                      grid=grid, params=params, iterations=0)
+    q = np.full((len(Action),) + shape, np.nan)
+    for b in range(params.b_max + 1):
+        q[list(feasible_actions(b, params)), b] = 0.0
+    return ValueTable(values=np.zeros(shape), q_values=q, grid=grid,
+                      params=params, iterations=0)
 
 
 def default_max_iter(beta: float) -> int:

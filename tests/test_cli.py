@@ -1,5 +1,6 @@
 import hashlib
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -7,6 +8,8 @@ import yaml
 from ehsense import BeliefGrid, compare_with_solver
 from ehsense.cli import main
 from ehsense.config import ConfigError, load_config, parse_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_config(**overrides):
@@ -112,6 +115,9 @@ class TestConfigParsing:
         lambda c: c.update(sweep={"tau": [0.5, 0.5]}),
         lambda c: (c["model"].update(energy_pmf=[1.0]),
                    c.update(sweep={"q": [0.3]})),
+        lambda c: c.update(output_dir=None),
+        lambda c: c.update(output_dir=5),
+        lambda c: c.update(output_dir=["a"]),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -143,6 +149,13 @@ class TestConfigParsing:
                      "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: policies must be a list of names")
+
+    @pytest.mark.parametrize("path", sorted(
+        p.relative_to(REPO).as_posix() for d in ("configs", "perfbench/configs")
+        for p in (REPO / d).rglob("*.yaml")))
+    def test_shipped_configs_parse(self, path):
+        cfg = load_config(REPO / path)
+        assert isinstance(cfg.output_dir, str) and cfg.output_dir
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):

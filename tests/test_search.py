@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ehsense import (Action, ParameterError, SearchConfig, default_candidates,
-                     encode_rows, extract_policy, greedy_policy, run_episodes,
-                     search_thresholds, value_iteration)
+                     encode_rows, extract_policy, feasible_actions,
+                     greedy_policy, run_episodes, search_thresholds,
+                     value_iteration)
+from ehsense import search as search_module
 from ehsense.policies import NO_REGION, PolicyRow, ThresholdPolicy
 from ehsense.search import policy_from_rho, rho_from_policy
 from conftest import two_point_pmf
@@ -166,3 +168,104 @@ def test_search_log_csv(tmp_path, search_params, coarse_grid):
     assert lines[0] == "# config=99"
     assert lines[1] == "pass,battery,threshold,candidate,throughput,accepted"
     assert len(lines) == 2 + len(res.log_rows)
+
+
+def one_coordinate_search(params, config, init):
+    """The search with one run_episodes call per (battery, threshold)
+    coordinate: (log_rows, policy, stats, passes, window sizes tried)."""
+    candidates = default_candidates(params) if config.candidates is None \
+        else config.candidates
+    rho = rho_from_policy(init, params)
+
+    def evaluate(policies):
+        return run_episodes(policies, params, config.episodes, config.horizon,
+                            config.seed)
+
+    stats = evaluate(policy_from_rho(rho, params))
+    best = stats.mean_bits_per_slot
+    log, widths, passes = [], [], 0
+    for sweep in range(1, config.max_passes + 1):
+        passes = sweep
+        improved = False
+        for b in range(params.b_max + 1):
+            ok = feasible_actions(b, params)
+            for k, a in enumerate((Action.SENSE_DEFER, Action.SENSE_DEFER,
+                                   Action.HIGH_RATE)):
+                if a not in ok:
+                    continue
+                lo = rho[b, k - 1] if k > 0 else 0.0
+                hi = min(rho[b, k + 1], 1.0) if k < 2 else 1.0
+                window = [c for c in candidates
+                          if lo <= c <= hi and c != rho[b, k]]
+                if not window:
+                    continue
+                widths.append(len(window))
+                trials = []
+                for cand in window:
+                    moved = rho.copy()
+                    moved[b, k] = cand
+                    trials.append(moved)
+                scored = evaluate([policy_from_rho(r, params) for r in trials])
+                winner = None
+                for cand, moved, st in zip(window, trials, scored):
+                    accepted = st.mean_bits_per_slot > best
+                    log.append((sweep, b, k, float(cand), st.mean_bits_per_slot,
+                                accepted))
+                    if accepted:
+                        winner, best = (moved, st), st.mean_bits_per_slot
+                if winner is not None:
+                    rho, stats = winner
+                    improved = True
+        if not improved:
+            break
+    return log, policy_from_rho(rho, params), stats, passes, widths
+
+
+class TestBatchedSearchReferee:
+    """search_thresholds scores several coordinates per simulator pass; it
+    must reproduce the one-coordinate-per-pass search exactly."""
+
+    def run_both(self, params, cfg, init, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_episodes(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "run_episodes", counted)
+        res = search_thresholds(params, cfg, init)
+        log, policy, stats, passes, widths = one_coordinate_search(params, cfg,
+                                                                   init)
+        assert res.log_rows == log
+        assert np.array_equal(rho_from_policy(res.policy, params),
+                              rho_from_policy(policy, params))
+        assert res.stats == stats
+        assert res.passes == passes
+        return res, calls, widths
+
+    def test_many_accepted_moves(self, search_params, monkeypatch):
+        # test_improves_a_deliberately_bad_start's setup
+        init = flat_threshold_policy(search_params, 0.9)
+        cfg = SearchConfig(candidates=CANDS, episodes=4, horizon=400, seed=3,
+                           max_passes=2)
+        res, calls, widths = self.run_both(search_params, cfg, init, monkeypatch)
+        assert sum(row[-1] for row in res.log_rows) >= 4
+        # calls[0] scores the start; each later call holds several coordinates
+        assert len(calls) - 1 < len(widths)
+        # and trials were dropped: a move was accepted mid-batch
+        assert sum(len(trials) for trials in calls[1:]) > len(res.log_rows)
+
+    def test_windows_wider_than_the_lane_budget(self, search_params,
+                                                monkeypatch):
+        cfg = SearchConfig(episodes=12, horizon=150, seed=4, max_passes=1)
+        init = flat_threshold_policy(search_params, 0.5)
+        _, _, widths = self.run_both(search_params, cfg, init, monkeypatch)
+        assert max(widths) * cfg.episodes > search_module._BATCH_LANES
+
+    def test_two_passes(self, search_params, coarse_grid, monkeypatch):
+        cfg = SearchConfig(candidates=CANDS, episodes=3, horizon=250, seed=5,
+                           max_passes=2)
+        res, _, _ = self.run_both(search_params, cfg,
+                                  vi_thresholds(search_params, coarse_grid),
+                                  monkeypatch)
+        assert res.passes == 2

@@ -245,10 +245,12 @@ class TestQValues:
     def test_bellman_step_table(self, fixture, coarse_grid, request):
         params = request.getfixturevalue(fixture)
         t = zero_table(params, coarse_grid)
-        # zero_table's q_values back up its zero values, so they are one
-        # step ahead of them
-        self.check_shape(t.q_values, params)
-        self.check(bellman_step(bellman_step(t)), params, None)
+        self.check(t, params, None)
+        stepped = bellman_step(t)
+        # zero_table's Q-values are zero exactly where the operator backs up
+        assert np.array_equal(np.isnan(t.q_values), np.isnan(stepped.q_values))
+        assert np.all(t.q_values[~np.isnan(t.q_values)] == 0.0)
+        self.check(bellman_step(stepped), params, None)
 
     def check_shape(self, q, params):
         assert isinstance(q, np.ndarray) and q.dtype == float
