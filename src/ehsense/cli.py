@@ -125,10 +125,6 @@ def cmd_simulate(runner: _Runner) -> int:
 
 def cmd_search(runner: _Runner) -> int:
     cfg = runner.cfg
-    if cfg.model.two_rate:
-        print("search requires the single-rate model (r_low = 0)",
-              file=sys.stderr)
-        return EXIT_CONFIG
     rows = []
     warm: dict = {}
     for label, params in cfg.sweep_points():
@@ -205,6 +201,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed_override=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "search" and cfg.model.two_rate:
+        # refused before the runner makes the output directory
+        print("search requires the single-rate model (r_low = 0)",
+              file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     runner = _Runner(cfg, out_dir, args.quiet)

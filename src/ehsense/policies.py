@@ -24,8 +24,6 @@ PATTERN_FULL = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.HIGH_RATE
 # model solved over these actions only.
 SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
 
-NO_REGION = 2.0  # sentinel breakpoint meaning "interval is empty"
-
 
 class StructureViolationError(ValueError):
     """An extracted policy row contradicts the proven interval structure."""
@@ -94,46 +92,23 @@ class PolicyRow:
 class ThresholdPolicy:
     """Per-battery piecewise-constant action rule on the belief interval.
 
-    Immutable, and every label is affordable at its battery level
-    (`feasible_actions`).  `breaks` (b_max + 1, W - 1) and `labels`
-    (b_max + 1, W), with W the most intervals of any row, are read-only
-    arrays for vectorized lookup: breakpoints are padded with the NO_REGION
-    sentinel, so a padded column never matches a belief in [0, 1], and labels
-    (int8 action codes) by repeating the last label.  The interval of belief
-    p at battery b is the count of breaks[b] <= p.
+    `rows` holds one PolicyRow per battery level.  Immutable, and every
+    label is affordable at its battery level (`feasible_actions`).
     """
 
     rows: tuple
     params: SystemParams
-    breaks: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        params = self.params
-        if len(rows) != params.b_max + 1:
+        if len(rows) != self.params.b_max + 1:
             raise ParameterError("need one row per battery level")
-        width = max(len(r.labels) for r in rows)
-        labels = np.array([r.labels + r.labels[-1:] * (width - len(r.labels))
-                           for r in rows], dtype=np.int8)
-        pad = max(width - 1, 1)
-        breaks = np.array([r.breakpoints + (NO_REGION,) * (pad - len(r.breakpoints))
-                           for r in rows])
-        # feasible_actions is constant on its three battery bands
-        firsts = (0, params.e_sense, params.e_tx)
-        ok = np.zeros((len(firsts), len(Action)), dtype=bool)
-        for band, b in enumerate(firsts):
-            ok[band, list(feasible_actions(b, params))] = True
-        band = np.searchsorted(firsts, np.arange(len(rows)), side="right") - 1
-        bad = np.argwhere(~ok[band[:, None], labels])
-        if bad.size:
-            b, i = bad[0]
-            raise ParameterError(
-                f"label {Action(labels[b, i]).code} infeasible at battery {b}")
-        breaks.flags.writeable = labels.flags.writeable = False
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "labels", labels)
+        for b, row in enumerate(rows):
+            ok = feasible_actions(b, self.params)
+            for a in row.labels:
+                if a not in ok:
+                    raise ParameterError(f"label {a.code} infeasible at battery {b}")
 
     def action_at(self, battery: int, p: float) -> Action:
         return self.rows[battery].action_at(p)

@@ -18,11 +18,12 @@ import numpy as np
 from .artifacts import write_csv_artifact
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import reachable_beliefs
-from .policies import (NO_REGION, PATTERN_FULL, PolicyRow, ThresholdPolicy,
-                       _is_subsequence)
+from .policies import PATTERN_FULL, PolicyRow, ThresholdPolicy, _is_subsequence
 from .simulate import ThroughputStats, run_episodes
 
 _ORBIT_DEPTH = 20
+
+NO_REGION = 2.0  # sentinel threshold meaning "interval is empty"
 
 
 def default_candidates(params: SystemParams) -> np.ndarray:
@@ -149,12 +150,12 @@ def _window(candidates: np.ndarray, rho: np.ndarray, b: int, k: int):
 
 # Lanes (trials x episodes) one run_episodes call scores at most, unless one
 # coordinate's window alone is wider.  A call's cost is mostly per slot, not
-# per lane, so fewer, wider calls are faster; but each trial adds its lookup
-# table (about 65 kB on a 51-battery model) to the peak memory.  On
-# perfbench's `search` job (12 episodes, 500 slots, 2-vCPU Xeon guest) the
-# search took 0.64 s scoring one coordinate per call, 0.33 s at 192 lanes,
-# 0.22-0.29 s at 384-768 and 0.53 s at 4000; peak RSS rose 0.7 MB at 192
-# lanes and 1.8 MB at 384, against 41.3 MB for the whole job.
+# per lane, so fewer, wider calls are faster, up to a point; a trial adds to
+# the action table only the rows it does not share.  On perfbench's `search`
+# job (12 episodes, 500 slots, 2-vCPU Xeon guest) the search took a median
+# 0.68 s scoring one coordinate per call, 0.23 s at 192 lanes, 0.18 s at 384,
+# 0.13 s at 768 and 0.24 s at 4000, with peak RSS 41.1, 41.2, 41.3, 42.0 and
+# 46.6 MB for the whole job.
 _BATCH_LANES = 192
 
 

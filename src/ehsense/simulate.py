@@ -11,13 +11,14 @@ and the uniforms are drawn a chunk of slots at a time, so memory does not
 grow with the horizon.  A lane's belief is kept as an index into
 `belief.orbits`, the beliefs that the no-observation update reaches from
 the start belief, lambda0 and lambda1 within the horizon; this makes each
-slot's action a lookup in a (policy, battery, orbit index) table.  What
-each action delivers, spends and reveals in a slot is read from
-`model.slot_outcomes`, by `run_episodes` and the scalar `step` alike, and
-the solver reads the same table; only `oracle.exact_finite_horizon`
-restates it, on purpose.  The scalar `step`, `run_trace` and
-`discounted_return` follow the float recursion slot by slot and referee the
-vectorized path.
+slot's action a lookup in a table that holds one row of actions over the
+orbit beliefs per distinct `PolicyRow`, so policies that share a row, like
+the trials of a search batch, share its table row.  What each action
+delivers, spends and reveals in a slot is read from `model.slot_outcomes`,
+by `run_episodes` and the scalar `step` alike, and the solver reads the
+same table; only `oracle.exact_finite_horizon` restates it, on purpose.
+The scalar `step`, `run_trace` and `discounted_return` follow the float
+recursion slot by slot and referee the vectorized path.
 """
 from __future__ import annotations
 
@@ -191,17 +192,19 @@ def _channel_path(start, stay, params: SystemParams) -> np.ndarray:
 
 
 def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
-    """Flat lookup tables of the slot loop: (code, bits, drop, j_next, n_j, s).
+    """Flat lookup tables of the slot loop: (row_at, code, bits, drop, j_next, s).
 
     A lane carries pb = policy * (b_max + 1) + battery and j, the index of
     its belief in `belief.orbits` of (belief0, lambda0, lambda1), where
-    belief0, the first root, has index 0.  code[pb * n_j + j] is the lane's
-    action as c = 2 * action * s; adding channel * s gives its (action,
-    channel) row, where bits[c + pb] and drop[c + pb] (pb minus the energy
-    debit) hold the slot outcome from `slot_outcomes` and j_next[c + j] the
-    next belief index.  The stride s is the larger of the pb and j ranges.  The
-    action table holds (policies x batteries x n_j) words; n_j is a few
-    hundred unless |lambda1 - lambda0| is close to 1, and at most
+    belief0, the first root, has index 0.  code[row_at[pb] + j] is the
+    lane's action as c = 2 * action * s; adding channel * s gives its
+    (action, channel) row, where bits[c + pb] and drop[c + pb] (pb minus the
+    energy debit) hold the slot outcome from `slot_outcomes` and
+    j_next[c + j] the next belief index.  The stride s is the larger of the
+    pb and j ranges.  `code` holds one block of n_j actions per distinct
+    PolicyRow (rows are compared by value, so policies that share a row
+    share its block), and row_at[pb] is the offset of pb's block; n_j is a
+    few hundred unless |lambda1 - lambda0| is close to 1, and at most
     3 * horizon.
     """
     n_pol, n_b = len(policies), params.b_max + 1
@@ -209,13 +212,14 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
         params, (belief0, params.lambda0, params.lambda1), horizon)
     n_j, n_pb = len(beliefs), n_pol * n_b
     s = max(n_pb, n_j)
-    code = np.empty((n_pol, n_b, n_j), dtype=np.intp)
-    for pol, block in zip(policies, code):
-        k = np.zeros((n_b, n_j), dtype=np.int8)  # interval of each belief
-        for col in pol.breaks.T:
-            k += beliefs >= col[:, None]
-        block[:] = np.take_along_axis(pol.labels, k, axis=1)
-    code = code.ravel()
+    block = {}  # distinct row -> its block index, in order of first use
+    row_at = np.array([block.setdefault(row, len(block))
+                       for pol in policies for row in pol.rows], dtype=np.intp)
+    row_at *= n_j
+    code = np.concatenate([  # PolicyRow.action_at's rule, for every belief
+        np.array(row.labels, dtype=np.intp)[
+            np.searchsorted(row.breakpoints, beliefs, side="right")]
+        for row in block])
     code *= 2 * s
 
     out = slot_outcomes(params)
@@ -228,7 +232,7 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
     j_next[:, :, :n_j] = successor
     for g in (0, 1):
         j_next[out.reveals, g, :n_j] = reset[g]
-    return code, bits.ravel(), drop.ravel(), j_next.ravel(), n_j, s
+    return row_at, code, bits.ravel(), drop.ravel(), j_next.ravel(), s
 
 
 def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
@@ -255,8 +259,8 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
         # a policy's labels are affordable under its own params only
         raise ParameterError("policy built for another battery size or cost")
     n_pol, n_b = len(policies), params.b_max + 1
-    code, bits, drop, j_next, n_j, stride = _slot_tables(policies, params,
-                                                         belief0, horizon)
+    row_at, code, bits, drop, j_next, stride = _slot_tables(policies, params,
+                                                            belief0, horizon)
     cdf = _harvest_cdf(params.energy_pmf)
 
     first = np.arange(n_pol) * n_b
@@ -282,7 +286,7 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
         harvest = np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
                              params.n_arrivals - 1)
         for t in range(n):  # mode="clip": the indices are in range by construction
-            np.multiply(pb, n_j, out=i)
+            row_at.take(pb, out=i, mode="clip")
             i += j
             code.take(i, out=c, mode="clip")
             c_lanes += chan_c[t]

@@ -262,7 +262,10 @@ class TestSearchCommand:
         cfg = small_config()
         cfg["model"]["r_low"] = 0.5
         path = write_config(tmp_path, cfg)
-        assert main(["search", "--config", str(path), "--quiet"]) == 1
+        out = tmp_path / "search_out"
+        assert main(["search", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert not out.exists()
 
 
 class TestVerifyCommand:

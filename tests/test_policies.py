@@ -177,18 +177,6 @@ class TestBaselines:
             assert pol.action_at(b, 0.5) == Action.HIGH_RATE
 
 
-def test_padded_arrays_lookup_matches_rows(tiny_params, coarse_grid):
-    table = value_iteration(tiny_params, coarse_grid)
-    tp = encode_rows(extract_policy(table))
-    breaks, labels = tp.breaks, tp.labels
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        b = int(rng.integers(0, tiny_params.b_max + 1))
-        p = float(rng.random())
-        k = int(np.sum(p >= breaks[b]))
-        assert Action(int(labels[b, k])) == tp.action_at(b, p)
-
-
 def test_region_csv_contract(tmp_path, tiny_params, coarse_grid):
     pol = extract_policy(value_iteration(tiny_params, coarse_grid))
     path = tmp_path / "regions.csv"

@@ -6,8 +6,8 @@ from ehsense import (Action, ParameterError, SearchConfig, default_candidates,
                      greedy_policy, run_episodes, search_thresholds,
                      value_iteration)
 from ehsense import search as search_module
-from ehsense.policies import NO_REGION, PolicyRow, ThresholdPolicy
-from ehsense.search import policy_from_rho, rho_from_policy
+from ehsense.policies import PolicyRow, ThresholdPolicy
+from ehsense.search import NO_REGION, policy_from_rho, rho_from_policy
 from conftest import two_point_pmf
 
 CANDS = np.array([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
