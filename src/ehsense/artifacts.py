@@ -14,6 +14,7 @@ import csv
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -43,7 +44,9 @@ _ADOPTED = None
 
 @contextmanager
 def open_artifact(path, config_hash: str = ""):
-    """Open `path` for writing; it starts with `# config=<hash>` when a hash is given."""
+    """Open `path` for writing, making its directory; it starts with
+    `# config=<hash>` when a hash is given."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         if config_hash:
             f.write(f"# config={config_hash}\n")

@@ -1,14 +1,16 @@
 """Command-line experiment runner.
 
-Subcommands: solve, simulate, search, verify, export-regions.  Each reads a
-YAML config, writes figure-ready CSV artifacts into the output directory,
-and uses exit codes 0 (ok), 1 (bad config), 2 (solver did not converge),
+Subcommands: solve, simulate, search, verify, export-regions.  Each is a
+function of (config, output directory, progress printer); all but verify
+write figure-ready artifacts, and the directory is made by the first one
+written.  Exit codes: 0 (ok), 1 (bad config), 2 (solver did not converge),
 3 (verification failed).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .artifacts import write_csv_artifact
@@ -31,49 +33,30 @@ EXIT_VERIFY_FAILED = 3
 
 # solved benchmark policies and their action sets (None: the model's own)
 _SOLVED_POLICIES = {"optimal": None, "single_threshold": SINGLE_THRESHOLD_ACTIONS}
+# the fixed baseline policies, built from the parameters alone
+_BASELINES = {"greedy": greedy_policy, "opportunistic": opportunistic_policy}
 
 THROUGHPUT_HEADER = ["policy", "q", "tau", "mean_bits_per_slot", "std_error",
                      "episodes", "horizon", "seed"]
 
 
-class _Runner:
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path, quiet: bool):
-        self.cfg = cfg
-        self.out = out_dir
-        self.quiet = quiet
-        self.grid = BeliefGrid.from_resolution(cfg.grid_resolution)
-        out_dir.mkdir(parents=True, exist_ok=True)
+def _file(out: Path, stem: str, label: str, ext: str) -> Path:
+    return out / (f"{stem}_{label}.{ext}" if label else f"{stem}.{ext}")
 
-    def say(self, msg: str) -> None:
-        if not self.quiet:
-            print(msg)
 
-    def path(self, stem: str, label: str, ext: str) -> Path:
-        name = f"{stem}_{label}.{ext}" if label else f"{stem}.{ext}"
-        return self.out / name
+def _solver(cfg: ExperimentConfig):
+    """solve(params, name="optimal"): the solved policy `name` at `params`,
+    warm-started from the values of its last solve (the previous sweep point)."""
+    grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+    warm = {}
 
-    def solve_point(self, params: SystemParams, warm: dict, name="optimal"):
-        """Solve for the solved policy `name`, warm-started from warm[name]
-        (values of an earlier sweep point) and saving its values there."""
-        table = value_iteration(params, self.grid, tol=self.cfg.tol,
-                                max_iter=self.cfg.max_iter, v_init=warm.get(name),
-                                span_tol=self.cfg.span_tol,
+    def solve(params: SystemParams, name: str = "optimal"):
+        table = value_iteration(params, grid, tol=cfg.tol, max_iter=cfg.max_iter,
+                                v_init=warm.get(name), span_tol=cfg.span_tol,
                                 allowed=_SOLVED_POLICIES[name])
         warm[name] = table.values
         return table
-
-    def policy_for(self, name: str, params: SystemParams, warm: dict):
-        """Benchmark policy by name; warm caches value tables across sweep points."""
-        if name == "greedy":
-            return greedy_policy(params)
-        if name == "opportunistic":
-            return opportunistic_policy(params)
-        return encode_rows(extract_policy(self.solve_point(params, warm, name)))
-
-    def write_throughput(self, stem: str, rows) -> Path:
-        path = self.path(stem, "", "csv")
-        write_csv_artifact(path, self.cfg.config_hash, THROUGHPUT_HEADER, rows)
-        return path
+    return solve
 
 
 def _throughput_row(name: str, params: SystemParams, stats) -> list:
@@ -82,32 +65,32 @@ def _throughput_row(name: str, params: SystemParams, stats) -> list:
             stats.episodes, stats.horizon, stats.seed]
 
 
-def cmd_solve(runner: _Runner, regions_only: bool = False) -> int:
-    cfg = runner.cfg
-    warm: dict = {}
+def cmd_solve(cfg: ExperimentConfig, out: Path, say,
+              regions_only: bool = False) -> int:
+    solve = _solver(cfg)
     for label, params in cfg.sweep_points():
-        runner.say(f"solving {label or 'model'} "
-                   f"(grid {runner.grid.resolution}, tol {cfg.tol:g})")
-        table = runner.solve_point(params, warm)
+        say(f"solving {label or 'model'} "
+            f"(grid {cfg.grid_resolution}, tol {cfg.tol:g})")
+        table = solve(params)
         policy = extract_policy(table)
-        policy.write_csv(runner.path("regions", label, "csv"), cfg.config_hash)
+        policy.write_csv(_file(out, "regions", label, "csv"), cfg.config_hash)
         if regions_only:
             continue
-        table.write_csv(runner.path("values", label, "csv"), cfg.config_hash)
-        thresholds = extract_thresholds(policy)
-        thresholds.write_text(runner.path("thresholds", label, "txt"),
-                              cfg.config_hash)
-        runner.say(f"  converged in {table.iterations} sweeps, values within "
-                   f"{table.bound:.1e} of the fixed point")
+        table.write_csv(_file(out, "values", label, "csv"), cfg.config_hash)
+        extract_thresholds(policy).write_text(
+            _file(out, "thresholds", label, "txt"), cfg.config_hash)
+        say(f"  converged in {table.iterations} sweeps, values within "
+            f"{table.bound:.1e} of the fixed point")
     return EXIT_OK
 
 
-def cmd_simulate(runner: _Runner) -> int:
-    cfg = runner.cfg
+def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
+    solve = _solver(cfg)
     rows = []
-    warm: dict = {}
     for label, params in cfg.sweep_points():
-        policies = [runner.policy_for(name, params, warm) for name in cfg.policies]
+        policies = [_BASELINES[name](params) if name in _BASELINES
+                    else encode_rows(extract_policy(solve(params, name)))
+                    for name in cfg.policies]
         # one pass for all policies: they share the point's uniforms
         all_stats = run_episodes(policies, params, cfg.sim.episodes,
                                  cfg.sim.horizon, cfg.sim.seed,
@@ -116,36 +99,39 @@ def cmd_simulate(runner: _Runner) -> int:
                                  g0=cfg.sim.g0)
         for name, stats in zip(cfg.policies, all_stats):
             rows.append(_throughput_row(name, params, stats))
-            runner.say(f"  {label or 'model'} {name}: "
-                       f"{stats.mean_bits_per_slot:.4f} "
-                       f"+/- {stats.std_error:.4f} bits/slot")
-    runner.say(f"wrote {runner.write_throughput('throughput', rows)}")
+            say(f"  {label or 'model'} {name}: {stats.mean_bits_per_slot:.4f} "
+                f"+/- {stats.std_error:.4f} bits/slot")
+    path = _file(out, "throughput", "", "csv")
+    write_csv_artifact(path, cfg.config_hash, THROUGHPUT_HEADER, rows)
+    say(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_search(runner: _Runner) -> int:
-    cfg = runner.cfg
+def cmd_search(cfg: ExperimentConfig, out: Path, say) -> int:
+    if cfg.model.two_rate:
+        print("search requires the single-rate model (r_low = 0)",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    solve = _solver(cfg)
     rows = []
-    warm: dict = {}
     for label, params in cfg.sweep_points():
-        runner.say(f"searching thresholds for {label or 'model'}")
-        table = runner.solve_point(params, warm)
-        init = extract_thresholds(extract_policy(table))
+        say(f"searching thresholds for {label or 'model'}")
+        init = extract_thresholds(extract_policy(solve(params)))
         result = search_thresholds(params, cfg.search, init)
-        result.policy.write_text(runner.path("search_thresholds", label, "txt"),
+        result.policy.write_text(_file(out, "search_thresholds", label, "txt"),
                                  cfg.config_hash)
-        write_search_log(result.log_rows,
-                         runner.path("search_log", label, "csv"),
+        write_search_log(result.log_rows, _file(out, "search_log", label, "csv"),
                          cfg.config_hash)
         rows.append(_throughput_row("search", params, result.stats))
-        runner.say(f"  {result.passes} passes, final "
-                   f"{result.stats.mean_bits_per_slot:.4f} bits/slot")
-    runner.write_throughput("search_throughput", rows)
+        say(f"  {result.passes} passes, final "
+            f"{result.stats.mean_bits_per_slot:.4f} bits/slot")
+    write_csv_artifact(_file(out, "search_throughput", "", "csv"),
+                       cfg.config_hash, THROUGHPUT_HEADER, rows)
     return EXIT_OK
 
 
-def cmd_verify(runner: _Runner) -> int:
-    cfg = runner.cfg
+def cmd_verify(cfg: ExperimentConfig, out: Path, say) -> int:
+    """Print one PASS/FAIL line per check; writes no file."""
     reports = []  # (passed, text) pairs; text carries its own PASS/FAIL
 
     grid = BeliefGrid.from_resolution(1001)
@@ -157,7 +143,7 @@ def cmd_verify(runner: _Runner) -> int:
 
     for label, params in cfg.sweep_points():
         tag = label or "model"
-        table = runner.solve_point(params, {})
+        table = _solver(cfg)(params)  # cold: each point is checked on its own
         for rep in check_value_structure(table):
             reports.append((rep.passed, f"[{tag}] {rep}"))
         dom = check_good_state_dominance(table, min_belief=0.05)
@@ -172,6 +158,11 @@ def cmd_verify(runner: _Runner) -> int:
     for _, text in reports:
         print(text)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+
+
+COMMANDS = {"solve": cmd_solve,
+            "export-regions": partial(cmd_solve, regions_only=True),
+            "simulate": cmd_simulate, "search": cmd_search, "verify": cmd_verify}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,24 +193,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "search" and cfg.model.two_rate:
-        # refused before the runner makes the output directory
-        print("search requires the single-rate model (r_low = 0)",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-    runner = _Runner(cfg, out_dir, args.quiet)
+    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    say = (lambda msg: None) if args.quiet else print
     try:
-        if args.command == "solve":
-            return cmd_solve(runner)
-        if args.command == "export-regions":
-            return cmd_solve(runner, regions_only=True)
-        if args.command == "simulate":
-            return cmd_simulate(runner)
-        if args.command == "search":
-            return cmd_search(runner)
-        if args.command == "verify":
-            return cmd_verify(runner)
+        return COMMANDS[args.command](cfg, out, say)
     except ConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -229,7 +206,6 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -114,11 +114,13 @@ class ThresholdPolicy:
         return self.rows[battery].action_at(p)
 
     def write_text(self, path, config_hash: str = "") -> None:
+        """One line per battery level; the interior breakpoints are written
+        with repr, so the text parses back to exactly this policy."""
         with open_artifact(path, config_hash) as f:
             for b, row in enumerate(self.rows):
-                edges = (0.0,) + row.breakpoints + (1.0,)
+                edges = ("0", *map(repr, row.breakpoints), "1")
                 parts = [
-                    f"[{edges[i]:.6g},{edges[i + 1]:.6g}{']' if i == len(row.labels) - 1 else ')'}"
+                    f"[{edges[i]},{edges[i + 1]}{']' if i == len(row.labels) - 1 else ')'}"
                     f"->{row.labels[i].code}"
                     for i in range(len(row.labels))
                 ]

@@ -178,8 +178,10 @@ class TestSolveCommand:
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = small_config(solver={"tol": 1e-12, "max_iter": 2})
         path = write_config(tmp_path, cfg)
-        assert main(["solve", "--config", str(path), "--out",
-                     str(tmp_path / "o"), "--quiet"]) == 2
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 2
+        assert not out.exists()  # failed before its first artifact
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = small_config()
@@ -277,6 +279,7 @@ class TestVerifyCommand:
         path = write_config(tmp_path, small_config())
         assert main(["verify", "--config", str(path), "--out",
                      str(tmp_path / "v"), "--quiet"]) == 3
+        assert not (tmp_path / "v").exists()  # verify writes no file
         out = capsys.readouterr().out
         assert "PASS oracle_agreement" in out
         assert "PASS convexity_in_belief" in out
@@ -284,6 +287,15 @@ class TestVerifyCommand:
         assert "PASS monotone_in_belief" in out
         assert "FAIL battery_gap_bound" in out
         assert "PASS threshold_structure" in out
+
+    def test_shipped_policy_regions_fails_exactly_the_known_checks(self, capsys):
+        # the solved region-plot model violates two of the paper's claims;
+        # every other check passes
+        assert main(["verify", "--config",
+                     str(REPO / "configs" / "policy_regions.yaml")]) == 3
+        failed = re.findall(r"FAIL (\w+)", capsys.readouterr().out)
+        assert sorted(failed) == ["battery_gap_bound",
+                                  "sense_then_transmit_dominance"]
 
     def test_oracle_agreement_checks_the_configs_own_model(self, tmp_path,
                                                            capsys):
@@ -302,30 +314,49 @@ class TestVerifyCommand:
 
 
 # SHA-256 of every artifact of `solve`, `simulate` and `search` on
-# small_config(); a change that alters an artifact updates its digest here and
-# says why.  search_log.csv: the search tries the battery rows the incumbent
-# never visits too (404 -> 884 trial rows); none of the added trials is
-# accepted, and every other artifact is unchanged.
+# small_config(), and on a two-point q sweep of it, which runs each solved
+# policy's warm start across sweep points; a change that alters an artifact
+# updates its digest here and says why.  search_log.csv: the search tries the
+# battery rows the incumbent never visits too (404 -> 884 trial rows); none of
+# the added trials is accepted, and every other artifact is unchanged.  The
+# threshold texts: interior breakpoints are written with repr, not .6g.
 ARTIFACT_DIGESTS = {
     "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
     "search_log.csv": "55bcac50e50d7d0358f8811e8e0793808481ed5a679f1f04ed92c5182be5c68e",
-    "search_thresholds.txt": "d97db2ec75042e23d0740601fbeaf668636b1a30d952180c6787f18a3c25f43a",
+    "search_thresholds.txt": "a0d29ff8ade6557b31c2300f6b5486fb673a5f5f0110df54fc070db127911d87",
     "search_throughput.csv": "d3c7483a542e8f89f31257590ab96bed01afe560412cf5f81858d815be05f7c6",
-    "thresholds.txt": "d2c4db15f40aec9ca3632cfb8aba42a394801964a2f96da6e08c279a591db15e",
+    "thresholds.txt": "5c06c0139bdfef8d6eaa5108477f1e92b219c8da6e116a45854ba77f10ef4e11",
     "throughput.csv": "d49663a30ab7f51528934461a0d8e26d27bd06116493c078c97efad6770c46e8",
     "values.csv": "46437b1f9d62c21848d789878c3f4cb7a7443e176033279be549696dd7215d54",
 }
+SWEPT_DIGESTS = {
+    "regions_q0.2.csv": "4adbe4996be51e88d62133c37d628145c72851e802f2f8a5e2e1c39818d396f3",
+    "regions_q0.6.csv": "8aeb9e6c060174efcbdee331076ad355516a012e05bde6fe4acb9e5402c37be9",
+    "search_log_q0.2.csv": "d1805e3d2f317401962fcb90f48ffff6cf374bb8983619a638e057c8a995ee90",
+    "search_log_q0.6.csv": "1f8703cc5bddd32235b168c62d2802cc889746b9ec6c2dfa7404db3d67478897",
+    "search_thresholds_q0.2.txt": "aa48ce8fcc976ac220bc2b4e5137dc5f71c55050bb9815e11a79d581005f6ccb",
+    "search_thresholds_q0.6.txt": "58158d2a2a5fb4b096bcad7347af196d176ef2649a974da82ed12fefa2c9fc73",
+    "search_throughput.csv": "43be2a4dab6b377b55aa06bb47a2cd1e3d59aad55f7000a10c48a01b9830b616",
+    "thresholds_q0.2.txt": "5999c52eadc47aa45a0263c7352cc79d35aba9a8f01318bca4b0037e8c639ae9",
+    "thresholds_q0.6.txt": "83d3a818f36407fe410482bda47555d252dfbfbddfc1bd663c5839ba3b35b375",
+    "throughput.csv": "cfd40f6da2d39ceda7cd892ac159fb3142f732495c4841d16262217d27774418",
+    "values_q0.2.csv": "c51005514040b7e8757bc81608c428d67caca6e9932d3065d8ea37fe41ebc57a",
+    "values_q0.6.csv": "95c65c84bfd5e837b06a3ee8499cc5e348c29a3da90b27c7c3fcd79c7fe1f619",
+}
 
 
-def test_artifact_bytes_are_pinned(tmp_path):
-    path = write_config(tmp_path, small_config())
+@pytest.mark.parametrize("overrides, digests", [
+    ({}, ARTIFACT_DIGESTS),
+    ({"sweep": {"q": [0.2, 0.6]}}, SWEPT_DIGESTS)], ids=["single", "swept"])
+def test_artifact_bytes_are_pinned(tmp_path, overrides, digests):
+    path = write_config(tmp_path, small_config(**overrides))
     out = tmp_path / "out"
     for cmd in ("solve", "simulate", "search"):
         assert main([cmd, "--config", str(path), "--out", str(out),
                      "--quiet"]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in out.iterdir()}
-    assert got == ARTIFACT_DIGESTS
+    assert got == digests
 
 
 # SHA-256 of `solve`'s artifacts on a two-rate instance (a 51-point copy of

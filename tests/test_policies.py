@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -196,3 +197,22 @@ def test_threshold_text_export(tmp_path, tiny_params, coarse_grid):
     assert lines[0] == "# config=cafe"
     assert lines[1].startswith("battery=0: [0,1]->D")
     assert len(lines) == 2 + tiny_params.b_max
+
+def test_threshold_text_round_trips_the_breakpoints(tmp_path, tiny_params):
+    # 0.4916019200000001 is a search candidate at lambda = (0.2, 0.8);
+    # written as 0.491602 it put a reachable belief on the other side
+    rows = [PolicyRow((), (Action.DEFER,))] * 2 + [
+        PolicyRow((0.4916019200000001,), (Action.DEFER, Action.HIGH_RATE)),
+        PolicyRow((1e-05, 0.25, 0.7500000000000001),
+                  (Action.DEFER, Action.SENSE_DEFER, Action.DEFER,
+                   Action.HIGH_RATE)),
+        PolicyRow((), (Action.HIGH_RATE,))]
+    tp = ThresholdPolicy(rows=tuple(rows), params=tiny_params)
+    path = tmp_path / "thresholds.txt"
+    tp.write_text(path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "battery=2: [0,0.4916019200000001)->D | [0.4916019200000001,1]->H"
+    for line, row in zip(lines, rows):
+        edges = re.findall(r"\[([^,]+),([^\])]+)[\])]", line)
+        assert tuple(float(lo) for lo, _ in edges[1:]) == row.breakpoints
+        assert (edges[0][0], edges[-1][1]) == ("0", "1")
