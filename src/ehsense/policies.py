@@ -1,9 +1,10 @@
 """Policy representations: grid tables, per-battery threshold intervals,
-greedy extraction and the two fixed baseline policies.
+greedy extraction, the single-rate threshold codec and the two baselines.
 
 A threshold policy stores, for every battery level, a partition of the
 belief interval into labeled action intervals.  That form is what the
-simulator consumes and what the threshold search optimizes.
+simulator consumes; a single-rate row is also the triple of points at
+which it cuts PATTERN_FULL, the form the threshold search optimizes.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ PATTERN_FULL = (Action.DEFER, Action.SENSE_DEFER, Action.DEFER, Action.HIGH_RATE
 # The no-sensing baseline's action set: the `single_threshold` policy is the
 # model solved over these actions only.
 SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
+
+NO_REGION = 2.0  # sentinel threshold meaning "interval is empty"
 
 
 class StructureViolationError(ValueError):
@@ -177,7 +180,7 @@ def validate_single_rate_row(actions: np.ndarray, battery: int,
     """
     labels = _significant_labels(actions)
     affordable = feasible_actions(battery, params)
-    template = _merged([a for a in PATTERN_FULL if a in affordable])
+    template = _merged([a if a in affordable else Action.DEFER for a in PATTERN_FULL])
     if not _is_subsequence(labels, template):
         raise StructureViolationError(
             f"battery {battery}: intervals {'|'.join(a.code for a in labels)} "
@@ -217,21 +220,69 @@ def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
     return encode_rows(policy)
 
 
-def _uniform_rows(params: SystemParams, action: Action) -> ThresholdPolicy:
-    """`action` at every battery level that affords it, DEFER elsewhere."""
-    rows = []
-    for b in range(params.b_max + 1):
-        a = action if action in feasible_actions(b, params) else Action.DEFER
-        rows.append(PolicyRow(breakpoints=(), labels=(a,)))
-    return ThresholdPolicy(rows=tuple(rows), params=params)
+def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray:
+    """(b_max + 1, 3) breakpoint triples from a single-rate threshold policy.
+
+    Row semantics: defer on [0, rho1), sense on [rho1, rho2), defer on
+    [rho2, rho3), high rate on [rho3, 1].  Rows that cannot transmit carry
+    the NO_REGION sentinel as rho3; rows that cannot sense have rho1 == rho2.
+    A row must fit D|OD|D|H, the single-rate threshold form.
+    """
+    if params.two_rate:
+        raise ParameterError("threshold search requires the single-rate model")
+    rho = np.full((params.b_max + 1, 3), NO_REGION)
+    for b, row in enumerate(policy.rows):
+        labels = row.labels
+        if not _is_subsequence(labels, PATTERN_FULL):
+            raise ParameterError(
+                f"battery {b}: intervals {'|'.join(a.code for a in labels)} "
+                f"are not in threshold form D|OD|D|H")
+        edges = (0.0,) + row.breakpoints + (1.0,)
+        r3 = edges[-2] if labels[-1] == Action.HIGH_RATE else NO_REGION
+        if Action.SENSE_DEFER in labels:
+            i = labels.index(Action.SENSE_DEFER)
+            r1, r2 = edges[i], edges[i + 1]
+        else:
+            r1 = r2 = min(r3, 1.0)  # no sensing: both at the high-rate edge, or 1
+        rho[b] = (r1, r2, r3)
+    return rho
+
+
+def row_from_rho(b: int, rho, params: SystemParams) -> PolicyRow:
+    """Battery b's row: PATTERN_FULL cut at the triple rho.
+
+    rho must be nondecreasing; each threshold is clamped to 1, so NO_REGION
+    as rho3 leaves no high-rate interval.  The cuts give [0, rho1),
+    [rho1, rho2), [rho2, rho3) and [rho3, 1]; an action battery b cannot
+    afford reads as DEFER, empty intervals are dropped and equal
+    neighbours merged.
+    """
+    ok = feasible_actions(b, params)
+    edges = (0.0, *(min(float(r), 1.0) for r in rho), 1.0)
+    bps, labels = [], []
+    for lo, hi, a in zip(edges, edges[1:], PATTERN_FULL):
+        a = a if a in ok else Action.DEFER
+        if hi <= lo or (labels and a == labels[-1]):
+            continue
+        if labels:
+            bps.append(lo)
+        labels.append(a)
+    return PolicyRow(breakpoints=tuple(bps), labels=tuple(labels))
+
+
+def policy_from_rho(rho: np.ndarray, params: SystemParams) -> ThresholdPolicy:
+    """Inverse of rho_from_policy: one row_from_rho per battery level."""
+    return ThresholdPolicy(rows=tuple(row_from_rho(b, rho[b], params)
+                                      for b in range(params.b_max + 1)),
+                           params=params)
 
 
 def greedy_policy(params: SystemParams) -> ThresholdPolicy:
     """Transmit at the high rate whenever the battery allows it."""
-    return _uniform_rows(params, Action.HIGH_RATE)
+    return policy_from_rho(np.tile((0.0, 0.0, 0.0), (params.b_max + 1, 1)), params)
 
 
 def opportunistic_policy(params: SystemParams) -> ThresholdPolicy:
     """Sense every slot the battery allows; transmission follows the sensed state."""
-    return _uniform_rows(params, Action.SENSE_DEFER)
-
+    return policy_from_rho(np.tile((0.0, 1.0, NO_REGION), (params.b_max + 1, 1)),
+                           params)

@@ -18,12 +18,10 @@ import numpy as np
 from .artifacts import write_csv_artifact
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import reachable_beliefs
-from .policies import PATTERN_FULL, PolicyRow, ThresholdPolicy, _is_subsequence
+from .policies import ThresholdPolicy, policy_from_rho, rho_from_policy, row_from_rho
 from .simulate import ThroughputStats, run_episodes
 
 _ORBIT_DEPTH = 20
-
-NO_REGION = 2.0  # sentinel threshold meaning "interval is empty"
 
 
 def default_candidates(params: SystemParams) -> np.ndarray:
@@ -68,68 +66,6 @@ class SearchResult:
     stats: ThroughputStats
     log_rows: list = field(repr=False)
     passes: int = 0
-
-
-def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray:
-    """(b_max + 1, 3) breakpoint triples from a single-rate threshold policy.
-
-    Row semantics: defer on [0, rho1), sense on [rho1, rho2), defer on
-    [rho2, rho3), high rate on [rho3, 1].  Rows that cannot transmit carry
-    the NO_REGION sentinel as rho3; rows that cannot sense have rho1 == rho2.
-    A row must fit D|OD|D|H, the single-rate threshold form.
-    """
-    if params.two_rate:
-        raise ParameterError("threshold search requires the single-rate model")
-    rho = np.full((params.b_max + 1, 3), NO_REGION)
-    for b, row in enumerate(policy.rows):
-        labels = row.labels
-        if not _is_subsequence(labels, PATTERN_FULL):
-            raise ParameterError(
-                f"battery {b}: intervals {'|'.join(a.code for a in labels)} "
-                f"are not in threshold form D|OD|D|H")
-        edges = (0.0,) + row.breakpoints + (1.0,)
-        r3 = edges[-2] if labels[-1] == Action.HIGH_RATE else NO_REGION
-        if Action.SENSE_DEFER in labels:
-            i = labels.index(Action.SENSE_DEFER)
-            r1, r2 = edges[i], edges[i + 1]
-        else:
-            r1 = r2 = min(r3, 1.0)  # no sensing: both at the high-rate edge, or 1
-        rho[b] = (r1, r2, r3)
-    return rho
-
-
-def _row_from_rho(b: int, r, params: SystemParams) -> PolicyRow:
-    """Battery b's row from its breakpoint triple; degenerate intervals are
-    dropped."""
-    r1, r2, r3 = r
-    ok = feasible_actions(b, params)
-    pieces = [(0.0, Action.DEFER)]
-    if Action.SENSE_DEFER in ok and r2 > r1:
-        pieces.append((r1, Action.SENSE_DEFER))
-        pieces.append((r2, Action.DEFER))
-    if Action.HIGH_RATE in ok and r3 <= 1.0:
-        pieces.append((r3, Action.HIGH_RATE))
-    bps, labels = [], []
-    for start, a in pieces:
-        if labels and labels[-1] == a:
-            continue
-        if labels and start >= 1.0:
-            break
-        if labels:
-            if start <= (bps[-1] if bps else 0.0):
-                # zero-width interval: the later label wins
-                labels[-1] = a
-                continue
-            bps.append(start)
-        labels.append(a)
-    return PolicyRow(breakpoints=tuple(bps), labels=tuple(labels))
-
-
-def policy_from_rho(rho: np.ndarray, params: SystemParams) -> ThresholdPolicy:
-    """Inverse of rho_from_policy; degenerate intervals are dropped."""
-    return ThresholdPolicy(rows=tuple(_row_from_rho(b, rho[b], params)
-                                      for b in range(params.b_max + 1)),
-                           params=params)
 
 
 def _thresholds_for(b: int, params: SystemParams):
@@ -195,7 +131,7 @@ def search_thresholds(params: SystemParams, config: SearchConfig,
         """The current policy with row b's threshold k moved to `cand`."""
         row = rho[b].copy()
         row[k] = cand
-        rows = policy.rows[:b] + (_row_from_rho(b, row, params),) \
+        rows = policy.rows[:b] + (row_from_rho(b, row, params),) \
             + policy.rows[b + 1:]
         return ThresholdPolicy(rows=rows, params=params)
 

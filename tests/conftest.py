@@ -36,6 +36,14 @@ def region_params():
 
 
 @pytest.fixture
+def search_params():
+    """Single-rate instance small enough for fast search evaluations."""
+    return SystemParams(lambda0=0.2, lambda1=0.8, energy_pmf=two_point_pmf(0.4, 5),
+                        b_max=10, e_tx=5, e_sense=1, r_low=0.0, r_high=2.0,
+                        beta=0.95)
+
+
+@pytest.fixture
 def coarse_grid():
     return BeliefGrid.from_resolution(101)
 

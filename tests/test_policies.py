@@ -1,14 +1,15 @@
 import re
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from ehsense import (Action, BeliefGrid, ParameterError, StructureViolationError,
-                     encode_rows, extract_policy, extract_thresholds, greedy_policy,
-                     opportunistic_policy, value_iteration)
-from ehsense.policies import (SINGLE_THRESHOLD_ACTIONS, PolicyRow, PolicyTable,
-                              ThresholdPolicy)
+                     encode_rows, extract_policy, extract_thresholds, feasible_actions,
+                     greedy_policy, opportunistic_policy, value_iteration)
+from ehsense.policies import (NO_REGION, SINGLE_THRESHOLD_ACTIONS, PolicyRow,
+                              PolicyTable, ThresholdPolicy, policy_from_rho,
+                              rho_from_policy, row_from_rho)
 from conftest import two_point_pmf
 
 
@@ -138,7 +139,48 @@ class TestThresholdEncoding:
                             params=tiny_params)
 
 
+# Every nondecreasing threshold triple over these values.
+RHO_VALUES = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, NO_REGION)
+TRIPLES = list(combinations_with_replacement(RHO_VALUES, 3))
+
+
+class TestThresholdCodec:
+    def test_row_cuts_the_pattern_at_rho(self, search_params):
+        for rho in TRIPLES:
+            r1, r2, r3 = rho
+            cuts = sorted({0.0, 1.0, *(r for r in rho if r < 1.0)})
+            xs = cuts[:-1] + [(x0 + x1) / 2 for x0, x1 in zip(cuts, cuts[1:])]
+            for b in range(search_params.b_max + 1):
+                ok = feasible_actions(b, search_params)
+                row = row_from_rho(b, rho, search_params)
+                for x in xs:
+                    if Action.HIGH_RATE in ok and x >= r3:
+                        want = Action.HIGH_RATE
+                    elif Action.SENSE_DEFER in ok and r1 <= x < r2:
+                        want = Action.SENSE_DEFER
+                    else:
+                        want = Action.DEFER
+                    assert row.action_at(x) == want, (rho, b, x)
+
+    def test_triples_round_trip(self, search_params):
+        for rho in TRIPLES:
+            pol = policy_from_rho(np.tile(rho, (search_params.b_max + 1, 1)),
+                                  search_params)
+            assert policy_from_rho(rho_from_policy(pol, search_params),
+                                   search_params) == pol, rho
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("fixture", ["search_params", "tiny_two_rate"])
+    def test_rows_are_pinned(self, fixture, request):
+        params = request.getfixturevalue(fixture)
+        D, O, H = Action.DEFER, Action.SENSE_DEFER, Action.HIGH_RATE
+        levels = range(params.b_max + 1)
+        assert greedy_policy(params).rows == tuple(
+            PolicyRow((), (H if b >= params.e_tx else D,)) for b in levels)
+        assert opportunistic_policy(params).rows == tuple(
+            PolicyRow((), (O if b >= params.e_sense else D,)) for b in levels)
+
     def test_greedy_transmits_iff_affordable(self, region_params):
         pol = greedy_policy(region_params)
         assert pol.action_at(10, 0.0) == Action.HIGH_RATE
@@ -152,7 +194,6 @@ class TestBaselines:
         assert pol.action_at(1, 0.5) == Action.DEFER
 
     def test_baselines_feasible_everywhere(self, region_params):
-        from ehsense import feasible_actions
         for pol in (greedy_policy(region_params), opportunistic_policy(region_params)):
             for b in range(region_params.b_max + 1):
                 for a in pol.rows[b].labels:

@@ -6,20 +6,11 @@ from ehsense import (Action, ParameterError, SearchConfig, default_candidates,
                      greedy_policy, run_episodes, search_thresholds,
                      value_iteration)
 from ehsense import search as search_module
-from ehsense.policies import PolicyRow, ThresholdPolicy
-from ehsense.search import NO_REGION, policy_from_rho, rho_from_policy
+from ehsense.policies import (NO_REGION, PolicyRow, ThresholdPolicy,
+                              policy_from_rho, rho_from_policy)
 from conftest import two_point_pmf
 
 CANDS = np.array([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
-
-
-@pytest.fixture
-def search_params():
-    """Single-rate instance small enough for fast search evaluations."""
-    from ehsense import SystemParams
-    return SystemParams(lambda0=0.2, lambda1=0.8, energy_pmf=two_point_pmf(0.4, 5),
-                        b_max=10, e_tx=5, e_sense=1, r_low=0.0, r_high=2.0,
-                        beta=0.95)
 
 
 def vi_thresholds(params, grid):
