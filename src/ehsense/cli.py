@@ -79,7 +79,8 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, say,
         table.write_csv(_file(out, "values", label, "csv"), cfg.config_hash)
         extract_thresholds(policy).write_text(
             _file(out, "thresholds", label, "txt"), cfg.config_hash)
-        say(f"  converged in {table.iterations} sweeps, values within "
+        say(f"  converged in {table.iterations} sweeps on {table.core_columns} "
+            f"of {cfg.grid_resolution} belief columns, values within "
             f"{table.bound:.1e} of the fixed point")
     return EXIT_OK
 

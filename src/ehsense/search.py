@@ -91,8 +91,11 @@ def _window(candidates: np.ndarray, rho: np.ndarray, b: int, k: int):
 # job (12 episodes, 500 slots, 2-vCPU Xeon guest) the search took a median
 # 0.68 s scoring one coordinate per call, 0.23 s at 192 lanes, 0.18 s at 384,
 # 0.13 s at 768 and 0.24 s at 4000, with peak RSS 41.1, 41.2, 41.3, 42.0 and
-# 46.6 MB for the whole job.
-_BATCH_LANES = 192
+# 46.6 MB for the whole job.  With the solve no longer dominating, the whole
+# job (perfbench wall_s, 6 alternating rounds) read a median 0.339
+# reference-s at 192 lanes, 0.289 at 384 (faster in 6 of 6 rounds) and 0.293
+# at 768, with peak RSS 39.8, 39.8 and 40.5 MB.
+_BATCH_LANES = 384
 
 
 def search_thresholds(params: SystemParams, config: SearchConfig,

@@ -6,9 +6,16 @@ scalar `backup` is the readable reference the vectorized path is tested
 against.  Both read each action's slot outcome (bits, energy debit, whether
 the channel is revealed) from `model.slot_outcomes`; only
 `oracle.exact_finite_horizon` restates it, to stay independent.
+
+A backup of belief column j reads only the interpolation bracket of
+f(p_j) and the two reset columns, so `value_iteration` iterates only the
+core: the columns closed under those reads (`BellmanOperator.depths`),
+usually a few dozen of the grid's.  Every other column is then backed up
+once, after all the columns it reads are final.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +49,11 @@ class ValueTable:
     and belief grid.points[j].  q_values[a, b, j] is the backup of action a
     there (0 in a zero_table), NaN wherever the action is infeasible or not
     allowed, and values = np.fmax.reduce(q_values).
-    `span` is the span of the last change value_iteration saw, and `bound` =
-    beta / (1 - beta) * span / 2 the certified sup-norm distance of `values`
-    to the grid's fixed point (both inf for tables value_iteration did not
-    make).
+    `span` is the span of the last change value_iteration saw on its core
+    cells, `bound` = beta / (1 - beta) * span / 2 the certified sup-norm
+    distance of `values` to the grid's fixed point on every cell, and
+    `core_columns` the number of belief columns it iterated (inf, inf and 0
+    for tables value_iteration did not make).
     """
 
     values: np.ndarray = field(repr=False)
@@ -55,6 +63,7 @@ class ValueTable:
     iterations: int
     span: float = math.inf
     bound: float = math.inf
+    core_columns: int = 0
 
     def value_at(self, battery: int, p: float) -> float:
         return float(self.grid.interp(self.values[battery], p))
@@ -73,7 +82,8 @@ class BellmanOperator:
     one per can-transmit value, and `backups` evaluates that plan.  `step`
     (max over actions) and `q_tables` (per-action values) are both built
     from it.  `allowed` restricts the action set (used by the no-sensing
-    baseline); by default it is the model's own action set.
+    baseline); by default it is the model's own action set.  `on` narrows
+    the output to some belief columns.
     """
 
     def __init__(self, params: SystemParams, grid: BeliefGrid, allowed=None):
@@ -117,6 +127,63 @@ class BellmanOperator:
                     self._plan.append((a, slice(ok[0], ok[-1] + 1),
                                        outcomes.legs(a, can_tx),
                                        bool(outcomes.reveals[a])))
+
+    def depths(self) -> np.ndarray:
+        """Each belief column's depth: 0 on the core, else 1 + the largest
+        depth of the columns its backup reads.
+
+        A backup of column j reads the bracket (lo, lo + 1) of f(p_j) and the
+        reset columns.  The core is the closure of the reset columns under
+        those reads, grown by the closure of every cycle of reads that never
+        reaches it (such as the self-loops of a sticky channel).  So the core
+        is closed, and every other column reads only shallower ones.
+        """
+        lo, hi = self._j_lo, self._j_hi
+        core = np.zeros(self.grid.resolution, dtype=bool)
+        seeds = np.array([self._i0, self._i1])
+        while True:
+            while seeds.size:
+                core[seeds] = True
+                seeds = np.union1d(lo[seeds], hi[seeds])
+                seeds = seeds[~core[seeds]]
+            depth = np.where(core, 0, -1)
+            while True:
+                todo = depth < 0
+                ready = todo & (depth[lo] >= 0) & (depth[hi] >= 0)
+                if not ready.any():
+                    break
+                depth[ready] = 1 + np.maximum(depth[lo], depth[hi])[ready]
+            if not todo.any():
+                return depth
+            # each column left reads another one left: following such reads
+            # 2**k >= resolution times lands on a cycle, which joins the core
+            nxt = np.where(todo[lo], lo, hi)
+            for _ in range(self.grid.resolution.bit_length()):
+                nxt = nxt[nxt]
+            seeds = np.unique(nxt[todo])
+
+    def on(self, cols, source=None) -> "BellmanOperator":
+        """This operator with outputs at grid columns `cols` only, reading a
+        table whose columns are the grid columns `source` in that order (all
+        of them by default), which must hold every column `cols` read.  Call
+        it on an operator made by the constructor; the result shares its
+        scratch."""
+        n = self.grid.resolution
+        source = np.arange(n) if source is None else np.asarray(source)
+        pos = np.full(n, -1)
+        pos[source] = np.arange(source.size)
+        view = copy.copy(self)
+        view._j_lo, view._j_hi = pos[self._j_lo[cols]], pos[self._j_hi[cols]]
+        view._j_w, view._j_w_lo = self._j_w[cols], self._j_w_lo[cols]
+        view._i0, view._i1 = int(pos[self._i0]), int(pos[self._i1])
+        view._p, view._not_p = self._p[cols], self._not_p[cols]
+        if min(view._i0, view._i1, view._j_lo.min(), view._j_hi.min()) < 0:
+            raise ValueError("source lacks a column that cols read")
+        shape = (self.params.b_max + 1, len(view._p))
+        view._vj, view._buf, view._tmp = (
+            a.reshape(-1)[:math.prod(shape)].reshape(shape)
+            for a in (self._vj, self._buf, self._tmp))
+        return view
 
     def _expect(self, values, idx, out=None, tmp=None) -> np.ndarray:
         """Harvest-averaged next values; idx[:, s] holds the next rows after
@@ -170,14 +237,14 @@ class BellmanOperator:
     def q_tables(self, values: np.ndarray) -> np.ndarray:
         """Backups of `values` as one [action, battery, belief] array; NaN
         where the action is infeasible or not allowed."""
-        q = np.full((len(Action),) + values.shape, np.nan)
+        q = np.full((len(Action), len(values), len(self._p)), np.nan)
         for a, rows, qa in self.backups(values):
             q[a, rows] = qa
         return q
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """Max over the feasible action backups, without q_tables' NaN frames."""
-        out = np.full(values.shape, -np.inf)
+        out = np.full((len(values), len(self._p)), -np.inf)
         for _, rows, q in self.backups(values):
             np.maximum(out[rows], q, out=out[rows])
         return out
@@ -236,18 +303,25 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
                     tol: float = DEFAULT_TOL, max_iter: int | None = None, *,
                     allowed=None, v_init: np.ndarray | None = None,
                     span_tol: float | None = None) -> ValueTable:
-    """Iterate the backup operator until the span of the change is small.
+    """Iterate the backup operator on the core until the span of the change
+    is small, then back up every other belief column once.
 
-    Starts from zero (monotone iterates) unless `v_init` warm-starts the
-    run.  With change D = V_n - V_{n-1}, the MacQueen bounds V_n + c * min D
-    <= V* <= V_n + c * max D, c = beta / (1 - beta), hold after every sweep
-    (Puterman 1994, 6.6.3).  The run stops once max D - min D <= 2 * tol
-    (or `span_tol`, when smaller) and moves the iterate to the bounds'
-    midpoint, which is then within c * tol of the fixed point: the accuracy
-    a sup-norm change <= tol certifies, reached without waiting for the
-    constant part of the change to decay like beta^n.  A final backup gives
-    `values` and `q_values`.  Values are discounted bits, so the fixed point
-    is below r_high / (1 - beta).
+    The core (`BellmanOperator.depths`) is closed under the operator, so it
+    is a beta-discounted problem of its own; `v_init`, which warm-starts the
+    run (else it starts from zero: monotone iterates), is read only on its
+    columns.  With change D = V_n - V_{n-1} on the core cells, the MacQueen
+    bounds V_n + c * min D <= V* <= V_n + c * max D, c = beta / (1 - beta),
+    hold after every sweep (Puterman 1994, 6.6.3).  The run stops once
+    max D - min D <= 2 * tol (or `span_tol`, when smaller) and moves the
+    iterate to the bounds' midpoint, which is then within c * tol of the
+    fixed point: the accuracy a sup-norm change <= tol certifies, reached
+    without waiting for the constant part of the change to decay like
+    beta^n.  The other columns are backed up in order of depth, each after
+    every column it reads is final; a backup of inputs within c * tol of the
+    fixed point is within beta * c * tol of it, so they keep the
+    certificate.  A final backup of the whole grid gives `values` and
+    `q_values`.  Values are discounted bits, so the fixed point is below
+    r_high / (1 - beta).
 
     Raises ConvergenceError when max_iter sweeps are exhausted first.
     """
@@ -258,12 +332,15 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     op = BellmanOperator(params, grid, allowed=allowed)
-    values = np.zeros((params.b_max + 1, grid.resolution)) if v_init is None \
-        else np.array(v_init, dtype=float)
+    depth = op.depths()
+    core = np.flatnonzero(depth == 0)
+    core_op = op.on(core, core)
+    values = np.zeros((params.b_max + 1, core.size)) if v_init is None \
+        else np.asarray(v_init, dtype=float)[:, core]
     limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
     for sweeps in range(1, max_iter + 1):
-        new_values = op.step(values)
-        # the change overwrites the old iterate: no fresh full-grid arrays
+        new_values = core_op.step(values)
+        # the change overwrites the old iterate: no fresh arrays
         change = np.subtract(new_values, values, out=values)
         hi, lo = float(change.max()), float(change.min())
         values = new_values
@@ -272,10 +349,15 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     else:
         raise ConvergenceError(hi - lo, max_iter)
     c = params.beta / (1.0 - params.beta)
-    values += c * (hi + lo) / 2.0
-    q = op.q_tables(values)
+    full = np.empty((params.b_max + 1, grid.resolution))
+    full[:, core] = values + c * (hi + lo) / 2.0
+    for d in range(1, depth.max() + 1):
+        cols = np.flatnonzero(depth == d)
+        full[:, cols] = op.on(cols).step(full)
+    q = op.q_tables(full)
     return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid, params=params,
-                      iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
+                      iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0,
+                      core_columns=core.size)
 
 
 def sense_defer_on_good_backups(table: ValueTable):

@@ -201,7 +201,8 @@ class TestSolveCommand:
                      str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         found = re.fullmatch(r"solving model \(grid \d+, tol \S+\)\n"
-                             r"  converged in \d+ sweeps, values within "
+                             r"  converged in \d+ sweeps on \d+ of \d+ belief "
+                             r"columns, values within "
                              r"(\d\.\de[-+]\d+) of the fixed point\n", out)
         assert found
         # the printed bound, rounded to 2 digits, is beta/(1-beta) * span/2
@@ -319,7 +320,10 @@ class TestVerifyCommand:
 # updates its digest here and says why.  search_log.csv: the search tries the
 # battery rows the incumbent never visits too (404 -> 884 trial rows); none of
 # the added trials is accepted, and every other artifact is unchanged.  The
-# threshold texts: interior breakpoints are written with repr, not .6g.
+# threshold texts: interior breakpoints are written with repr, not .6g.  The
+# values files: value_iteration iterates only the core belief columns and
+# backs up the others once, so the values move within the solve's certified
+# bound (no region cell changes).
 ARTIFACT_DIGESTS = {
     "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
     "search_log.csv": "55bcac50e50d7d0358f8811e8e0793808481ed5a679f1f04ed92c5182be5c68e",
@@ -327,7 +331,7 @@ ARTIFACT_DIGESTS = {
     "search_throughput.csv": "d3c7483a542e8f89f31257590ab96bed01afe560412cf5f81858d815be05f7c6",
     "thresholds.txt": "5c06c0139bdfef8d6eaa5108477f1e92b219c8da6e116a45854ba77f10ef4e11",
     "throughput.csv": "d49663a30ab7f51528934461a0d8e26d27bd06116493c078c97efad6770c46e8",
-    "values.csv": "46437b1f9d62c21848d789878c3f4cb7a7443e176033279be549696dd7215d54",
+    "values.csv": "19a85afc93b52aa7e4d0626830b018192c2c195b0a1568aa957a5bcf95f3dbfe",
 }
 SWEPT_DIGESTS = {
     "regions_q0.2.csv": "4adbe4996be51e88d62133c37d628145c72851e802f2f8a5e2e1c39818d396f3",
@@ -340,8 +344,8 @@ SWEPT_DIGESTS = {
     "thresholds_q0.2.txt": "5999c52eadc47aa45a0263c7352cc79d35aba9a8f01318bca4b0037e8c639ae9",
     "thresholds_q0.6.txt": "83d3a818f36407fe410482bda47555d252dfbfbddfc1bd663c5839ba3b35b375",
     "throughput.csv": "cfd40f6da2d39ceda7cd892ac159fb3142f732495c4841d16262217d27774418",
-    "values_q0.2.csv": "c51005514040b7e8757bc81608c428d67caca6e9932d3065d8ea37fe41ebc57a",
-    "values_q0.6.csv": "95c65c84bfd5e837b06a3ee8499cc5e348c29a3da90b27c7c3fcd79c7fe1f619",
+    "values_q0.2.csv": "edea9b429420cb28568eea0e4f6c1f57e6d552a3db6f4303b5553b46517b2a9d",
+    "values_q0.6.csv": "58402a6483ee3078ea2ab987de86374826d2ecad8827f5789c052d2c31df952f",
 }
 
 
@@ -362,10 +366,12 @@ def test_artifact_bytes_are_pinned(tmp_path, overrides, digests):
 # SHA-256 of `solve`'s artifacts on a two-rate instance (a 51-point copy of
 # configs/two_rate_regions.yaml): unlike small_config(), its value table has
 # LOW_RATE values and both empty and filled Q cells on the same rows.
+# values.csv moved within the solve's bound when value_iteration began to
+# iterate only the core belief columns.
 TWO_RATE_DIGESTS = {
     "regions.csv": "a32639df0b0c3de05a4c6d945189736f4ef88b363e0eaf4d379b45ab94cec38f",
     "thresholds.txt": "6780d2f6cf725df6da86aee56bf1c9c97d9d4f35d768e48f21c3073387d907aa",
-    "values.csv": "c0ba697ee3cbf562ddfe66fc1a11ac3127e4a47b0587ef8c494396cb4b2800a7",
+    "values.csv": "e70192d80b2f421fa05c8324db5349eba4eb3169a88a7875fb95375045f1cfaa",
 }
 
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from ehsense import (Action, BeliefGrid, BellmanOperator, ConvergenceError,
-                     InfeasibleActionError, backup, bellman_step,
+                     InfeasibleActionError, ValueTable, backup, bellman_step,
                      value_iteration, zero_table)
+from ehsense.belief import belief_update_no_obs
 from ehsense.config import load_config
-from ehsense.policies import SINGLE_THRESHOLD_ACTIONS
+from ehsense.policies import SINGLE_THRESHOLD_ACTIONS, extract_policy
 from ehsense.solver import default_max_iter
 
 # Every sweep point of the shipped configs.  perfbench/configs/tiny/
@@ -16,12 +17,17 @@ from ehsense.solver import default_max_iter
 # off-grid, where the operator reads the reset continuation at the nearest
 # grid point but `backup` interpolates, so the two disagree there (ROADMAP,
 # "Off-grid reset reads").
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED_POINTS = [
-    pytest.param(cfg.grid_resolution, params,
-                 id=f"{path.stem}-{label}" if label else path.stem)
-    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    pytest.param(cfg, params, id=f"{path.stem}-{label}" if label else path.stem)
+    for path in sorted(CONFIGS.glob("*.yaml"))
     for cfg in [load_config(path)]
     for label, params in cfg.sweep_points()]
+# the region model with both transition probabilities off its 1001-point grid
+OFF_GRID_POINT = pytest.param(
+    load_config(CONFIGS / "policy_regions.yaml"),
+    load_config(CONFIGS / "policy_regions.yaml").model.replace(
+        lambda0=0.6004, lambda1=0.9004), id="policy_regions-off_grid")
 
 
 def table_with(params, grid, values):
@@ -108,8 +114,9 @@ class TestBellmanStep:
                     vals.append(want)
                 assert stepped.values[b, j] == pytest.approx(max(vals), abs=1e-12)
 
-    @pytest.mark.parametrize("resolution, params", SHIPPED_POINTS)
-    def test_matches_scalar_backups_on_shipped_configs(self, resolution, params):
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS)
+    def test_matches_scalar_backups_on_shipped_configs(self, cfg, params):
+        resolution = cfg.grid_resolution
         grid = BeliefGrid.from_resolution(resolution)
         rng = np.random.default_rng(7)
         t = table_with(params, grid, rng.random((params.b_max + 1, resolution)) * 5)
@@ -262,6 +269,75 @@ class TestValueIteration:
         no_sense = value_iteration(tiny_two_rate, coarse_grid,
                                    allowed=(Action.DEFER, Action.HIGH_RATE))
         assert np.all(no_sense.values <= full.values + 1e-9)
+
+
+def full_grid_solve(params, grid, tol, span_tol=None):
+    """value_iteration's stop rule and midpoint on plain sweeps of
+    `BellmanOperator.step` over every belief column, from zero."""
+    op = BellmanOperator(params, grid)
+    v = np.zeros((params.b_max + 1, grid.resolution))
+    limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
+    for sweeps in range(1, default_max_iter(params.beta) + 1):
+        nxt = op.step(v)
+        change = nxt - v
+        hi, lo = float(change.max()), float(change.min())
+        v = nxt
+        if hi - lo <= limit:
+            break
+    c = params.beta / (1.0 - params.beta)
+    q = op.q_tables(v + c * (hi + lo) / 2.0)
+    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid,
+                      params=params, iterations=sweeps, span=hi - lo,
+                      bound=c * (hi - lo) / 2.0)
+
+
+class TestCore:
+    """value_iteration iterates the core columns and backs up the rest once."""
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_core_is_closed_and_the_rest_reads_shallower(self, cfg, params):
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        depth = BellmanOperator(params, grid).depths()
+        lo, _ = grid.locate(belief_update_no_obs(grid.points, params))
+        core = depth == 0
+        assert core[grid.nearest_index(params.lambda0)]
+        assert core[grid.nearest_index(params.lambda1)]
+        assert np.all(core[lo[core]]) and np.all(core[lo[core] + 1])
+        rest = ~core
+        assert np.all(depth[rest] > depth[lo[rest]])
+        assert np.all(depth[rest] > depth[lo[rest] + 1])
+        assert np.count_nonzero(core) < grid.resolution // 10
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_matches_the_full_grid_loop(self, cfg, params):
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        t = value_iteration(params, grid, tol=cfg.tol, span_tol=cfg.span_tol)
+        ref = full_grid_solve(params, grid, cfg.tol, cfg.span_tol)
+        assert np.max(np.abs(t.values - ref.values)) <= t.bound + ref.bound
+        assert np.array_equal(extract_policy(t).actions,
+                              extract_policy(ref).actions)
+        assert t.core_columns == np.count_nonzero(
+            BellmanOperator(params, grid).depths() == 0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.537, 1.0])
+    def test_a_memoryless_channel_has_a_two_column_core(self, lam, tiny_two_rate,
+                                                         coarse_grid):
+        params = tiny_two_rate.replace(lambda0=lam, lambda1=lam)
+        t = value_iteration(params, coarse_grid)
+        assert t.core_columns == 2
+        ref = full_grid_solve(params, coarse_grid, 1e-9)
+        assert np.max(np.abs(t.values - ref.values)) <= t.bound + ref.bound
+
+    @pytest.mark.parametrize("lambdas", [(0.0, 1.0), (1.0, 0.0), (0.0005, 0.9995)])
+    def test_whole_grid_core_runs_the_full_grid_loop(self, lambdas, tiny_two_rate,
+                                                     coarse_grid):
+        params = tiny_two_rate.replace(lambda0=lambdas[0], lambda1=lambdas[1])
+        t = value_iteration(params, coarse_grid)
+        ref = full_grid_solve(params, coarse_grid, 1e-9)
+        assert t.core_columns == coarse_grid.resolution
+        assert t.iterations == ref.iterations
+        assert np.array_equal(t.values, ref.values)
+        assert np.array_equal(t.q_values, ref.q_values, equal_nan=True)
 
 
 class TestQValues:
