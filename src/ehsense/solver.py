@@ -11,11 +11,11 @@ A backup of belief column j reads only the interpolation bracket of
 f(p_j) and the two reset columns, so `value_iteration` iterates only the
 core: the columns closed under those reads (`BellmanOperator.depths`),
 usually a few dozen of the grid's.  Every other column is then backed up
-once, after all the columns it reads are final.
+once, after all the columns it reads are final.  Each backup reads the one
+full value table and returns fresh arrays over the columns asked for.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -82,8 +82,9 @@ class BellmanOperator:
     one per can-transmit value, and `backups` evaluates that plan.  `step`
     (max over actions) and `q_tables` (per-action values) are both built
     from it.  `allowed` restricts the action set (used by the no-sensing
-    baseline); by default it is the model's own action set.  `on` narrows
-    the output to some belief columns.
+    baseline); by default it is the model's own action set.  `backups` and
+    `step` read the whole value table and return only the belief columns
+    `cols` (all of them by default).
     """
 
     def __init__(self, params: SystemParams, grid: BeliefGrid, allowed=None):
@@ -106,19 +107,10 @@ class BellmanOperator:
         }
         j_of = belief_update_no_obs(grid.points, params)
         self._j_lo, self._j_w = grid.locate(j_of)
-        self._j_hi = self._j_lo + 1
-        self._j_w_lo = 1.0 - self._j_w
         # observation backups always land on the transition rows; those are
         # read at the nearest grid point so repeated resets stay exact
         self._i0 = grid.nearest_index(params.lambda0)
         self._i1 = grid.nearest_index(params.lambda1)
-        self._p = grid.points
-        self._not_p = 1.0 - grid.points
-        # scratch for one sweep: reusing it spares page faults on fresh
-        # arrays; np.take writes into it with mode="clip" because the default
-        # mode="raise" goes through a buffer (all indices are in range)
-        self._vj, self._buf, self._tmp = (np.empty(b.shape + grid.points.shape)
-                                          for _ in range(3))
         self._plan = []  # (action, rows, SlotOutcomes.legs, reveals)
         for a in self.actions:
             for can_tx, band in ((0, b[:params.e_tx]), (1, b[params.e_tx:])):
@@ -138,7 +130,7 @@ class BellmanOperator:
         reaches it (such as the self-loops of a sticky channel).  So the core
         is closed, and every other column reads only shallower ones.
         """
-        lo, hi = self._j_lo, self._j_hi
+        lo, hi = self._j_lo, self._j_lo + 1
         core = np.zeros(self.grid.resolution, dtype=bool)
         seeds = np.array([self._i0, self._i1])
         while True:
@@ -162,55 +154,27 @@ class BellmanOperator:
                 nxt = nxt[nxt]
             seeds = np.unique(nxt[todo])
 
-    def on(self, cols, source=None) -> "BellmanOperator":
-        """This operator with outputs at grid columns `cols` only, reading a
-        table whose columns are the grid columns `source` in that order (all
-        of them by default), which must hold every column `cols` read.  Call
-        it on an operator made by the constructor; the result shares its
-        scratch."""
-        n = self.grid.resolution
-        source = np.arange(n) if source is None else np.asarray(source)
-        pos = np.full(n, -1)
-        pos[source] = np.arange(source.size)
-        view = copy.copy(self)
-        view._j_lo, view._j_hi = pos[self._j_lo[cols]], pos[self._j_hi[cols]]
-        view._j_w, view._j_w_lo = self._j_w[cols], self._j_w_lo[cols]
-        view._i0, view._i1 = int(pos[self._i0]), int(pos[self._i1])
-        view._p, view._not_p = self._p[cols], self._not_p[cols]
-        if min(view._i0, view._i1, view._j_lo.min(), view._j_hi.min()) < 0:
-            raise ValueError("source lacks a column that cols read")
-        shape = (self.params.b_max + 1, len(view._p))
-        view._vj, view._buf, view._tmp = (
-            a.reshape(-1)[:math.prod(shape)].reshape(shape)
-            for a in (self._vj, self._buf, self._tmp))
-        return view
-
-    def _expect(self, values, idx, out=None, tmp=None) -> np.ndarray:
+    def _expect(self, values, idx) -> np.ndarray:
         """Harvest-averaged next values; idx[:, s] holds the next rows after
         harvest level s."""
-        for s, q in enumerate(self._probs):
-            nxt = np.take(values, idx[:, s], axis=0, out=tmp, mode="clip")
-            if s == 0:
-                out = np.multiply(q, nxt, out=out)
-            else:
-                np.add(out, np.multiply(q, nxt, out=tmp), out=out)
+        out = self._probs[0] * values[idx[:, 0]]
+        for s in range(1, len(self._probs)):
+            out += self._probs[s] * values[idx[:, s]]
         return out
 
-    def backups(self, values: np.ndarray, plan=None):
-        """Yield (action, rows, Q-values on those rows) per planned block.
+    def backups(self, values: np.ndarray, cols=slice(None), plan=None):
+        """Yield (action, rows, Q-values on those rows) per planned block, a
+        fresh array over the belief columns `cols` of the full table `values`.
 
         A revealing action backs up p * (good bits + continuation at
         lambda1) + (1 - p) * (bad bits + continuation at lambda0); any
         other action its bits plus the continuation at the propagated
-        belief.  `plan` defaults to the operator's own.  The yielded arrays
-        are scratch, overwritten by the next block.
+        belief.  `plan` defaults to the operator's own.
         """
         beta = self.params.beta
-        vj, buf, tmp = self._vj, self._buf, self._tmp
-        np.multiply(np.take(values, self._j_lo, axis=1, out=tmp, mode="clip"),
-                    self._j_w_lo, out=vj)
-        np.add(vj, np.multiply(np.take(values, self._j_hi, axis=1, out=tmp,
-                                       mode="clip"), self._j_w, out=tmp), out=vj)
+        p = self.grid.points[cols]
+        lo, w = self._j_lo[cols], self._j_w[cols]
+        vj = values[:, lo] * (1.0 - w) + values[:, lo + 1] * w
         revealed = (values[:, self._i0], values[:, self._i1])  # BAD, GOOD
         conts = {}
 
@@ -222,30 +186,28 @@ class BellmanOperator:
 
         for a, rows, legs, reveals in plan or self._plan:
             (bits_bad, debit_bad), (bits_good, debit_good) = legs
-            q = buf[rows]
             if reveals:
-                np.multiply(self._p, bits_good + cont(1, debit_good)[rows], out=q)
-                np.add(q, np.multiply(self._not_p, bits_bad + cont(0, debit_bad)[rows],
-                                      out=tmp[rows]), out=q)
+                q = p * (bits_good + cont(1, debit_good)[rows])
+                q += (1.0 - p) * (bits_bad + cont(0, debit_bad)[rows])
             else:
-                self._expect(vj, self._idx[debit_bad][rows], q, tmp[rows])
-                np.multiply(beta, q, out=q)
-                if bits_bad:  # skipped when 0: a full-array add for nothing
-                    np.add(bits_bad, q, out=q)
+                q = self._expect(vj, self._idx[debit_bad][rows])
+                q *= beta
+                q += bits_bad
             yield a, rows, q
 
     def q_tables(self, values: np.ndarray) -> np.ndarray:
         """Backups of `values` as one [action, battery, belief] array; NaN
         where the action is infeasible or not allowed."""
-        q = np.full((len(Action), len(values), len(self._p)), np.nan)
+        q = np.full((len(Action),) + values.shape, np.nan)
         for a, rows, qa in self.backups(values):
             q[a, rows] = qa
         return q
 
-    def step(self, values: np.ndarray) -> np.ndarray:
-        """Max over the feasible action backups, without q_tables' NaN frames."""
-        out = np.full((len(values), len(self._p)), -np.inf)
-        for _, rows, q in self.backups(values):
+    def step(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Max over the feasible action backups on the belief columns `cols`,
+        without q_tables' NaN frames."""
+        out = np.full((len(values), self.grid.points[cols].size), -np.inf)
+        for _, rows, q in self.backups(values, cols):
             np.maximum(out[rows], q, out=out[rows])
         return out
 
@@ -307,11 +269,13 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     is small, then back up every other belief column once.
 
     The core (`BellmanOperator.depths`) is closed under the operator, so it
-    is a beta-discounted problem of its own; `v_init`, which warm-starts the
-    run (else it starts from zero: monotone iterates), is read only on its
-    columns.  With change D = V_n - V_{n-1} on the core cells, the MacQueen
-    bounds V_n + c * min D <= V* <= V_n + c * max D, c = beta / (1 - beta),
-    hold after every sweep (Puterman 1994, 6.6.3).  The run stops once
+    is a beta-discounted problem of its own.  One (b_max + 1) x resolution
+    table holds the iterate, and each sweep overwrites its core columns.
+    `v_init`, of that shape, warm-starts the run (else it starts from zero:
+    monotone iterates) and is read only on the core.  With change
+    D = V_n - V_{n-1} on the core cells, the MacQueen bounds
+    V_n + c * min D <= V* <= V_n + c * max D, c = beta / (1 - beta), hold
+    after every sweep (Puterman 1994, 6.6.3).  The run stops once
     max D - min D <= 2 * tol (or `span_tol`, when smaller) and moves the
     iterate to the bounds' midpoint, which is then within c * tol of the
     fixed point: the accuracy a sup-norm change <= tol certifies, reached
@@ -323,38 +287,41 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     `q_values`.  Values are discounted bits, so the fixed point is below
     r_high / (1 - beta).
 
-    Raises ConvergenceError when max_iter sweeps are exhausted first.
+    Raises ValueError unless tol and span_tol are finite and positive and
+    v_init has the table's shape, and ConvergenceError when max_iter sweeps
+    are exhausted first.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if span_tol is not None and not (math.isfinite(span_tol) and span_tol > 0):
+        raise ValueError(f"span_tol must be finite and positive, got {span_tol}")
     if max_iter is None:
         max_iter = default_max_iter(params.beta)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    shape = (params.b_max + 1, grid.resolution)
+    values = np.zeros(shape) if v_init is None else np.array(v_init, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"v_init has shape {values.shape}, expected {shape}")
     op = BellmanOperator(params, grid, allowed=allowed)
     depth = op.depths()
     core = np.flatnonzero(depth == 0)
-    core_op = op.on(core, core)
-    values = np.zeros((params.b_max + 1, core.size)) if v_init is None \
-        else np.asarray(v_init, dtype=float)[:, core]
     limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
     for sweeps in range(1, max_iter + 1):
-        new_values = core_op.step(values)
-        # the change overwrites the old iterate: no fresh arrays
-        change = np.subtract(new_values, values, out=values)
+        new = op.step(values, core)
+        change = new - values[:, core]
         hi, lo = float(change.max()), float(change.min())
-        values = new_values
+        values[:, core] = new
         if hi - lo <= limit:
             break
     else:
         raise ConvergenceError(hi - lo, max_iter)
     c = params.beta / (1.0 - params.beta)
-    full = np.empty((params.b_max + 1, grid.resolution))
-    full[:, core] = values + c * (hi + lo) / 2.0
+    values[:, core] = new + c * (hi + lo) / 2.0
     for d in range(1, depth.max() + 1):
         cols = np.flatnonzero(depth == d)
-        full[:, cols] = op.on(cols).step(full)
-    q = op.q_tables(full)
+        values[:, cols] = op.step(values, cols)
+    q = op.q_tables(values)
     return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid, params=params,
                       iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0,
                       core_columns=core.size)
@@ -375,4 +342,4 @@ def sense_defer_on_good_backups(table: ValueTable):
     legs += [(bad, (0.0, params.e_sense)) for bad, _ in legs]
     plan = [(None, slice(None), leg, True) for leg in legs]
     op = BellmanOperator(params, table.grid)
-    return tuple(q.copy() for _, _, q in op.backups(table.values, plan))
+    return tuple(q for _, _, q in op.backups(table.values, plan=plan))

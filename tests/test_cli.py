@@ -315,15 +315,16 @@ class TestVerifyCommand:
 
 
 # SHA-256 of every artifact of `solve`, `simulate` and `search` on
-# small_config(), and on a two-point q sweep of it, which runs each solved
-# policy's warm start across sweep points; a change that alters an artifact
-# updates its digest here and says why.  search_log.csv: the search tries the
-# battery rows the incumbent never visits too (404 -> 884 trial rows); none of
-# the added trials is accepted, and every other artifact is unchanged.  The
-# threshold texts: interior breakpoints are written with repr, not .6g.  The
-# values files: value_iteration iterates only the core belief columns and
-# backs up the others once, so the values move within the solve's certified
-# bound (no region cell changes).
+# small_config(), and on a two-point q sweep of it; a change that alters an
+# artifact updates its digest here and says why.  search_log.csv: the search
+# tries the battery rows the incumbent never visits too (404 -> 884 trial
+# rows); none of the added trials is accepted, and every other artifact is
+# unchanged.  The threshold texts: interior breakpoints are written with
+# repr, not .6g.  The values files: value_iteration iterates only the core
+# belief columns and backs up the others once, so the values move within the
+# solve's certified bound (no region cell changes).  values_q0.6.csv: every
+# sweep point is solved cold, no longer warm-started from the values at
+# q0.2, so its values move within the solve's bound (no region cell changes).
 ARTIFACT_DIGESTS = {
     "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
     "search_log.csv": "55bcac50e50d7d0358f8811e8e0793808481ed5a679f1f04ed92c5182be5c68e",
@@ -345,7 +346,7 @@ SWEPT_DIGESTS = {
     "thresholds_q0.6.txt": "83d3a818f36407fe410482bda47555d252dfbfbddfc1bd663c5839ba3b35b375",
     "throughput.csv": "cfd40f6da2d39ceda7cd892ac159fb3142f732495c4841d16262217d27774418",
     "values_q0.2.csv": "edea9b429420cb28568eea0e4f6c1f57e6d552a3db6f4303b5553b46517b2a9d",
-    "values_q0.6.csv": "58402a6483ee3078ea2ab987de86374826d2ecad8827f5789c052d2c31df952f",
+    "values_q0.6.csv": "74af1ca5d2e59032577460e57ddc84022134eda16774831994197719763df738",
 }
 
 

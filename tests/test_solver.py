@@ -145,6 +145,18 @@ class TestBellmanStep:
                 assert np.array_equal(np.fmax.reduce([q[a] for a in op.actions]),
                                       op.step(V))
 
+    @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
+    def test_yielded_blocks_are_fresh_arrays(self, fixture, coarse_grid, request):
+        params = request.getfixturevalue(fixture)
+        op = BellmanOperator(params, coarse_grid)
+        V = np.random.default_rng(6).random((params.b_max + 1, 101)) * 10
+        copied = [(a, rows, q.copy()) for a, rows, q in op.backups(V)]
+        listed = list(op.backups(V))
+        assert len(listed) == len(copied) > 1
+        for (a, rows, q), (a_, rows_, q_) in zip(copied, listed):
+            assert (a, rows) == (a_, rows_)
+            assert np.array_equal(q, q_)
+
     def test_myopic_step_from_zero(self, coarse_grid, tiny_two_rate):
         stepped = bellman_step(zero_table(tiny_two_rate, coarse_grid))
         p = coarse_grid.points
@@ -227,6 +239,20 @@ class TestValueIteration:
         assert t.bound <= 0.999 / 0.001 * 1e-6 / 2
         assert value_iteration(params, coarse_grid, tol=1e-5).iterations < t.iterations
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-9}, {"tol": float("inf")},
+        {"span_tol": float("nan")}, {"span_tol": -1.0}, {"span_tol": 0.0},
+        {"span_tol": float("inf")},
+        {"v_init": np.zeros((7, 1001))}, {"v_init": np.zeros((8, 101))},
+        {"v_init": np.zeros((6, 101))}, {"v_init": np.zeros(101)}],
+        ids=["tol_nan", "tol_zero", "tol_negative", "tol_inf", "span_tol_nan",
+             "span_tol_negative", "span_tol_zero", "span_tol_inf",
+             "v_init_columns", "v_init_extra_row", "v_init_missing_row",
+             "v_init_1d"])
+    def test_rejects_bad_arguments(self, kwargs, tiny_two_rate, coarse_grid):
+        with pytest.raises(ValueError):
+            value_iteration(tiny_two_rate, coarse_grid, **kwargs)
+
     def test_default_budget_scales_with_discount(self):
         assert default_max_iter(0.0) == 100
         assert default_max_iter(0.98) == 5000
@@ -234,8 +260,10 @@ class TestValueIteration:
 
     def test_warm_start_reaches_same_fixed_point(self, tiny_two_rate, coarse_grid):
         cold = value_iteration(tiny_two_rate, coarse_grid, tol=1e-10)
+        v_init = cold.values + 3.0
         warm = value_iteration(tiny_two_rate, coarse_grid, tol=1e-10,
-                               v_init=cold.values + 3.0)
+                               v_init=v_init)
+        assert np.array_equal(v_init, cold.values + 3.0)  # left unchanged
         assert np.max(np.abs(warm.values - cold.values)) < 1e-8
         assert warm.iterations < cold.iterations
 
@@ -318,6 +346,19 @@ class TestCore:
                               extract_policy(ref).actions)
         assert t.core_columns == np.count_nonzero(
             BellmanOperator(params, grid).depths() == 0)
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_step_on_columns_is_the_full_step_there(self, cfg, params):
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        op = BellmanOperator(params, grid)
+        rng = np.random.default_rng(8)
+        V = rng.random((params.b_max + 1, grid.resolution)) * 10
+        full = op.step(V)
+        depth = op.depths()
+        subsets = [np.flatnonzero(depth == d) for d in range(depth.max() + 1)]
+        subsets.append(rng.permutation(grid.resolution)[:37])  # unsorted
+        for cols in subsets:
+            assert op.step(V, cols).tobytes() == full[:, cols].tobytes()
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.537, 1.0])
     def test_a_memoryless_channel_has_a_two_column_core(self, lam, tiny_two_rate,
