@@ -84,21 +84,22 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, say,
 
 def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
     solve = _solver(cfg)
+    lanes = [(label, params, name) for label, params in cfg.sweep_points()
+             for name in cfg.policies]
+    policies = [_BASELINES[name](params) if name in _BASELINES
+                else encode_rows(extract_policy(solve(params, name)))
+                for _, params, name in lanes]
+    # one pass for every (point, policy): the points share the uniforms
+    all_stats = run_episodes(policies, [params for _, params, _ in lanes],
+                             cfg.sim.episodes, cfg.sim.horizon, cfg.sim.seed,
+                             initial_battery=cfg.sim.initial_battery,
+                             initial_belief=cfg.sim.initial_belief,
+                             g0=cfg.sim.g0)
     rows = []
-    for label, params in cfg.sweep_points():
-        policies = [_BASELINES[name](params) if name in _BASELINES
-                    else encode_rows(extract_policy(solve(params, name)))
-                    for name in cfg.policies]
-        # one pass for all policies: they share the point's uniforms
-        all_stats = run_episodes(policies, params, cfg.sim.episodes,
-                                 cfg.sim.horizon, cfg.sim.seed,
-                                 initial_battery=cfg.sim.initial_battery,
-                                 initial_belief=cfg.sim.initial_belief,
-                                 g0=cfg.sim.g0)
-        for name, stats in zip(cfg.policies, all_stats):
-            rows.append(_throughput_row(name, params, stats))
-            say(f"  {label or 'model'} {name}: {stats.mean_bits_per_slot:.4f} "
-                f"+/- {stats.std_error:.4f} bits/slot")
+    for (label, params, name), stats in zip(lanes, all_stats):
+        rows.append(_throughput_row(name, params, stats))
+        say(f"  {label or 'model'} {name}: {stats.mean_bits_per_slot:.4f} "
+            f"+/- {stats.std_error:.4f} bits/slot")
     path = _file(out, "throughput", "", "csv")
     write_csv_artifact(path, cfg.config_hash, THROUGHPUT_HEADER, rows)
     say(f"wrote {path}")

@@ -5,10 +5,13 @@ so results are bit-identical regardless of execution order and common
 random numbers across policies come for free: the channel and harvest
 processes are exogenous, so two policies evaluated under the same seed see
 exactly the same realizations.  `run_episodes` uses this to run several
-policies in one pass: its lanes are (policy, episode) pairs, the channel and
-harvest of a slot are computed once per episode and shared by every policy,
-and the uniforms are drawn a chunk of slots at a time, so memory does not
-grow with the horizon.  A lane's belief is kept as an index into
+policies, at several points of a harvest-rate or sensing-cost sweep, in one
+pass: its lanes are (point, policy, episode) triples, and every point reads
+the same uniforms, so the channel of a slot is computed once per episode and
+shared by every lane, and the harvest once per episode and block of
+consecutive lanes with one harvest pmf, and shared by the block's lanes.
+The uniforms are drawn a chunk of slots at a time, so memory does not grow
+with the horizon.  A lane's belief is kept as an index into
 `belief.orbits`, the beliefs that the no-observation update reaches from
 the start belief, lambda0 and lambda1 within the horizon; this makes each
 slot's action a lookup in a table that holds one row of actions over the
@@ -22,6 +25,7 @@ recursion slot by slot and referee the vectorized path.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -191,7 +195,7 @@ def _channel_path(start, stay, params: SystemParams) -> np.ndarray:
     return chan
 
 
-def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
+def _slot_tables(policies, points, point_of, belief0: float, horizon: int):
     """Flat lookup tables of the slot loop: (row_at, code, bits, drop, j_next, s).
 
     A lane carries pb = policy * (b_max + 1) + battery and j, the index of
@@ -199,14 +203,15 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
     belief0, the first root, has index 0.  code[row_at[pb] + j] is the
     lane's action as c = 2 * action * s; adding channel * s gives its
     (action, channel) row, where bits[c + pb] and drop[c + pb] (pb minus the
-    energy debit) hold the slot outcome from `slot_outcomes` and
-    j_next[c + j] the next belief index.  The stride s is the larger of the
-    pb and j ranges.  `code` holds one block of n_j actions per distinct
-    PolicyRow (rows are compared by value, so policies that share a row
-    share its block), and row_at[pb] is the offset of pb's block; n_j is a
-    few hundred unless |lambda1 - lambda0| is close to 1, and at most
-    3 * horizon.
+    energy debit) hold the slot outcome from `slot_outcomes` of the policy's
+    own params, points[point_of[policy]], and j_next[c + j] the next belief
+    index.  The stride s is the larger of the pb and j ranges.  `code` holds
+    one block of n_j actions per distinct PolicyRow (rows are compared by
+    value, so policies that share a row share its block), and row_at[pb] is
+    the offset of pb's block; n_j is a few hundred unless |lambda1 - lambda0|
+    is close to 1, and at most 3 * horizon.
     """
+    params = points[0]  # its channel and battery size are every point's
     n_pol, n_b = len(policies), params.b_max + 1
     beliefs, successor, (_, *reset) = orbits(
         params, (belief0, params.lambda0, params.lambda1), horizon)
@@ -222,55 +227,107 @@ def _slot_tables(policies, params: SystemParams, belief0: float, horizon: int):
         for row in block])
     code *= 2 * s
 
-    out = slot_outcomes(params)
-    can_tx = np.tile(np.arange(n_b) >= params.e_tx, n_pol).astype(np.intp)
+    outs = [slot_outcomes(p) for p in points]
+    # pb's column, 2 * point + can_tx, of the points' outcomes side by side
+    battery = np.arange(n_b)
+    col = np.array([2 * g + (battery >= p.e_tx)
+                    for g, p in enumerate(points)])[point_of].ravel()
     rows = (len(Action), 2, s)  # action, channel, pb or j
     bits = np.zeros(rows)
     drop, j_next = np.zeros(rows, dtype=np.intp), np.zeros(rows, dtype=np.intp)
-    bits[:, :, :n_pb] = out.bits[:, :, can_tx]
-    drop[:, :, :n_pb] = np.arange(n_pb) - out.debit[:, :, can_tx]
+    bits[:, :, :n_pb] = np.concatenate([o.bits for o in outs], axis=2)[:, :, col]
+    drop[:, :, :n_pb] = np.arange(n_pb) - np.concatenate(
+        [o.debit for o in outs], axis=2)[:, :, col]
     j_next[:, :, :n_j] = successor
     for g in (0, 1):
-        j_next[out.reveals, g, :n_j] = reset[g]
+        j_next[outs[0].reveals, g, :n_j] = reset[g]
     return row_at, code, bits.ravel(), drop.ravel(), j_next.ravel(), s
 
 
-def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
+def _points(policies, params):
+    """(distinct params, index of each policy's params among them).
+
+    `params` is one SystemParams shared by every policy or a sequence with
+    one entry per policy.  Raises ParameterError unless the entries share
+    the channel (lambda0, lambda1) and the battery size, and each policy was
+    built for its own entry's battery size and costs.
+    """
+    if isinstance(params, SystemParams):
+        points, point_of = [params], [0] * len(policies)
+    else:
+        entries = list(params)
+        if len(entries) != len(policies):
+            raise ParameterError(f"{len(entries)} params entries for "
+                                 f"{len(policies)} policies")
+        index = {}  # distinct params -> its point index, in order of first use
+        point_of = [index.setdefault(p, len(index)) for p in entries]
+        points = list(index)
+    if len({(p.lambda0, p.lambda1, p.b_max) for p in points}) > 1:
+        raise ParameterError("params entries differ in lambda0, lambda1 or "
+                             "b_max; only harvest, costs and rates may differ")
+    costs = [(p.b_max, p.e_sense, p.e_tx) for p in points]
+    if any((pol.params.b_max, pol.params.e_sense, pol.params.e_tx) != costs[i]
+           for pol, i in zip(policies, point_of)):
+        # a policy's labels are affordable under its own params only
+        raise ParameterError("policy built for another battery size or cost")
+    return points, point_of
+
+
+def _harvest_blocks(points, point_of):
+    """(cdfs, k): the lanes run in blocks of k consecutive policies that
+    share one harvest pmf, and cdfs[r] is block r's cumulative pmf.
+
+    k is as large as the layout allows: all policies when they share one
+    pmf, and a sweep point's policies (all of its tau points' too, for a
+    q x tau grid) when points come in turn.  A slot's harvest is drawn once
+    per block and broadcast over its policies, never once per lane.
+    """
+    pmf = [points[i].energy_pmf for i in point_of]
+    k = math.gcd(len(pmf), *(i for i in range(1, len(pmf))
+                             if point_of[i] != point_of[i - 1]
+                             and pmf[i] != pmf[i - 1]))
+    return [_harvest_cdf(q) for q in pmf[::k]], k
+
+
+def run_episodes(policy, params, episodes: int, horizon: int,
                  seed: int, initial_battery: int = 0, initial_belief=None,
                  g0=None):
     """Vectorized throughput estimate over independent episodes.
 
-    `policy` is one ThresholdPolicy or a sequence of them.  For one policy
-    it returns ThroughputStats; for a sequence, a list of them in policy
-    order.  All policies run in one pass over a (policy x episode) lane
-    array and read the same uniforms, so each result equals its
-    single-policy call.  Episode e draws
-    from the (seed, e) stream, so the result is independent of how episodes
-    are batched.
+    `policy` is one ThresholdPolicy or a sequence of them.  `params` is one
+    SystemParams or a sequence with one entry per policy; the entries share
+    lambda0, lambda1 and b_max and may differ in the harvest pmf, the costs
+    and the rates, so one call runs every point of a q or tau sweep.  For
+    one policy it returns ThroughputStats; for a sequence, a list of them in
+    policy order.  All policies run in one pass over a (policy x episode)
+    lane array, a policy's lanes reading the slot outcomes and harvest pmf
+    of its own params, and every lane of episode e reads the same uniforms,
+    so each result equals its single-policy, single-params call.  Episode e
+    draws from the (seed, e) stream, so the result is independent of how
+    episodes are batched.
     """
     if horizon < 1 or episodes < 1:
         raise ValueError("episodes and horizon must be >= 1")
-    belief0, p_good0 = episode_start(params, initial_battery, initial_belief, g0)
     single = isinstance(policy, ThresholdPolicy)
     policies = [policy] if single else list(policy)
-    costs = (params.b_max, params.e_sense, params.e_tx)
-    if any((p.params.b_max, p.params.e_sense, p.params.e_tx) != costs
-           for p in policies):
-        # a policy's labels are affordable under its own params only
-        raise ParameterError("policy built for another battery size or cost")
-    n_pol, n_b = len(policies), params.b_max + 1
-    row_at, code, bits, drop, j_next, stride = _slot_tables(policies, params,
-                                                            belief0, horizon)
-    cdf = _harvest_cdf(params.energy_pmf)
+    points, point_of = _points(policies, params)
+    model = points[0]  # its channel and battery size are every lane's
+    belief0, p_good0 = episode_start(model, initial_battery, initial_belief, g0)
+    n_pol, n_b = len(policies), model.b_max + 1
+    row_at, code, bits, drop, j_next, stride = _slot_tables(
+        policies, points, point_of, belief0, horizon)
+    cdfs, k = _harvest_blocks(points, point_of)
 
     first = np.arange(n_pol) * n_b
     pb = np.repeat(first + int(initial_battery), episodes)
-    cap = np.repeat(first + params.b_max, episodes)
+    cap = np.repeat(first + model.b_max, episodes)
     j = np.zeros_like(pb)
     c, i = np.empty_like(pb), np.empty_like(pb)
-    # (policy, episode) views: a slot's channel and harvest row per episode
-    # is added to every policy's lanes by broadcasting
-    c_lanes, pb_lanes = c.reshape(n_pol, episodes), pb.reshape(n_pol, episodes)
+    # (policy, episode) and (block, policy in block, episode) views: a slot's
+    # channel row per episode is added to every lane, and its harvest row
+    # per (block, episode) to every lane of the block
+    c_lanes = c.reshape(n_pol, episodes)
+    pb_blocks = pb.reshape(len(cdfs), k, episodes)
     slot_bits = np.empty(pb.shape)
     total_bits = np.zeros(pb.shape)
 
@@ -279,12 +336,15 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
     for t0 in range(0, horizon, _CHUNK):
         u = np.stack([rng.random((min(_CHUNK, horizon - t0), 2)) for rng in rngs])
         n = u.shape[1]
-        # channel and harvest are exogenous: computed once per episode
-        path = _channel_path(chan, u[:, :, 0].T, params)
+        # channel and harvest are exogenous: computed once per episode, and
+        # the harvest once per block of lanes with one pmf
+        path = _channel_path(chan, u[:, :, 0].T, model)
         chan_c = np.vstack([chan, path[:-1]]) * stride
         chan = path[-1]  # the next chunk's first slot
-        harvest = np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
-                             params.n_arrivals - 1)
+        # (slot, block, 1, episode): broadcast over the policies of a block
+        harvest = np.stack([
+            np.minimum(np.searchsorted(cdf, u[:, :, 1].T, side="right"),
+                       len(cdf) - 1) for cdf in cdfs], axis=1)[:, :, None]
         for t in range(n):  # mode="clip": the indices are in range by construction
             row_at.take(pb, out=i, mode="clip")
             i += j
@@ -293,7 +353,7 @@ def run_episodes(policy, params: SystemParams, episodes: int, horizon: int,
             np.add(c, pb, out=i)
             total_bits += bits.take(i, out=slot_bits, mode="clip")
             drop.take(i, out=pb, mode="clip")
-            pb_lanes += harvest[t]
+            pb_blocks += harvest[t]
             np.minimum(pb, cap, out=pb)
             np.add(c, j, out=i)
             j_next.take(i, out=j, mode="clip")

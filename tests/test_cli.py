@@ -350,9 +350,56 @@ SWEPT_DIGESTS = {
 }
 
 
+# The tau sweeps need a sensing cost that tau * e_tx keeps integral (e_tx
+# 10), and a shorter search keeps their runs short.
+TAU_CASE = {"model": dict(small_config()["model"], b_max=20, e_tx=10,
+                          e_sense=2, energy_pmf={0: 0.5, 10: 0.5}),
+            "search": {"horizon": 300, "max_passes": 1}}
+TAU_DIGESTS = {
+    "regions_tau0.2.csv": "2c15bb7d1985a3a3fa80b9d32af049b3eca777a316d689e9710f352522e94015",
+    "regions_tau0.3.csv": "1e315a7e443a9f257001ee5ce887783fcb380b1988dc16b875b4a49e83a7a4cc",
+    "search_log_tau0.2.csv": "dc50ca9be060e1a0bd58c3dafeac65355b8d4a111ff2f993b58c85f8cf04c2da",
+    "search_log_tau0.3.csv": "2199ced7a71d9f2620601e9ee40e8ff7441153f91d25e4c96b6ab29fa6b3fda6",
+    "search_thresholds_tau0.2.txt": "362c88de00df91d13997c1753ed49d575132443d930bab50e6ba454677d08a61",
+    "search_thresholds_tau0.3.txt": "a69a32855cf0eedcf7f9b48fd30b8f5d905b0109588b718a98a657f6fb20a8ce",
+    "search_throughput.csv": "d1a58dcffeca6f126170955b112e71e32cd8485f6b203a5b1c78f556c7387c74",
+    "thresholds_tau0.2.txt": "3fcd1e6b3d48cd769c18b6184ff7896e76936a7cfefd4b87ab954eeb71429700",
+    "thresholds_tau0.3.txt": "bd691c5d5b58a279e69715b074d97e4a086b7b61ee629b6198002cbb77f77cec",
+    "throughput.csv": "f735802829913e764a2b8bf49afad366648bedfadabb9266521fbf3904f687a3",
+    "values_tau0.2.csv": "58a2f1572b073088aa85865d5877941184ae2e8cac348913bbe1bca20aade6df",
+    "values_tau0.3.csv": "1661d288dd988b01fc77d6d8155f33bd66a437e4f65a476e606aa4b46f0d9b0c",
+}
+Q_TAU_DIGESTS = {
+    "regions_q0.2_tau0.2.csv": "3bcba91faec6c13cf439ad038bba5d5c764b29efe85eaed83727bd20347aad48",
+    "regions_q0.2_tau0.3.csv": "2f1a5e86f479a4b4d20e358dde096a975ae95ce0d5cc6ba1f1ff6a13a1f2838d",
+    "regions_q0.6_tau0.2.csv": "60d3ead9f7a3363e13793aa95a735a1fa5b7a96c32f139cc8cf3bb0d0c91bcbe",
+    "regions_q0.6_tau0.3.csv": "0c2291de33b6f9b176e32051a9578a3e3c91a6da2e1d31887a9e660e871f3104",
+    "search_log_q0.2_tau0.2.csv": "d09ec1ac87d9d6f9ac142291e54d676f6093af6bfaf4b6a61e11d18d07b4ecb2",
+    "search_log_q0.2_tau0.3.csv": "abe91af5f0a23f8f3171ac5beacd57a45a2c6696ec9b4129b8f8ebc55855de04",
+    "search_log_q0.6_tau0.2.csv": "9c1b9b2e84c1c87497418cca611a5e81026bcb1455d4f32aa3dd828de4798632",
+    "search_log_q0.6_tau0.3.csv": "f96d1d85e8c18f939279a71b3728944d6a2532ce68094207252138b990b44abd",
+    "search_thresholds_q0.2_tau0.2.txt": "8a6effcbce4aea7c59d13dfd053ea8e8ef13ce5b61b17b19e4327cac453a24e8",
+    "search_thresholds_q0.2_tau0.3.txt": "c13a1becf70f4859acd0531efa5ddb2ac0620e8b1f2a1cf9ba2606d7ca744238",
+    "search_thresholds_q0.6_tau0.2.txt": "0fb926748af787b87c61a9415d9e952f84333ed8852f55559f06f202269ffb2b",
+    "search_thresholds_q0.6_tau0.3.txt": "b6825b8d6e86e2aae8ecf2aefbc885fd4243ef00854f7899f767b26c1b542590",
+    "search_throughput.csv": "10200a7c5b0f1c8a0874bde919893cfa8d4a5ac8e023001dc4afb7add94368dd",
+    "thresholds_q0.2_tau0.2.txt": "9d3801c3946febe1588f9a60d0c7839d0d709988a779b73db159d0693ebd6c95",
+    "thresholds_q0.2_tau0.3.txt": "a4308e38b949a71b8e8da238257078a8a186b65e5e95c9710ac467aa5fff72da",
+    "thresholds_q0.6_tau0.2.txt": "c7b02fe06d4200a8bb9ae207a7210c8c6cd15338b7b17ea4d4dd7f857a81db23",
+    "thresholds_q0.6_tau0.3.txt": "223837897773ebd16787ef66314d5759a4706fad611593fe7265fdb0cc9369a8",
+    "throughput.csv": "2dee57f8192e0230769cc43aecb5b2eb0eb028602d7d5c409fe13f07dd861bda",
+    "values_q0.2_tau0.2.csv": "ec9e95e26ee43131fa4f17a6d6cc59c01b92f7980c344ae3c300d62a28aeb370",
+    "values_q0.2_tau0.3.csv": "dd902b2a8f8c1f9a18a70a35d8a2d2371f0c94ae0bfbd121c8c533a7c10ac172",
+    "values_q0.6_tau0.2.csv": "619e8a4b62d5171f3342ab8902879f847aa3e9be7bfb7574e406cb29d938a6b0",
+    "values_q0.6_tau0.3.csv": "855d9f610d015edbf12c63cd1ef5e14449f4875620aac78a54c4a5461c8f1304",
+}
+
+
 @pytest.mark.parametrize("overrides, digests", [
     ({}, ARTIFACT_DIGESTS),
-    ({"sweep": {"q": [0.2, 0.6]}}, SWEPT_DIGESTS)], ids=["single", "swept"])
+    ({"sweep": {"q": [0.2, 0.6]}}, SWEPT_DIGESTS),
+    (dict(TAU_CASE, sweep={"tau": [0.2, 0.3]}), TAU_DIGESTS),
+    (dict(TAU_CASE, sweep={"q": [0.2, 0.6], "tau": [0.2, 0.3]}), Q_TAU_DIGESTS)], ids=["single", "swept", "tau_swept", "q_tau_swept"])
 def test_artifact_bytes_are_pinned(tmp_path, overrides, digests):
     path = write_config(tmp_path, small_config(**overrides))
     out = tmp_path / "out"

@@ -14,7 +14,7 @@ from ehsense import (Action, BeliefGrid, InfeasibleActionError, ParameterError,
                      extract_policy, encode_rows)
 from ehsense import cli
 from ehsense.policies import PolicyRow, ThresholdPolicy
-from ehsense.simulate import _CHUNK, _channel_path, _slot_tables
+from ehsense.simulate import _CHUNK, _channel_path, _points, _slot_tables
 from conftest import two_point_pmf
 from test_cli import small_config, write_config
 
@@ -267,7 +267,8 @@ class TestBatchedLanes:
         assert all(c is not r for c, r in zip(copy.rows, incumbent.rows))
         pols = [incumbent, *trials, copy]
 
-        row_at = _slot_tables(pols, p, stationary_belief(p), 600)[0]
+        row_at = _slot_tables(pols, *_points(pols, p), stationary_belief(p),
+                              600)[0]
         row_at = row_at.reshape(len(pols), p.b_max + 1)
         assert np.array_equal(row_at[-1], row_at[0])  # one block per value
         for (b, row), at in zip(moved, row_at[1:-1]):
@@ -410,16 +411,91 @@ class TestBatchedLanes:
         with pytest.raises(ParameterError):
             run_trace(pol, region_params, 10, seed=0, **start)
 
-    def test_cmd_simulate_makes_one_call_per_sweep_point(self, tmp_path,
-                                                          monkeypatch):
+    def test_cmd_simulate_makes_one_call_for_every_sweep_point(self, tmp_path,
+                                                               monkeypatch):
         calls = []
 
-        def counting(policy, *args, **kwargs):
-            calls.append(len(policy))
-            return run_episodes(policy, *args, **kwargs)
+        def counting(policy, params, *args, **kwargs):
+            calls.append((len(policy), len(params)))
+            return run_episodes(policy, params, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_episodes", counting)
         path = write_config(tmp_path, small_config(sweep={"q": [0.2, 0.6]}))
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(tmp_path / "sim"), "--quiet"]) == 0
-        assert calls == [4, 4]
+        assert calls == [(8, 8)]  # 2 points x 4 policies, one params each
+
+
+def sweep(p, grid, axis):
+    """(params, policies) per point of a q, tau or q x tau sweep of `p`."""
+    qs = (0.1, 0.5, 0.9) if "q" in axis else (None,)
+    costs = (1, 2, 5) if "tau" in axis else (None,)
+    points = []
+    for q in qs:
+        for e_sense in costs:
+            pt = p if q is None else p.with_harvest(q)
+            pt = pt if e_sense is None else pt.replace(e_sense=e_sense)
+            points.append((pt, [greedy_policy(pt), opportunistic_policy(pt),
+                                encode_rows(extract_policy(
+                                    value_iteration(pt, grid)))]))
+    return points
+
+
+class TestSweepPointLanes:
+    KW = dict(initial_battery=30, initial_belief=0.4, g0=0.7)
+
+    @pytest.mark.parametrize("axis", ["q", "tau", "q_tau"])
+    def test_one_call_equals_a_call_per_point(self, region_params, coarse_grid,
+                                              axis):
+        points = sweep(region_params, coarse_grid, axis)
+        want = [s for pt, pols in points
+                for s in run_episodes(pols, pt, 4, 700, seed=5, **self.KW)]
+        got = run_episodes([pol for _, pols in points for pol in pols],
+                           [pt for pt, pols in points for _ in pols],
+                           4, 700, seed=5, **self.KW)
+        assert got == want
+        assert len({s.mean_bits_per_slot for s in got}) > len(got) // 2
+
+    def test_points_with_unequal_policy_counts(self, region_params,
+                                               coarse_grid):
+        # pmf runs of 3, 1 and 2 policies: harvest blocks of one policy
+        (a, pa), (b, pb), (c, pc) = sweep(region_params, coarse_grid, "q")
+        pols, params = pa + pb[:1] + pc[:2], [a] * 3 + [b] + [c] * 2
+        got = run_episodes(pols, params, 1, 600, seed=2, **self.KW)
+        for pol, pt, s in zip(pols, params, got):
+            assert s.mean_bits_per_slot == lane_total(pol, pt, 600, 2,
+                                                      **self.KW) / 600
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda0", 0.5), ("lambda1", 0.95), ("b_max", 60), ("e_sense", 1),
+        ("e_tx", 12)])
+    def test_entry_for_another_model_is_rejected(self, region_params, field,
+                                                 value):
+        p = region_params
+        other = p.replace(**{field: value})
+        with pytest.raises(ParameterError):  # the policy was built for p
+            run_episodes([greedy_policy(p)] * 2, [p, other], 2, 10, seed=0)
+        own = [greedy_policy(p), greedy_policy(other)]
+        if field in ("e_sense", "e_tx"):  # a cost sweep: each lane its own
+            run_episodes(own, [p, other], 2, 10, seed=0)
+        else:  # the channel and the battery size are shared by every lane
+            with pytest.raises(ParameterError):
+                run_episodes(own, [p, other], 2, 10, seed=0)
+
+    def test_one_entry_per_policy(self, region_params):
+        with pytest.raises(ParameterError):
+            run_episodes([greedy_policy(region_params)] * 2, [region_params],
+                         2, 10, seed=0)
+
+    def test_memory_of_five_points_does_not_grow_with_the_horizon(
+            self, region_params):
+        points = [region_params.with_harvest(q) for q in (0.1, 0.3, 0.5, 0.7,
+                                                          0.9)]
+        tracemalloc.start()
+        try:
+            run_episodes([opportunistic_policy(p) for p in points], points,
+                         30, 100_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # the harvest is one row per pmf, not per lane
