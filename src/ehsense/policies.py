@@ -68,7 +68,8 @@ class PolicyRow:
     """One battery level's action intervals.
 
     Interval i covers [t_i, t_{i+1}) with t_0 = 0 and t_k = 1; the last
-    interval is closed at 1.  `breakpoints` holds the interior t's.
+    interval is closed at 1.  `breakpoints` holds the interior t's.  The
+    hash is computed once per row: the simulator keys its tables by row.
     """
 
     breakpoints: tuple
@@ -86,6 +87,10 @@ class PolicyRow:
             raise ParameterError("adjacent intervals must have distinct labels")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "labels", tuple(Action(a) for a in self.labels))
+        object.__setattr__(self, "_hash", hash((bp, self.labels)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def action_at(self, p: float) -> Action:
         return self.labels[int(np.searchsorted(self.breakpoints, p, side="right"))]

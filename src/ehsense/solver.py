@@ -1,18 +1,18 @@
 """Value iteration over the (battery, belief) grid.
 
 The Bellman operator is precomputed into gather indices and interpolation
-weights so one sweep is a handful of vectorized array operations.  The
-scalar `backup` is the readable reference the vectorized path is tested
-against.  Both read each action's slot outcome (bits, energy debit, whether
-the channel is revealed) from `model.slot_outcomes`; only
-`oracle.exact_finite_horizon` restates it, to stay independent.
+weights, stacked over all actions, so one sweep is a handful of vectorized
+array operations.  The scalar `backup` is the readable reference the
+vectorized path is tested against.  Both read each action's slot outcome
+(bits, energy debit, whether the channel is revealed) from
+`model.slot_outcomes`; only `oracle.exact_finite_horizon` restates it, to
+stay independent.
 
 A backup of belief column j reads only the interpolation bracket of
 f(p_j) and the two reset columns, so `value_iteration` iterates only the
 core: the columns closed under those reads (`BellmanOperator.depths`),
-usually a few dozen of the grid's.  Every other column is then backed up
-once, after all the columns it reads are final.  Each backup reads the one
-full value table and returns fresh arrays over the columns asked for.
+usually a few dozen of the grid's, held as one compact array.  Every other
+column is then backed up once, after all the columns it reads are final.
 """
 from __future__ import annotations
 
@@ -79,12 +79,14 @@ class BellmanOperator:
 
     The slot semantics come from `model.slot_outcomes`: at construction each
     allowed action is planned as the battery blocks where it is feasible,
-    one per can-transmit value, and `backups` evaluates that plan.  `step`
-    (max over actions) and `q_tables` (per-action values) are both built
-    from it.  `allowed` restricts the action set (used by the no-sensing
-    baseline); by default it is the model's own action set.  `backups` and
-    `step` read the whole value table and return only the belief columns
-    `cols` (all of them by default).
+    one per can-transmit value, and the blocks are stacked into one row set
+    of non-revealing actions and one of revealing ones (`_stack`).
+    `compile` fixes that plan on a set of belief columns; `step` (max over
+    actions) and `q_tables` (per-action values) both evaluate it.  `allowed`
+    restricts the action set (used by the no-sensing baseline); by default
+    it is the model's own action set.  `step` reads the whole value table
+    and returns a fresh array over the belief columns `cols` (all of them by
+    default).
     """
 
     def __init__(self, params: SystemParams, grid: BeliefGrid, allowed=None):
@@ -111,14 +113,37 @@ class BellmanOperator:
         # read at the nearest grid point so repeated resets stay exact
         self._i0 = grid.nearest_index(params.lambda0)
         self._i1 = grid.nearest_index(params.lambda1)
-        self._plan = []  # (action, rows, SlotOutcomes.legs, reveals)
+        blocks = []  # (action, batteries, SlotOutcomes.legs, reveals)
         for a in self.actions:
             for can_tx, band in ((0, b[:params.e_tx]), (1, b[params.e_tx:])):
                 ok = [i for i in band if a in feasible_actions(i, params)]
                 if ok:
-                    self._plan.append((a, slice(ok[0], ok[-1] + 1),
-                                       outcomes.legs(a, can_tx),
-                                       bool(outcomes.reveals[a])))
+                    blocks.append((a, b[ok[0]:ok[-1] + 1], outcomes.legs(a, can_tx),
+                                   bool(outcomes.reveals[a])))
+        self._plan = self._stack(blocks)
+
+    def _stack(self, blocks) -> tuple:
+        """The (non-revealing, revealing) row sets of plan blocks (slot,
+        batteries, legs, reveals), None for a kind without blocks.
+
+        A set is (dest, nxt, bits): row n backs up frame row dest[n] =
+        slot * (b_max + 1) + battery, reads nxt[s, n] after harvest level s
+        and adds bits[n].  A non-revealing row is its BAD leg, read in the
+        table interpolated at the propagated belief.  A revealing set holds
+        the BAD legs of its rows, then their GOOD legs, read at flat
+        (battery, leg) indices of the pair of reset columns."""
+        n = self.params.b_max + 1
+        kinds = []
+        for reveals, sides in ((False, (0,)), (True, (0, 1))):
+            kind = [(s, bats, legs) for s, bats, legs, r in blocks if r == reveals]
+            kinds.append((
+                np.concatenate([s * n + bats for s, bats, _ in kind]),
+                np.hstack([self._idx[legs[g][1]][bats].T * len(sides) + g
+                           for g in sides for _, bats, legs in kind]),
+                np.hstack([np.full(len(bats), legs[g][0])
+                           for g in sides for _, bats, legs in kind]))
+                         if kind else None)
+        return tuple(kinds)
 
     def depths(self) -> np.ndarray:
         """Each belief column's depth: 0 on the core, else 1 + the largest
@@ -154,61 +179,119 @@ class BellmanOperator:
                 nxt = nxt[nxt]
             seeds = np.unique(nxt[todo])
 
-    def _expect(self, values, idx) -> np.ndarray:
-        """Harvest-averaged next values; idx[:, s] holds the next rows after
-        harvest level s."""
-        out = self._probs[0] * values[idx[:, 0]]
-        for s in range(1, len(self._probs)):
-            out += self._probs[s] * values[idx[:, s]]
-        return out
-
-    def backups(self, values: np.ndarray, cols=slice(None), plan=None):
-        """Yield (action, rows, Q-values on those rows) per planned block, a
-        fresh array over the belief columns `cols` of the full table `values`.
-
-        A revealing action backs up p * (good bits + continuation at
-        lambda1) + (1 - p) * (bad bits + continuation at lambda0); any
-        other action its bits plus the continuation at the propagated
-        belief.  `plan` defaults to the operator's own.
-        """
-        beta = self.params.beta
-        p = self.grid.points[cols]
-        lo, w = self._j_lo[cols], self._j_w[cols]
-        vj = values[:, lo] * (1.0 - w) + values[:, lo + 1] * w
-        revealed = (values[:, self._i0], values[:, self._i1])  # BAD, GOOD
-        conts = {}
-
-        def cont(good: int, debit: int) -> np.ndarray:
-            if (good, debit) not in conts:
-                conts[good, debit] = beta * self._expect(
-                    revealed[good], self._idx[debit])[:, None]
-            return conts[good, debit]
-
-        for a, rows, legs, reveals in plan or self._plan:
-            (bits_bad, debit_bad), (bits_good, debit_good) = legs
-            if reveals:
-                q = p * (bits_good + cont(1, debit_good)[rows])
-                q += (1.0 - p) * (bits_bad + cont(0, debit_bad)[rows])
-            else:
-                q = self._expect(vj, self._idx[debit_bad][rows])
-                q *= beta
-                q += bits_bad
-            yield a, rows, q
+    def compile(self, cols=slice(None), at=None) -> "_Sweep":
+        """The plan compiled on the belief columns `cols`, reading a table
+        whose column k holds grid column at[k] (the full grid by default)."""
+        return _Sweep(self, self._plan, len(Action), cols, at)
 
     def q_tables(self, values: np.ndarray) -> np.ndarray:
         """Backups of `values` as one [action, battery, belief] array; NaN
         where the action is infeasible or not allowed."""
-        q = np.full((len(Action),) + values.shape, np.nan)
-        for a, rows, qa in self.backups(values):
-            q[a, rows] = qa
-        return q
+        return self.compile().frame(values)
 
     def step(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Max over the feasible action backups on the belief columns `cols`,
         without q_tables' NaN frames."""
-        out = np.full((len(values), self.grid.points[cols].size), -np.inf)
-        for _, rows, q in self.backups(values, cols):
-            np.maximum(out[rows], q, out=out[rows])
+        return self.compile(cols).step(values)
+
+
+# belief columns per chunk of a `_Sweep`: wide enough that a core (a few
+# dozen columns) is one chunk and numpy's per-row cost is spread over many
+# columns, narrow enough that a big grid's work arrays stay a few MB
+_CHUNK_COLUMNS = 64
+
+
+class _Sweep:
+    """A stacked plan compiled on fixed belief columns.
+
+    Backups read a table whose column k holds grid column at[k], so
+    value_iteration can iterate its compact core (closed, so its reads stay
+    inside).  Columns go in chunks of at most _CHUNK_COLUMNS.  Each
+    element is computed in the order of the scalar recursion
+    (interpolated values, the harvest sum left to right, times beta, plus
+    the bits), so every path gives the same bits.  Plan row dest lands on
+    row dest of a [slot * battery, column] frame: NaN where no row writes
+    for `frame`, -inf for `step`'s max.
+    """
+
+    def __init__(self, op: BellmanOperator, plan, slots: int, cols=slice(None),
+                 at=None):
+        res = op.grid.resolution
+        cols = np.arange(res)[cols]
+        at = np.arange(res) if at is None else np.asarray(at)
+        pos = np.full(res, -1)
+        pos[at] = np.arange(len(at))
+        self._lo, self._hi = pos[op._j_lo[cols]], pos[op._j_lo[cols] + 1]
+        self._reset = pos[[op._i0, op._i1]]  # BAD, GOOD
+        if (np.concatenate([self._lo, self._hi, self._reset]) < 0).any():
+            raise ValueError("a backup reads a column outside the table")
+        self._w, self._p = op._j_w[cols], op.grid.points[cols]
+        self._omw, self._omp = 1.0 - self._w, 1.0 - self._p
+        self._beta, self._probs, self._plan = op.params.beta, op._probs, plan
+        self._shape = (slots, op.params.b_max + 1, len(cols))
+        width = max(1, min(len(cols), _CHUNK_COLUMNS))
+        self._chunks = [slice(k, min(k + width, len(cols)))
+                        for k in range(0, len(cols), width)]
+        # arrays of one chunk, reused by every chunk and call, so a sweep
+        # allocates nothing big (fresh ones cost hundreds of minor page
+        # faults a sweep on the 801-row grid); every chunk writes the same
+        # rows of step's frame, so the rest stay -inf
+        nonrev, rev = plan
+        self._terms = np.empty((len(self._probs), len(nonrev[0]) if nonrev else 0,
+                                width))
+        self._legs = np.empty((2, len(rev[0]) if rev else 0, width))
+        self._buf = np.full((slots * self._shape[1], width), -np.inf)
+
+    def _rows(self, values, cols: slice) -> list:
+        """(dest, backups) of each kind of stacked row on the chunk `cols`;
+        the backups are views of the work arrays, valid until the next call."""
+        nonrev, rev = self._plan
+        width = cols.stop - cols.start
+        out = []
+        if nonrev:
+            dest, nxt, bits = nonrev
+            vj = (values[:, self._lo[cols]] * self._omw[cols]
+                  + values[:, self._hi[cols]] * self._w[cols])
+            terms = self._terms[:, :, :width]
+            np.take(vj, nxt, axis=0, out=terms, mode="clip")  # in range
+            for term, prob in zip(terms, self._probs):
+                term *= prob
+            q = terms[0]
+            for term in terms[1:]:
+                q += term
+            q *= self._beta
+            q += bits[:, None]
+            out.append((dest, q))
+        if rev:
+            dest, nxt, bits = rev
+            e = values[:, self._reset].ravel()[nxt] * self._probs[:, None]
+            bad, good = (sum(e[1:], e[0]) * self._beta + bits).reshape(2, -1)
+            q, q_bad = self._legs[:, :, :width]
+            np.multiply.outer(good, self._p[cols], out=q)
+            q += np.multiply.outer(bad, self._omp[cols], out=q_bad)
+            out.append((dest, q))
+        return out
+
+    def frame(self, values: np.ndarray) -> np.ndarray:
+        """A fresh [slot, battery, column] array of the backups of `values`,
+        NaN where no row writes."""
+        out = np.full(self._shape, np.nan)
+        flat = out.reshape(-1, self._shape[2])
+        for cols in self._chunks:
+            for dest, q in self._rows(values, cols):
+                flat[dest, cols] = q
+        return out
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        """A fresh [battery, column] array of the max over the backups of
+        `values`."""
+        slots, n, _ = self._shape
+        out = np.empty(self._shape[1:])
+        for cols in self._chunks:
+            buf = self._buf[:, :cols.stop - cols.start]
+            for dest, q in self._rows(values, cols):
+                buf[dest] = q
+            buf.reshape(slots, n, -1).max(axis=0, out=out[:, cols])
         return out
 
 
@@ -269,10 +352,11 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     is small, then back up every other belief column once.
 
     The core (`BellmanOperator.depths`) is closed under the operator, so it
-    is a beta-discounted problem of its own.  One (b_max + 1) x resolution
-    table holds the iterate, and each sweep overwrites its core columns.
-    `v_init`, of that shape, warm-starts the run (else it starts from zero:
-    monotone iterates) and is read only on the core.  With change
+    is a beta-discounted problem of its own.  The iterate is one compact
+    (b_max + 1) x |core| array, swept by the operator compiled on the core
+    (`BellmanOperator.compile`).  `v_init`, of shape (b_max + 1) x
+    resolution, warm-starts the run (else it starts from zero: monotone
+    iterates) and is read only on the core.  With change
     D = V_n - V_{n-1} on the core cells, the MacQueen bounds
     V_n + c * min D <= V* <= V_n + c * max D, c = beta / (1 - beta), hold
     after every sweep (Puterman 1994, 6.6.3).  The run stops once
@@ -306,12 +390,14 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     op = BellmanOperator(params, grid, allowed=allowed)
     depth = op.depths()
     core = np.flatnonzero(depth == 0)
+    sweep = op.compile(core, at=core)
+    v = values[:, core]
     limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
     for sweeps in range(1, max_iter + 1):
-        new = op.step(values, core)
-        change = new - values[:, core]
+        new = sweep.step(v)
+        change = new - v
         hi, lo = float(change.max()), float(change.min())
-        values[:, core] = new
+        v = new
         if hi - lo <= limit:
             break
     else:
@@ -331,15 +417,18 @@ def sense_defer_on_good_backups(table: ValueTable):
     """Sensing backups and their defer-after-GOOD variants on a converged table.
 
     Returns (q_sense_defer, q_sense_transmit, q_defer_on_good,
-    q_transmit_low_on_bad_defer_on_good), each over batteries >= e_tx on the
-    full grid.  The variants bank the transmission energy even when the
-    sensed state is GOOD (0 bits, a debit of e_sense on the GOOD leg); they
-    are used to certify that transmitting on a revealed GOOD state dominates.
+    q_transmit_low_on_bad_defer_on_good), each a [battery, belief] array on
+    the full grid, built from the can-transmit legs, so only its rows
+    b >= e_tx are backups of a feasible action.  The variants bank the
+    transmission energy even when the sensed state is GOOD (0 bits, a debit
+    of e_sense on the GOOD leg); they are used to certify that transmitting
+    on a revealed GOOD state dominates.
     """
     params = table.params
     outcomes = slot_outcomes(params)
     legs = [outcomes.legs(a, 1) for a in (Action.SENSE_DEFER, Action.SENSE_TRANSMIT)]
     legs += [(bad, (0.0, params.e_sense)) for bad, _ in legs]
-    plan = [(None, slice(None), leg, True) for leg in legs]
     op = BellmanOperator(params, table.grid)
-    return tuple(q for _, _, q in op.backups(table.values, plan=plan))
+    b = np.arange(params.b_max + 1)
+    plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)])
+    return tuple(_Sweep(op, plan, len(legs)).frame(table.values))

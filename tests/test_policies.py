@@ -94,6 +94,16 @@ class TestThresholdEncoding:
         assert row.action_at(0.8) == Action.HIGH_RATE
         assert row.action_at(1.0) == Action.HIGH_RATE
 
+    def test_rows_equal_by_value_hash_alike(self):
+        import pickle
+        row = PolicyRow((0.4,), (Action.DEFER, Action.HIGH_RATE))
+        same = PolicyRow((np.float64(0.4),), (0, 4))
+        other = PolicyRow((0.4,), (Action.DEFER, Action.SENSE_DEFER))
+        copied = pickle.loads(pickle.dumps(row))
+        assert row == same == copied and hash(row) == hash(same) == hash(copied)
+        assert row != other
+        assert len({row: 0, same: 1, copied: 2, other: 3}) == 2
+
     def test_structure_violation_raises_with_row(self, tiny_params):
         D, O, H = int(Action.DEFER), int(Action.SENSE_DEFER), int(Action.HIGH_RATE)
         bad = [[D] * 5, [D] * 5, [H, H, D, D, H], [D] * 5, [D] * 5]

@@ -146,16 +146,31 @@ class TestBellmanStep:
                                       op.step(V))
 
     @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
-    def test_yielded_blocks_are_fresh_arrays(self, fixture, coarse_grid, request):
+    def test_step_and_q_tables_return_fresh_arrays(self, fixture, coarse_grid,
+                                                    request):
         params = request.getfixturevalue(fixture)
         op = BellmanOperator(params, coarse_grid)
         V = np.random.default_rng(6).random((params.b_max + 1, 101)) * 10
-        copied = [(a, rows, q.copy()) for a, rows, q in op.backups(V)]
-        listed = list(op.backups(V))
-        assert len(listed) == len(copied) > 1
-        for (a, rows, q), (a_, rows_, q_) in zip(copied, listed):
-            assert (a, rows) == (a_, rows_)
-            assert np.array_equal(q, q_)
+        for backup_of in (op.step, op.q_tables):
+            first, second = backup_of(V), backup_of(V)
+            assert first is not second and not np.shares_memory(first, second)
+            kept = second.copy()
+            first[...] = -1.0
+            assert np.array_equal(second, kept, equal_nan=True)
+
+    def test_column_chunks_leave_every_bit(self, tiny_two_rate, coarse_grid,
+                                           monkeypatch):
+        from ehsense import solver
+        op = BellmanOperator(tiny_two_rate, coarse_grid)
+        V = np.random.default_rng(9).random((tiny_two_rate.b_max + 1, 101)) * 10
+        cols, none = np.arange(3, 101, 7), np.array([], dtype=int)
+        whole = [op.q_tables(V), op.step(V), op.step(V, cols)]
+        assert op.step(V, none).shape == (tiny_two_rate.b_max + 1, 0)
+        monkeypatch.setattr(solver, "_CHUNK_COLUMNS", 3)
+        assert len(op.compile()._chunks) > 1
+        chunked = [op.q_tables(V), op.step(V), op.step(V, cols)]
+        for a, b in zip(whole, chunked):
+            assert a.tobytes() == b.tobytes()
 
     def test_myopic_step_from_zero(self, coarse_grid, tiny_two_rate):
         stepped = bellman_step(zero_table(tiny_two_rate, coarse_grid))
@@ -319,8 +334,60 @@ def full_grid_solve(params, grid, tol, span_tol=None):
                       bound=c * (hi - lo) / 2.0)
 
 
+def core_loop_solve(params, grid, tol, span_tol=None):
+    """value_iteration as a loop over the full table: sweeps of
+    `BellmanOperator.step` on the core columns, the same stop rule and
+    midpoint, then one step per depth layer and a final `q_tables`."""
+    op = BellmanOperator(params, grid)
+    depth = op.depths()
+    core = np.flatnonzero(depth == 0)
+    values = np.zeros((params.b_max + 1, grid.resolution))
+    limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
+    for sweeps in range(1, default_max_iter(params.beta) + 1):
+        new = op.step(values, core)
+        change = new - values[:, core]
+        hi, lo = float(change.max()), float(change.min())
+        values[:, core] = new
+        if hi - lo <= limit:
+            break
+    c = params.beta / (1.0 - params.beta)
+    values[:, core] = new + c * (hi + lo) / 2.0
+    for d in range(1, depth.max() + 1):
+        cols = np.flatnonzero(depth == d)
+        values[:, cols] = op.step(values, cols)
+    q = op.q_tables(values)
+    return np.fmax.reduce(q), q, sweeps
+
+
+def assert_is_the_core_loop(params, grid, tol, span_tol=None):
+    t = value_iteration(params, grid, tol=tol, span_tol=span_tol)
+    values, q, sweeps = core_loop_solve(params, grid, tol, span_tol)
+    assert t.iterations == sweeps
+    assert t.values.tobytes() == values.tobytes()
+    assert t.q_values.tobytes() == q.tobytes()
+
+
 class TestCore:
     """value_iteration iterates the core columns and backs up the rest once."""
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_compact_core_is_the_core_loop_bit_for_bit(self, cfg, params):
+        assert_is_the_core_loop(params, BeliefGrid.from_resolution(cfg.grid_resolution),
+                                cfg.tol, cfg.span_tol)
+
+    @pytest.mark.parametrize("lambdas", [(0.0, 1.0), (1.0, 0.0), (0.0005, 0.9995)])
+    def test_whole_grid_core_is_the_core_loop_bit_for_bit(self, lambdas, tiny_two_rate,
+                                                          coarse_grid):
+        params = tiny_two_rate.replace(lambda0=lambdas[0], lambda1=lambdas[1])
+        assert_is_the_core_loop(params, coarse_grid, 1e-9)
+
+    def test_compiled_columns_must_be_closed(self, tiny_two_rate, coarse_grid):
+        op = BellmanOperator(tiny_two_rate, coarse_grid)
+        core = np.flatnonzero(op.depths() == 0)
+        op.compile(core, at=core)
+        rest = np.flatnonzero(op.depths() > 0)
+        with pytest.raises(ValueError, match="outside the table"):
+            op.compile(rest, at=rest)
 
     @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
     def test_core_is_closed_and_the_rest_reads_shallower(self, cfg, params):
