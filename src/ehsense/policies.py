@@ -112,8 +112,11 @@ class ThresholdPolicy:
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.params.b_max + 1:
             raise ParameterError("need one row per battery level")
+        # feasibility changes only at e_sense and e_tx: one set per band
+        e_sense, e_tx = self.params.e_sense, self.params.e_tx
+        bands = [feasible_actions(b, self.params) for b in (0, e_sense, e_tx)]
         for b, row in enumerate(rows):
-            ok = feasible_actions(b, self.params)
+            ok = bands[(b >= e_sense) + (b >= e_tx)]
             for a in row.labels:
                 if a not in ok:
                     raise ParameterError(f"label {a.code} infeasible at battery {b}")

@@ -105,7 +105,7 @@ class BellmanOperator:
         self._idx = {
             debit: np.minimum(b[:, None] + arrivals[None, :] - debit,
                               params.b_max).clip(min=0)
-            for debit in map(int, np.unique(outcomes.debit))
+            for debit in set(outcomes.debit.ravel().tolist())
         }
         j_of = belief_update_no_obs(grid.points, params)
         self._j_lo, self._j_w = grid.locate(j_of)
@@ -161,8 +161,9 @@ class BellmanOperator:
         while True:
             while seeds.size:
                 core[seeds] = True
-                seeds = np.union1d(lo[seeds], hi[seeds])
-                seeds = seeds[~core[seeds]]
+                read = np.zeros_like(core)
+                read[lo[seeds]] = read[hi[seeds]] = True
+                seeds = np.flatnonzero(read & ~core)
             depth = np.where(core, 0, -1)
             while True:
                 todo = depth < 0
@@ -177,7 +178,7 @@ class BellmanOperator:
             nxt = np.where(todo[lo], lo, hi)
             for _ in range(self.grid.resolution.bit_length()):
                 nxt = nxt[nxt]
-            seeds = np.unique(nxt[todo])
+            seeds = nxt[todo]
 
     def compile(self, cols=slice(None), at=None) -> "_Sweep":
         """The plan compiled on the belief columns `cols`, reading a table

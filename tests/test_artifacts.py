@@ -87,3 +87,36 @@ def test_workers_never_outnumber_tasks(monkeypatch):
     monkeypatch.setattr(artifacts.os, "sched_getaffinity",
                         lambda pid: set(range(64)), raising=False)
     assert artifacts._workers(10**9, 3 * artifacts._TASK_ROWS) == 3
+
+
+def test_first_column_reuses_only_bit_equal_texts(tmp_path, path_taken):
+    rng = np.random.default_rng(7)
+    shape = (20, 37)
+    later = [rng.normal(size=shape) for _ in range(3)]
+    later[1][rng.random(shape) < 0.3] = np.nan
+    later[2][:, ::5] = 0.0
+    first = rng.normal(size=shape)
+    pick = rng.integers(0, 4, size=shape)  # 3: no later column matches
+    for k in range(3):
+        first[pick == k] = later[k][pick == k]
+    first[:, ::5][pick[:, ::5] == 3] = -0.0  # against 0.0 in later[2]
+    nan_payload = np.array(0x7FF8000000000123, dtype=np.int64).view(np.float64)
+    first[3, :4] = nan_payload  # NaN against a NaN or a number
+    later[1][3, :2] = np.nan
+    assert (np.signbit(first) & (first == 0.0)).any()
+    columns = [first] + later
+    assert_same_bytes(tmp_path, ["battery", "belief", "first", "a", "b", "c"],
+                      np.linspace(0.0, 1.0, 37), columns)
+
+
+@pytest.mark.parametrize("dtype, low, high", [
+    (np.int8, -7, 4), (np.int8, -128, 127), (np.int16, -300, 400),
+    (np.int64, -2**63, -2**63 + 5), (np.uint64, 2**64 - 6, 2**64 - 1)])
+def test_integer_code_ranges(tmp_path, path_taken, monkeypatch, dtype, low, high):
+    if path_taken == "fan-out":  # a table without float cells, too
+        monkeypatch.setattr(artifacts, "_FANOUT_MIN_FLOAT_CELLS", 0)
+    codes = np.random.default_rng(5).integers(low, high, size=(18, 41),
+                                              dtype=dtype, endpoint=True)
+    codes[0, :2] = low, high
+    assert_same_bytes(tmp_path, ["battery", "belief", "action"],
+                      np.linspace(0.0, 1.0, 41), [codes])

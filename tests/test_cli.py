@@ -1,10 +1,14 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import ehsense
 from ehsense import BeliefGrid, compare_with_solver
 from ehsense.cli import main
 from ehsense.config import ConfigError, load_config, parse_config
@@ -439,3 +443,24 @@ def test_two_rate_artifact_bytes_are_pinned(tmp_path):
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
            for f in out.iterdir()}
     assert got == TWO_RATE_DIGESTS
+
+
+@pytest.mark.parametrize("command, search", [
+    ("solve", {}), ("simulate", {}), ("verify", {}),
+    ("search", {"episodes": 2, "horizon": 150, "max_passes": 1}),
+    ("search", {"episodes": 2, "horizon": 150, "max_passes": 1,
+                "candidates": [0.8, 0.3, 0.5, 0.3]})],
+    ids=["solve", "simulate", "verify", "search", "search_candidates"])
+def test_commands_do_not_import_numpy_ma(tmp_path, command, search):
+    # np.unique and np.union1d import numpy.ma (about 15 ms and 1 MB)
+    path = write_config(tmp_path, small_config(search=search))
+    code = ("import sys; from ehsense.cli import main; "
+            f"main([{command!r}, '--config', {str(path)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}, '--quiet']); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(ehsense.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
