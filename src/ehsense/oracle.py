@@ -77,11 +77,14 @@ def exact_finite_horizon(params: SystemParams, b0: int, p0: float, n: int) -> fl
 
 @dataclass
 class OracleResult:
-    """Comparison of exact finite-horizon values against solver truncations."""
+    """Comparison of exact finite-horizon values against solver truncations;
+    `passed` iff the gap is within `bound` = 10 * grid step * n * r_high."""
 
     horizon: int
     values: dict = field(repr=False)                # (battery, belief) -> exact value
     max_abs_gap_vs_solver: float = float("nan")
+    bound: float = float("nan")
+    passed: bool = False
 
 
 def compare_with_solver(params: SystemParams, grid, n: int) -> OracleResult:
@@ -94,20 +97,18 @@ def compare_with_solver(params: SystemParams, grid, n: int) -> OracleResult:
     from .solver import BellmanOperator
     from .belief import reachable_beliefs, stationary_belief
 
-    beliefs = reachable_beliefs(stationary_belief(params), n, params)
+    beliefs = reachable_beliefs(stationary_belief(params), n, params).tolist()
     op = BellmanOperator(params, grid)
     values = np.zeros((params.b_max + 1, grid.resolution))
     for _ in range(n):
         values = op.step(values)
     induced = _exact_values(params, beliefs, n)  # one induction for every query
-    exact = {}
-    gap = 0.0
-    for b in range(params.b_max + 1):
-        for p in beliefs:
-            v = float(induced[float(p)][b])
-            exact[(b, float(p))] = v
-            gap = max(gap, abs(v - float(grid.interp(values[b], float(p)))))
-    return OracleResult(horizon=n, values=exact, max_abs_gap_vs_solver=gap)
+    exact = np.stack([induced[p] for p in beliefs], axis=1)  # (battery, belief)
+    gap = float(np.max(np.abs(exact - grid.interp(values, np.array(beliefs)))))
+    bound = 10 * grid.step * n * params.r_high
+    return OracleResult(n, {(b, p): v for b, row in enumerate(exact.tolist())
+                            for p, v in zip(beliefs, row)},
+                        gap, bound, gap <= bound)
 
 
 @dataclass
@@ -128,9 +129,15 @@ class CheckReport:
         return f"{status} {self.name}: worst={self.worst_value:.3e}{loc}{extra}"
 
 
-def _argmin_state(metric: np.ndarray, batteries, points) -> tuple:
-    i, j = np.unravel_index(np.argmin(metric), metric.shape)
-    return (int(batteries[i]), float(points[j]))
+def _margin(name: str, margin: np.ndarray, floor: float, batteries, points,
+            detail: str = "") -> CheckReport:
+    """The check `name` passes iff min(margin) >= floor; the report carries
+    that minimum at the (battery, belief) of its first occurrence, with
+    margin[i, j] read at (batteries[i], points[j])."""
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    worst = float(margin[i, j])
+    return CheckReport(name, worst >= floor, worst,
+                       (int(batteries[i]), float(points[j])), detail)
 
 
 def check_value_structure(table) -> list:
@@ -144,54 +151,36 @@ def check_value_structure(table) -> list:
     battery_gap_bound         V(b + e_tx - e_sense, p) - V(b, p) stays below
                               (1 - tau) * r_high for all b >= 1
     """
-    params, grid, V = table.params, table.grid, table.values
-    pts = grid.points
+    params, V = table.params, table.values
+    pts = table.grid.points
     bats = np.arange(params.b_max + 1)
-    reports = []
-
-    d2 = V[:, :-2] - 2.0 * V[:, 1:-1] + V[:, 2:]
     tol = 1e-6 * params.r_high
-    reports.append(CheckReport(
-        "convexity_in_belief", bool(np.min(d2) >= -tol), float(np.min(d2)),
-        _argmin_state(d2, bats, pts[1:-1]), f"tolerance {-tol:.1e}"))
-
-    db = V[1:] - V[:-1]
-    reports.append(CheckReport(
-        "monotone_in_battery", bool(np.min(db) >= -1e-9), float(np.min(db)),
-        _argmin_state(db, bats[1:], pts)))
-
+    reports = [
+        _margin("convexity_in_belief", V[:, :-2] - 2.0 * V[:, 1:-1] + V[:, 2:],
+                -tol, bats, pts[1:-1], f"tolerance {-tol:.1e}"),
+        _margin("monotone_in_battery", V[1:] - V[:-1], -1e-9, bats[1:], pts)]
     if params.lambda1 >= params.lambda0:
-        dp = V[:, 1:] - V[:, :-1]
-        reports.append(CheckReport(
-            "monotone_in_belief", bool(np.min(dp) >= -1e-9), float(np.min(dp)),
-            _argmin_state(dp, bats, pts[1:])))
+        reports.append(_margin("monotone_in_belief", V[:, 1:] - V[:, :-1],
+                               -1e-9, bats, pts[1:]))
     else:
         reports.append(CheckReport(
             "monotone_in_belief", True, 0.0, (), "skipped: lambda1 < lambda0"))
-
-    gap_units = params.e_tx - params.e_sense
+    # SystemParams keeps 0 < e_sense < e_tx <= b_max: 1 <= shift < b_max
+    shift = params.e_tx - params.e_sense
     bound = (1.0 - params.tau) * params.r_high
-    hi = params.b_max - gap_units
-    if hi >= 1:
-        slack = bound - (V[1 + gap_units:1 + gap_units + hi] - V[1:1 + hi])
-        reports.append(CheckReport(
-            "battery_gap_bound", bool(np.min(slack) >= -1e-9), float(np.min(slack)),
-            _argmin_state(slack, bats[1:1 + hi], pts),
-            f"bound {bound:.4f}"))
-    else:
-        reports.append(CheckReport(
-            "battery_gap_bound", True, 0.0, (), "skipped: capacity too small"))
+    reports.append(_margin("battery_gap_bound",
+                           bound - (V[1 + shift:] - V[1:-shift]), -1e-9,
+                           bats[1:-shift], pts, f"bound {bound:.4f}"))
     return reports
 
 
-def check_good_state_dominance(table, min_belief: float = 0.0,
-                               tol: float = 1e-6) -> CheckReport:
+def check_good_state_dominance(table, min_belief: float = 0.0) -> CheckReport:
     """Transmitting on a revealed GOOD state beats saving the energy.
 
     Compares the sensing backups against their defer-on-GOOD variants on the
     converged table, for batteries that can afford a full transmission.  The
     margin must be at least p * (1 - beta) * (1 - tau) * r_high at each
-    grid state, up to `tol`.
+    grid state, up to 1e-6.
     """
     from .solver import sense_defer_on_good_backups
 
@@ -203,9 +192,7 @@ def check_good_state_dominance(table, min_belief: float = 0.0,
     floor = p * (1.0 - params.beta) * (1.0 - params.tau) * params.r_high
     margin = np.minimum(q_od[rows][:, cols] - q_odd[rows][:, cols],
                         q_ot[rows][:, cols] - q_otd[rows][:, cols]) - floor
-    worst = float(np.min(margin))
-    bats = np.arange(params.e_tx, params.b_max + 1)
-    return CheckReport(
-        "sense_then_transmit_dominance", worst >= -tol, worst,
-        _argmin_state(margin, bats, p),
-        f"floor p*(1-beta)*(1-tau)*r_high, tol {tol:.0e}")
+    tol = 1e-6
+    return _margin("sense_then_transmit_dominance", margin, -tol,
+                   np.arange(params.e_tx, params.b_max + 1), p,
+                   f"floor p*(1-beta)*(1-tau)*r_high, tol {tol:.0e}")

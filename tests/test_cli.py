@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import ehsense
-from ehsense import BeliefGrid, compare_with_solver
+from ehsense import BeliefGrid, StructureViolationError, compare_with_solver
 from ehsense.cli import main
 from ehsense.config import ConfigError, load_config, parse_config
 
@@ -122,6 +122,12 @@ class TestConfigParsing:
         lambda c: c.update(output_dir=None),
         lambda c: c.update(output_dir=5),
         lambda c: c.update(output_dir=["a"]),
+        lambda c: c.update(policies=[]),
+        lambda c: c.update(grid=5),
+        lambda c: c["model"].update(energy_pmf=5),
+        lambda c: c["model"].update(energy_pmf={-1: 1.0}),
+        lambda c: c["simulation"].update(episodes=0),
+        lambda c: c.pop("model"),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -164,6 +170,14 @@ class TestConfigParsing:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.yaml")
+
+    def test_malformed_yaml_exits_at_parse(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("model: [lambda0: 0.3\n")
+        assert main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: config is not valid YAML")
 
 
 class TestSolveCommand:
@@ -293,14 +307,57 @@ class TestVerifyCommand:
         assert "FAIL battery_gap_bound" in out
         assert "PASS threshold_structure" in out
 
-    def test_shipped_policy_regions_fails_exactly_the_known_checks(self, capsys):
-        # the solved region-plot model violates two of the paper's claims;
-        # every other check passes
+    # every shipped config violates the battery-gap claim at each of its
+    # points, and the region-plot model the dominance claim too; every other
+    # check passes
+    KNOWN_FAILURES = {
+        "policy_regions": ["battery_gap_bound", "sense_then_transmit_dominance"],
+        "regions_harvest_sweep": ["battery_gap_bound"] * 2,
+        "regions_sense_cost_sweep": ["battery_gap_bound"] * 2,
+        "throughput_benchmark": ["battery_gap_bound"] * 5,
+        "two_rate_regions": ["battery_gap_bound"],
+    }
+
+    @pytest.mark.parametrize("name", KNOWN_FAILURES)
+    def test_shipped_policy_regions_fails_exactly_the_known_checks(self, capsys,
+                                                                    name):
+        assert main(["verify", "--config",
+                     str(REPO / "configs" / f"{name}.yaml")]) == 3
+        failed = re.findall(r"FAIL (\w+)", capsys.readouterr().out)
+        assert sorted(failed) == self.KNOWN_FAILURES[name]
+
+    def test_shipped_policy_regions_output_is_pinned(self, capsys):
         assert main(["verify", "--config",
                      str(REPO / "configs" / "policy_regions.yaml")]) == 3
-        failed = re.findall(r"FAIL (\w+)", capsys.readouterr().out)
-        assert sorted(failed) == ["battery_gap_bound",
-                                  "sense_then_transmit_dominance"]
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS oracle_agreement: gap 1.78e-15 (bound 1.20e-01)",
+            "[model] PASS convexity_in_belief: worst=-3.435e-10 at "
+            "(b=20, p=0.6000) [tolerance -3.0e-06]",
+            "[model] PASS monotone_in_battery: worst=0.000e+00 at "
+            "(b=1, p=0.0000)",
+            "[model] PASS monotone_in_belief: worst=1.851e-05 at "
+            "(b=8, p=0.0020)",
+            "[model] FAIL battery_gap_bound: worst=-5.912e-01 at "
+            "(b=8, p=1.0000) [bound 2.4000]",
+            "[model] FAIL sense_then_transmit_dominance: worst=-2.838e-01 at "
+            "(b=18, p=1.0000) [floor p*(1-beta)*(1-tau)*r_high, tol 1e-06]",
+            "[model] PASS threshold_structure",
+        ]
+
+    def test_structure_violation_fails_verify_and_solve(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def violated(policy):
+            raise StructureViolationError("battery 3: intervals D|H|D")
+
+        monkeypatch.setattr("ehsense.cli.extract_thresholds", violated)
+        path = write_config(tmp_path, small_config())
+        assert main(["verify", "--config", str(path), "--quiet"]) == 3
+        assert ("[model] FAIL threshold_structure: battery 3: intervals D|H|D"
+                in capsys.readouterr().out.splitlines())
+        assert main(["solve", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "policy structure violation: battery 3: intervals D|H|D\n")
 
     def test_oracle_agreement_checks_the_configs_own_model(self, tmp_path,
                                                            capsys):

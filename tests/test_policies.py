@@ -142,6 +142,23 @@ class TestThresholdEncoding:
             extract_thresholds(PolicyTable(actions=np.array(inner_high, dtype=np.int8),
                                            grid=grid9, params=tiny_two_rate))
 
+    @pytest.mark.parametrize("build", [
+        lambda params: PolicyRow((0.5,), (Action.DEFER,)),  # label count
+        lambda params: PolicyRow((0.0,), (Action.DEFER, Action.HIGH_RATE)),
+        lambda params: PolicyRow((1.0,), (Action.DEFER, Action.HIGH_RATE)),
+        lambda params: PolicyRow((0.6, 0.4),
+                                 (Action.DEFER, Action.SENSE_DEFER, Action.DEFER)),
+        lambda params: PolicyRow((0.5, 0.5),
+                                 (Action.DEFER, Action.SENSE_DEFER, Action.DEFER)),
+        lambda params: PolicyRow((0.5,), (Action.DEFER, Action.DEFER)),
+        lambda params: ThresholdPolicy(rows=(PolicyRow((), (Action.DEFER,)),) * 4,
+                                       params=params),  # b_max is 4
+    ])
+    def test_malformed_rows_rejected(self, tiny_params, build):
+        # threshold texts are read back through these constructors
+        with pytest.raises(ParameterError):
+            build(tiny_params)
+
     def test_infeasible_label_rejected(self, tiny_params):
         with pytest.raises(ParameterError):
             ThresholdPolicy(rows=tuple([PolicyRow((), (Action.HIGH_RATE,))]

@@ -253,6 +253,26 @@ class TestBatchedSearchReferee:
         _, _, widths = self.run_both(search_params, cfg, init, monkeypatch)
         assert max(widths) * cfg.episodes > search_module._BATCH_LANES
 
+    def test_every_remaining_window_empty(self, search_params, monkeypatch):
+        # one candidate, 0.3, and the rows above e_tx flat at it: their
+        # windows are empty.  Row e_tx transmits at every belief; raising its
+        # threshold to 0.3 is the last move with a window, and it is
+        # accepted, so the rebuilt batch finds nothing left to score.
+        rho = np.full((search_params.b_max + 1, 3), NO_REGION)
+        rho[:, 0] = rho[:, 1] = 0.3
+        rho[search_params.e_tx:, 2] = 0.3
+        rho[search_params.e_tx] = 0.0
+        cfg = SearchConfig(candidates=[0.3], episodes=3, horizon=200, seed=1,
+                           max_passes=1)
+        res, calls, _ = self.run_both(search_params, cfg,
+                                      policy_from_rho(rho, search_params),
+                                      monkeypatch)
+        assert len(calls) == 2  # the start, then one batch
+        *_, last = res.log_rows
+        assert last[1:4] == (search_params.e_tx, 2, 0.3) and last[-1]
+        assert np.all(rho_from_policy(res.policy, search_params)
+                      [search_params.e_tx:] == 0.3)
+
     def test_two_passes(self, search_params, coarse_grid, monkeypatch):
         cfg = SearchConfig(candidates=CANDS, episodes=3, horizon=250, seed=5,
                            max_passes=2)

@@ -37,6 +37,16 @@ class TestValueStructureChecks:
         assert by_name["convexity_in_belief"].passed
         assert by_name["convexity_in_belief"].worst_value >= -1e-12
 
+    def test_belief_monotonicity_skipped_on_a_negatively_correlated_channel(
+            self, tiny_params, coarse_grid):
+        table = solved(tiny_params.replace(lambda0=0.8, lambda1=0.3), coarse_grid)
+        rep, = [r for r in check_value_structure(table)
+                if r.name == "monotone_in_belief"]
+        assert rep.passed
+        assert rep.worst_value == 0.0
+        assert rep.worst_state == ()
+        assert rep.detail == "skipped: lambda1 < lambda0"
+
     def test_gap_bound_reports_boundary_premium(self, region_params, coarse_grid):
         # crossing the transmit-feasibility boundary is worth nearly a full
         # high-rate reward here, which exceeds the claimed (1-tau)*r_high cap
