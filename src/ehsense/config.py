@@ -10,13 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
 from .model import ParameterError, SystemParams
 from .search import SearchConfig
 from .simulate import episode_start
+from .solver import DEFAULT_TOL
 
 # Every benchmark policy, in the default order (the row order of throughput.csv).
 KNOWN_POLICIES = ("optimal", "greedy", "single_threshold", "opportunistic")
@@ -47,18 +48,20 @@ class SimSettings:
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config; `parse_config` builds it and sets every default."""
+
     model: SystemParams
-    grid_resolution: int = 1001
-    tol: float = 1e-9
-    max_iter: int | None = None
-    span_tol: float | None = None
-    sim: SimSettings = field(default_factory=SimSettings)
-    search: SearchConfig = field(default_factory=SearchConfig)
-    policies: tuple = KNOWN_POLICIES
-    sweep_q: tuple = ()
-    sweep_tau: tuple = ()
-    output_dir: str = "out"
-    config_hash: str = ""
+    grid_resolution: int
+    tol: float
+    max_iter: int | None
+    span_tol: float | None
+    sim: SimSettings
+    search: SearchConfig
+    policies: tuple
+    sweep_q: tuple
+    sweep_tau: tuple
+    output_dir: str
+    config_hash: str
 
     def sweep_points(self):
         """(label, params) per sweep point; cartesian when both axes are set.
@@ -147,20 +150,23 @@ def _integer(sect: dict, section: str, name: str, default, least: int):
     return value
 
 
-def _positive(sect: dict, section: str, name: str, default):
-    """sect[name] as a finite float > 0, or `default` when absent or null.
+def _float(value) -> float:
+    """value as a float; NaN for a bool or a non-number.  A numeric string
+    is read as its number: YAML reads 1e-9, which has no dot, as a string."""
+    try:
+        return math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
-    A numeric string is read as its number: YAML reads 1e-9, which has no
-    dot, as a string.
-    """
+
+def _positive(sect: dict, section: str, name: str, default):
+    """sect[name] as a finite float > 0 (`_float`), or `default` when absent
+    or null."""
     value = sect.get(name)
     if value is None:
         return default
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = float("nan")
-    if isinstance(value, bool) or not 0 < number < math.inf:
+    number = _float(value)
+    if not 0 < number < math.inf:
         raise ConfigError(f"{section}.{name} must be a finite positive number, "
                           f"got {value!r}")
     return number
@@ -193,6 +199,13 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     if "energy_pmf" not in model_raw:
         raise ConfigError("model.energy_pmf is required")
     model_raw["energy_pmf"] = _parse_pmf(model_raw["energy_pmf"])
+    for name in ("lambda0", "lambda1", "r_low", "r_high", "beta"):
+        if name in model_raw:  # a missing one is SystemParams' TypeError
+            number = _float(model_raw[name])
+            if math.isnan(number):
+                raise ConfigError(f"model.{name} must be a number, "
+                                  f"got {model_raw[name]!r}")
+            model_raw[name] = number
     try:
         model = SystemParams(**model_raw)
     except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
@@ -222,6 +235,8 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         raise ConfigError(f"unknown policies {unknown}; valid: {KNOWN_POLICIES}")
     if not policies:
         raise ConfigError("policy list must not be empty")
+    if len(set(policies)) < len(policies):
+        raise ConfigError(f"policies must not repeat a name, got {policies!r}")
 
     output_dir = data.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -239,7 +254,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     cfg = ExperimentConfig(
         model=model,
         grid_resolution=_integer(grid, "grid", "resolution", 1001, least=2),
-        tol=_positive(solver, "solver", "tol", 1e-9),
+        tol=_positive(solver, "solver", "tol", DEFAULT_TOL),
         max_iter=_integer(solver, "solver", "max_iter", None, least=1),
         span_tol=_positive(solver, "solver", "span_tol", None),
         sim=sim,

@@ -99,7 +99,7 @@ class SystemParams:
 
         for name in ("b_max", "e_tx", "e_sense"):
             v = getattr(self, name)
-            if not _is_integral(v):
+            if isinstance(v, bool) or not _is_integral(v):
                 raise ParameterError(f"{name} must be an integer number of energy units")
             object.__setattr__(self, name, int(v))
         if not (0 < self.e_sense < self.e_tx <= self.b_max):

@@ -133,7 +133,10 @@ def _margin(name: str, margin: np.ndarray, floor: float, batteries, points,
             detail: str = "") -> CheckReport:
     """The check `name` passes iff min(margin) >= floor; the report carries
     that minimum at the (battery, belief) of its first occurrence, with
-    margin[i, j] read at (batteries[i], points[j])."""
+    margin[i, j] read at (batteries[i], points[j]).  An empty margin, no
+    state to check, is reported as skipped."""
+    if not margin.size:
+        return CheckReport(name, True, 0.0, (), "skipped: no state to check")
     i, j = np.unravel_index(np.argmin(margin), margin.shape)
     worst = float(margin[i, j])
     return CheckReport(name, worst >= floor, worst,
@@ -144,7 +147,8 @@ def check_value_structure(table) -> list:
     """Structural checks on a converged table.
 
     convexity_in_belief       second differences along the belief axis >= 0
-                              (tolerance 1e-6 * r_high per point)
+                              (tolerance 1e-6 * r_high per point); skipped
+                              on a grid of fewer than 3 points
     monotone_in_battery       values nondecreasing in battery (>= -1e-9)
     monotone_in_belief        values nondecreasing in belief when
                               lambda1 >= lambda0 (>= -1e-9)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import open_artifact, write_grid_csv
+from .artifacts import open_artifact, write_region_csv
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
 from .solver import Q_TIE_TOL, ValueTable
@@ -41,8 +41,7 @@ class PolicyTable:
     params: SystemParams
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        write_grid_csv(path, config_hash, ["battery", "belief", "action"],
-                       self.grid.points, [self.actions])
+        write_region_csv(path, config_hash, self.grid.points, self.actions)
 
     def cell_count(self, action: Action) -> int:
         return int(np.count_nonzero(self.actions == int(action)))

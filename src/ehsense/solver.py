@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (Action, InfeasibleActionError, SystemParams, feasible_actions,
                     slot_outcomes)
-from .artifacts import write_grid_csv
+from .artifacts import write_value_csv
 from .belief import BeliefGrid, belief_update_no_obs
 
 DEFAULT_TOL = 1e-9
@@ -69,9 +69,8 @@ class ValueTable:
         return float(self.grid.interp(self.values[battery], p))
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
-        write_grid_csv(path, config_hash, header, self.grid.points,
-                       [self.values, *self.q_values])
+        write_value_csv(path, config_hash, self.grid.points, self.values,
+                        self.q_values)
 
 
 class BellmanOperator:

@@ -1,4 +1,4 @@
-"""The grid CSV writer against a plain `csv.writer` loop over the cells."""
+"""The grid CSV writers against a plain `csv.writer` loop over the cells."""
 import csv
 
 import numpy as np
@@ -6,7 +6,10 @@ import pytest
 
 from ehsense import Action, extract_policy, value_iteration
 from ehsense import artifacts
-from ehsense.artifacts import open_artifact, write_grid_csv
+from ehsense.artifacts import open_artifact, write_region_csv, write_value_csv
+
+VALUE_HEADER = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
+REGION_HEADER = ["battery", "belief", "action"]
 
 
 def reference_grid_csv(path, config_hash, header, points, columns):
@@ -21,23 +24,24 @@ def reference_grid_csv(path, config_hash, header, points, columns):
                                            for c in cells])
 
 
-def assert_same_bytes(tmp_path, header, points, columns):
+def assert_same_values(tmp_path, points, values, q_values):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_grid_csv(got, "abc123", header, points, columns)
-    reference_grid_csv(want, "abc123", header, points, columns)
+    write_value_csv(got, "abc123", points, values, q_values)
+    reference_grid_csv(want, "abc123", VALUE_HEADER, points, [values, *q_values])
     assert got.read_bytes() == want.read_bytes()
 
 
-def value_columns(table):
-    header = ["battery", "belief", "value"] + [f"q_{a.code}" for a in Action]
-    return header, [table.values] + [table.q_values[a] for a in Action]
+def assert_same_regions(tmp_path, points, actions):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_region_csv(got, "abc123", points, actions)
+    reference_grid_csv(want, "abc123", REGION_HEADER, points, [actions])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_single_rate_value_table(tmp_path, tiny_params, coarse_grid):
     table = value_iteration(tiny_params, coarse_grid)
     assert np.isnan(table.q_values[Action.LOW_RATE]).all()
-    header, columns = value_columns(table)
-    assert_same_bytes(tmp_path, header, coarse_grid.points, columns)
+    assert_same_values(tmp_path, coarse_grid.points, table.values, table.q_values)
 
 
 @pytest.fixture(params=["inline", "fan-out"])
@@ -55,17 +59,16 @@ def path_taken(request, monkeypatch):
 
 def test_two_rate_value_table(tmp_path, tiny_two_rate, coarse_grid, path_taken):
     table = value_iteration(tiny_two_rate, coarse_grid)
-    header, columns = value_columns(table)
+    columns = [table.values, *table.q_values]
     partly_nan = [np.isnan(c).any() and not np.isnan(c).all() for c in columns]
     assert sum(partly_nan) >= 2
-    assert_same_bytes(tmp_path, header, coarse_grid.points, columns)
+    assert_same_values(tmp_path, coarse_grid.points, table.values, table.q_values)
 
 
 def test_region_table(tmp_path, tiny_two_rate, coarse_grid):
     actions = extract_policy(value_iteration(tiny_two_rate, coarse_grid)).actions
     assert actions.dtype == np.int8
-    assert_same_bytes(tmp_path, ["battery", "belief", "action"],
-                      coarse_grid.points, [actions])
+    assert_same_regions(tmp_path, coarse_grid.points, actions)
 
 
 def test_small_tables_one_task_old_pools_and_one_core_stay_inline(monkeypatch):
@@ -92,31 +95,35 @@ def test_workers_never_outnumber_tasks(monkeypatch):
 def test_first_column_reuses_only_bit_equal_texts(tmp_path, path_taken):
     rng = np.random.default_rng(7)
     shape = (20, 37)
-    later = [rng.normal(size=shape) for _ in range(3)]
-    later[1][rng.random(shape) < 0.3] = np.nan
-    later[2][:, ::5] = 0.0
-    first = rng.normal(size=shape)
-    pick = rng.integers(0, 4, size=shape)  # 3: no later column matches
-    for k in range(3):
-        first[pick == k] = later[k][pick == k]
-    first[:, ::5][pick[:, ::5] == 3] = -0.0  # against 0.0 in later[2]
+    q = rng.normal(size=(len(Action),) + shape)
+    q[1][rng.random(shape) < 0.3] = np.nan
+    q[2][:, ::5] = 0.0
+    values = rng.normal(size=shape)
+    pick = rng.integers(0, len(Action) + 1, size=shape)  # len(Action): no match
+    for k in range(len(Action)):
+        values[pick == k] = q[k][pick == k]
+    values[:, ::5][pick[:, ::5] == len(Action)] = -0.0  # against 0.0 in q[2]
     nan_payload = np.array(0x7FF8000000000123, dtype=np.int64).view(np.float64)
-    first[3, :4] = nan_payload  # NaN against a NaN or a number
-    later[1][3, :2] = np.nan
-    assert (np.signbit(first) & (first == 0.0)).any()
-    columns = [first] + later
-    assert_same_bytes(tmp_path, ["battery", "belief", "first", "a", "b", "c"],
-                      np.linspace(0.0, 1.0, 37), columns)
+    values[3, :4] = nan_payload  # NaN against a NaN or a number
+    q[1][3, :2] = np.nan
+    assert (np.signbit(values) & (values == 0.0)).any()
+    assert_same_values(tmp_path, np.linspace(0.0, 1.0, 37), values, q)
 
 
-@pytest.mark.parametrize("dtype, low, high", [
-    (np.int8, -7, 4), (np.int8, -128, 127), (np.int16, -300, 400),
-    (np.int64, -2**63, -2**63 + 5), (np.uint64, 2**64 - 6, 2**64 - 1)])
-def test_integer_code_ranges(tmp_path, path_taken, monkeypatch, dtype, low, high):
-    if path_taken == "fan-out":  # a table without float cells, too
-        monkeypatch.setattr(artifacts, "_FANOUT_MIN_FLOAT_CELLS", 0)
-    codes = np.random.default_rng(5).integers(low, high, size=(18, 41),
-                                              dtype=dtype, endpoint=True)
-    codes[0, :2] = low, high
-    assert_same_bytes(tmp_path, ["battery", "belief", "action"],
-                      np.linspace(0.0, 1.0, 41), [codes])
+def test_region_codes(tmp_path):
+    points = np.linspace(0.0, 1.0, 41)
+    codes = np.random.default_rng(5).integers(0, len(Action), size=(18, 41),
+                                              dtype=np.int8)
+    codes[0, :len(Action)] = list(Action)  # every code
+    assert_same_regions(tmp_path, points, codes)
+    some = np.where(codes % 2 == 0, codes, 0).astype(np.int8)  # codes 1, 3 lack
+    assert_same_regions(tmp_path, points, some)
+
+
+@pytest.mark.parametrize("bad", [-1, len(Action), 127])
+def test_region_code_out_of_range_rejected(tmp_path, bad):
+    codes = np.zeros((4, 11), dtype=np.int8)
+    codes[2, 5] = bad  # would otherwise read a neighbouring belief's text
+    with pytest.raises(ValueError, match="action codes"):
+        write_region_csv(tmp_path / "r.csv", "abc123",
+                         np.linspace(0.0, 1.0, 11), codes)

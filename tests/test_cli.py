@@ -128,6 +128,7 @@ class TestConfigParsing:
         lambda c: c["model"].update(energy_pmf={-1: 1.0}),
         lambda c: c["simulation"].update(episodes=0),
         lambda c: c.pop("model"),
+        lambda c: c["model"].update(e_sense=True),
     ])
     def test_bad_configs_rejected(self, mutate):
         cfg = small_config()
@@ -150,6 +151,40 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{section}.{field}" in err
         assert not out.exists()  # failed before any solve
+
+    def test_exponent_form_model_floats_read_as_numbers(self, tmp_path):
+        dotted = small_config()
+        dotted["model"]["lambda0"] = 0.6
+        text = yaml.safe_dump(dotted)
+        for number, exponent in [("lambda0: 0.6", "lambda0: 6e-1"),
+                                 ("lambda1: 0.8", "lambda1: 8e-1"),
+                                 ("r_low: 0.0", "r_low: 0e0"),
+                                 ("r_high: 1.0", "r_high: 1e0"),
+                                 ("beta: 0.9", "beta: 9e-1")]:
+            assert number in text
+            text = text.replace(number, exponent)
+        assert yaml.safe_load(text)["model"]["lambda0"] == "6e-1"  # no dot
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert load_config(path).model == parse_config(dotted).model
+
+    @pytest.mark.parametrize("name, value", [
+        ("lambda0", "abc"), ("lambda1", None), ("r_low", [0.0]),
+        ("r_high", True), ("beta", {"x": 1})])
+    def test_non_number_model_float_names_its_field(self, name, value):
+        cfg = small_config()
+        cfg["model"][name] = value
+        with pytest.raises(ConfigError, match=rf"^model\.{name} must be a number"):
+            parse_config(cfg)
+
+    def test_repeated_policy_exits_at_parse(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(policies=["greedy", "greedy"]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: policies must not repeat a name")
+        assert not out.exists()
 
     @pytest.mark.parametrize("policies", [None, 5, "greedy"])
     def test_policies_must_be_a_list(self, tmp_path, capsys, policies):
@@ -343,6 +378,13 @@ class TestVerifyCommand:
             "(b=18, p=1.0000) [floor p*(1-beta)*(1-tau)*r_high, tol 1e-06]",
             "[model] PASS threshold_structure",
         ]
+
+    def test_two_point_grid_skips_convexity(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(grid={"resolution": 2}))
+        assert main(["verify", "--config", str(path), "--quiet"]) in (0, 3)
+        assert ("[model] PASS convexity_in_belief: worst=0.000e+00 "
+                "[skipped: no state to check]"
+                in capsys.readouterr().out.splitlines())
 
     def test_structure_violation_fails_verify_and_solve(self, tmp_path,
                                                         capsys, monkeypatch):

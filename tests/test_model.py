@@ -31,6 +31,7 @@ class TestParams:
         dict(r_low=3.0),            # r_low must stay below r_high
         dict(beta=1.0),
         dict(lambda0=1.2),
+        dict(e_sense=True),         # a bool is not an energy count
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ParameterError):
