@@ -4,10 +4,11 @@ All writers go through `open_artifact`, so the header line is written in
 one place; CSV artifacts add one header row and their data rows, ended by
 `\\r\\n` as `csv.writer` ends them.  `write_csv_artifact` writes any rows.
 Each grid table, one row per (battery, belief) cell, has its own writer.
-`write_value_csv` formats each column of a battery row in one pass, a value
-cell reusing the text of the Q cell it is bit-equal to; large tables are
-formatted on every core of the affinity set by forked worker processes, and
-the parent writes the battery rows in order as they arrive.
+`write_value_csv` reads Q one block of battery rows (`row_blocks`) at a
+time and formats each column of a battery row in one pass, a value cell
+reusing the text of the Q cell it is bit-equal to; large tables are
+formatted by forked worker processes, one block per task, on every core of
+the affinity set, and the parent writes the blocks in order as they arrive.
 `write_region_csv` reads each line from a belief x code table of
 `belief,code` texts.
 """
@@ -24,8 +25,8 @@ import numpy as np
 
 from .model import Action
 
-# Battery rows per task sent to a worker process: about 16k lines (2 MB of
-# text for a value table on the 1001-point grid) per round trip.
+# Battery rows per block (`row_blocks`), one task of a worker process: about
+# 16k lines (2 MB of text for a value table on the 1001-point grid).
 _TASK_ROWS = 16
 
 # Float cells from which `write_value_csv` formats on worker processes.  Set
@@ -44,7 +45,7 @@ _FANOUT_MIN_FLOAT_CELLS = 200_000
 _POOL_FORKS_UP_FRONT = sys.version_info >= (3, 11, 1)
 
 # The value table a worker process formats, set in the worker by `_adopt`.
-# The pool forks, so the arrays reach the workers without being pickled.
+# The pool forks, so it reaches the workers without being pickled.
 _ADOPTED = None
 
 
@@ -77,22 +78,28 @@ def _format_column(cells: np.ndarray) -> list:
     return text.tolist()
 
 
-def _format_row(table, b: int) -> str:
-    """CSV lines of battery row b of the value table (beliefs, values, q).
+def row_blocks(rows: int) -> list:
+    """Slices of _TASK_ROWS battery rows, the last maybe shorter, over `rows`."""
+    return [slice(b, min(b + _TASK_ROWS, rows)) for b in range(0, rows, _TASK_ROWS)]
+
+
+def _format_block(table, rows: slice):
+    """CSV lines of each battery row in `rows` of the value table (beliefs,
+    values, q_block), reading the block's Q once.
 
     A value cell bit-equal to a Q cell of its line reuses that cell's text,
     so -0.0 and 0.0 keep their own; the other value cells are formatted.
     """
-    beliefs, values, q = table
-    values, q = values[b], q[:, b]
-    texts = [_format_column(col) for col in q]
-    match = q.view(np.int64) == values.view(np.int64)
-    src = match.argmax(0) * values.size + np.arange(values.size)  # into `flat`
-    left = np.flatnonzero(~match.any(0))
-    src[left] = q.size + np.arange(left.size)
-    flat = list(chain(*texts, _format_column(values[left])))
-    lines = map(",".join, zip(beliefs, map(flat.__getitem__, src.tolist()), *texts))
-    return f"{b}," + f"\r\n{b},".join(lines) + "\r\n"
+    beliefs, values, q_block = table
+    for b, q in zip(range(rows.start, rows.stop), q_block(rows).swapaxes(0, 1)):
+        texts = [_format_column(col) for col in q]
+        match = q.view(np.int64) == values[b].view(np.int64)
+        src = match.argmax(0) * q.shape[1] + np.arange(q.shape[1])  # into `flat`
+        left = np.flatnonzero(~match.any(0))
+        src[left] = q.size + np.arange(left.size)
+        flat = list(chain(*texts, _format_column(values[b, left])))
+        lines = map(",".join, zip(beliefs, map(flat.__getitem__, src.tolist()), *texts))
+        yield f"{b}," + f"\r\n{b},".join(lines) + "\r\n"
 
 
 def _adopt(table) -> None:
@@ -100,8 +107,8 @@ def _adopt(table) -> None:
     _ADOPTED = table
 
 
-def _format_adopted_row(b: int) -> str:
-    return _format_row(_ADOPTED, b)
+def _format_adopted_block(rows: slice) -> str:
+    return "".join(_format_block(_ADOPTED, rows))
 
 
 def _workers(float_cells: int, rows: int) -> int:
@@ -121,28 +128,27 @@ def _workers(float_cells: int, rows: int) -> int:
     return min(cores, tasks) if "fork" in multiprocessing.get_all_start_methods() else 0
 
 
-def write_value_csv(path, config_hash: str, points, values, q_values) -> None:
+def write_value_csv(path, config_hash: str, points, values, q_block) -> None:
     """Value table, battery-major: the row of cell (b, j) is b, repr(points[j]),
-    repr(values[b, j]), then repr(q_values[a, b, j]) per action a (column
-    `q_<code>`), a NaN cell (an infeasible action) left empty; the bytes are
-    those of a `csv.writer` writing these rows."""
+    repr(values[b, j]), then repr(q_block(rows)[a, b - rows.start, j]) per
+    action a (column `q_<code>`), a NaN cell (an infeasible action) left
+    empty; the bytes are those of a `csv.writer` writing these rows."""
     values = np.asarray(values, dtype=np.float64)
-    q = np.asarray(q_values, dtype=np.float64)
-    rows = range(len(values))
-    workers = _workers(values.size + q.size, len(rows))
-    table = (list(map(repr, np.asarray(points).tolist())), values, q)
+    blocks = row_blocks(len(values))
+    workers = _workers(values.size * (1 + len(Action)), len(values))
+    table = (list(map(repr, np.asarray(points).tolist())), values, q_block)
     with open_artifact(path, config_hash) as f:
         csv.writer(f).writerow(["battery", "belief", "value"]
                                + [f"q_{a.code}" for a in Action])
         if not workers:
-            f.writelines(_format_row(table, b) for b in rows)
+            f.writelines(chain.from_iterable(_format_block(table, r) for r in blocks))
             return
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers,
                                  multiprocessing.get_context("fork"),
                                  initializer=_adopt, initargs=(table,)) as pool:
-            f.writelines(pool.map(_format_adopted_row, rows, chunksize=_TASK_ROWS))
+            f.writelines(pool.map(_format_adopted_block, blocks))
 
 
 def write_region_csv(path, config_hash: str, points, actions) -> None:

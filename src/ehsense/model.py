@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -56,8 +57,8 @@ ACTION_BY_CODE = {c: a for a, c in _ACTION_CODES.items()}
 
 
 def _is_integral(x) -> bool:
-    x = float(x)
-    return bool(np.isfinite(x)) and x == int(x)
+    return (isinstance(x, Real) and not isinstance(x, bool)
+            and bool(np.isfinite(x)) and x == int(x))
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,9 @@ class SystemParams:
 
         for name in ("b_max", "e_tx", "e_sense"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not _is_integral(v):
-                raise ParameterError(f"{name} must be an integer number of energy units")
+            if not _is_integral(v):
+                raise ParameterError(f"{name} must be an integer number of "
+                                     f"energy units, got {v!r}")
             object.__setattr__(self, name, int(v))
         if not (0 < self.e_sense < self.e_tx <= self.b_max):
             raise ParameterError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import open_artifact, write_region_csv
+from .artifacts import open_artifact, row_blocks, write_region_csv
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
 from .solver import Q_TIE_TOL, ValueTable
@@ -48,17 +48,17 @@ class PolicyTable:
 
 
 def extract_policy(table: ValueTable) -> PolicyTable:
-    """Greedy policy: the argmax over actions of `table.q_values`.
+    """Greedy policy: the argmax over actions of `table.q_block`, by blocks.
 
-    Ties within 1e-12 go to the action latest in `Action`'s order (DEFER <
-    LOW_RATE < SENSE_DEFER < SENSE_TRANSMIT < HIGH_RATE), so region plots
-    are reproducible.
+    Ties within 1e-12 of `table.values` go to the action latest in `Action`'s
+    order (DEFER < LOW_RATE < SENSE_DEFER < SENSE_TRANSMIT < HIGH_RATE), so
+    region plots are reproducible.
     """
-    q = table.q_values
-    best = np.fmax.reduce(q)
-    actions = np.zeros(best.shape, dtype=np.int8)
-    for a in Action:
-        actions[q[a] >= best - Q_TIE_TOL] = a  # NaN compares False
+    actions = np.zeros(table.values.shape, dtype=np.int8)
+    for rows in row_blocks(len(actions)):
+        tied = table.q_block(rows) >= table.values[rows] - Q_TIE_TOL  # NaN: False
+        for a in Action:
+            actions[rows][tied[a]] = a
     return PolicyTable(actions=actions, grid=table.grid, params=table.params)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +44,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class ValueTable:
-    """Converged (or truncated) values plus per-action values on the grid.
+    """Converged (or truncated) values on the grid.
 
     values[b, j] approximates the optimal discounted reward from battery b
-    and belief grid.points[j].  q_values[a, b, j] is the backup of action a
-    there (0 in a zero_table), NaN wherever the action is infeasible or not
-    allowed, and values = np.fmax.reduce(q_values).
+    and belief grid.points[j], the max of the Q values that `q_block` renders
+    from `source` by `operator` (None in a zero_table: no Q values).
     `span` is the span of the last change value_iteration saw on its core
     cells, `bound` = beta / (1 - beta) * span / 2 the certified sup-norm
     distance of `values` to the grid's fixed point on every cell, and
@@ -57,7 +57,8 @@ class ValueTable:
     """
 
     values: np.ndarray = field(repr=False)
-    q_values: np.ndarray = field(repr=False)
+    source: np.ndarray | None = field(repr=False)
+    operator: BellmanOperator = field(repr=False)
     grid: BeliefGrid
     params: SystemParams
     iterations: int
@@ -65,12 +66,19 @@ class ValueTable:
     bound: float = math.inf
     core_columns: int = 0
 
+    def q_block(self, rows: slice) -> np.ndarray:
+        """Q values on the battery rows `rows`, as `BellmanOperator.q_tables`
+        gives them: [action, battery, belief], NaN where not backed up."""
+        if self.source is None:
+            raise ValueError("a table without backups has no Q values")
+        return self.operator.q_tables(self.source, rows)
+
     def value_at(self, battery: int, p: float) -> float:
         return float(self.grid.interp(self.values[battery], p))
 
     def write_csv(self, path, config_hash: str = "") -> None:
         write_value_csv(path, config_hash, self.grid.points, self.values,
-                        self.q_values)
+                        self.q_block)
 
 
 class BellmanOperator:
@@ -80,7 +88,7 @@ class BellmanOperator:
     allowed action is planned as the battery blocks where it is feasible,
     one per can-transmit value, and the blocks are stacked into one row set
     of non-revealing actions and one of revealing ones (`_stack`).
-    `compile` fixes that plan on a set of belief columns; `step` (max over
+    `compile` fixes that plan on battery rows and belief columns; `step` (max over
     actions) and `q_tables` (per-action values) both evaluate it.  `allowed`
     restricts the action set (used by the no-sensing baseline); by default
     it is the model's own action set.  `step` reads the whole value table
@@ -119,24 +127,27 @@ class BellmanOperator:
                 if ok:
                     blocks.append((a, b[ok[0]:ok[-1] + 1], outcomes.legs(a, can_tx),
                                    bool(outcomes.reveals[a])))
-        self._plan = self._stack(blocks)
+        self._blocks = blocks
+        self._plan = self._stack(blocks, range(params.b_max + 1))
 
-    def _stack(self, blocks) -> tuple:
+    def _stack(self, blocks, rows: range) -> tuple:
         """The (non-revealing, revealing) row sets of plan blocks (slot,
-        batteries, legs, reveals), None for a kind without blocks.
+        batteries, legs, reveals) on battery rows `rows`; None for no blocks.
 
         A set is (dest, nxt, bits): row n backs up frame row dest[n] =
-        slot * (b_max + 1) + battery, reads nxt[s, n] after harvest level s
-        and adds bits[n].  A non-revealing row is its BAD leg, read in the
-        table interpolated at the propagated belief.  A revealing set holds
-        the BAD legs of its rows, then their GOOD legs, read at flat
-        (battery, leg) indices of the pair of reset columns."""
-        n = self.params.b_max + 1
+        slot * len(rows) + battery - rows.start, reads nxt[s, n] after
+        harvest level s and adds bits[n].  A non-revealing row is its BAD
+        leg, read in the table interpolated at the propagated belief.  A
+        revealing set holds the BAD legs of its rows, then their GOOD legs,
+        read at flat (battery, leg) indices of the pair of reset columns."""
         kinds = []
         for reveals, sides in ((False, (0,)), (True, (0, 1))):
-            kind = [(s, bats, legs) for s, bats, legs, r in blocks if r == reveals]
+            kind = [(s, bats[(bats >= rows.start) & (bats < rows.stop)], legs)
+                    for s, bats, legs, r in blocks if r == reveals]
+            kind = [block for block in kind if block[1].size]
             kinds.append((
-                np.concatenate([s * n + bats for s, bats, _ in kind]),
+                np.concatenate([s * len(rows) + bats - rows.start
+                                for s, bats, _ in kind]),
                 np.hstack([self._idx[legs[g][1]][bats].T * len(sides) + g
                            for g in sides for _, bats, legs in kind]),
                 np.hstack([np.full(len(bats), legs[g][0])
@@ -179,15 +190,18 @@ class BellmanOperator:
                 nxt = nxt[nxt]
             seeds = nxt[todo]
 
-    def compile(self, cols=slice(None), at=None) -> "_Sweep":
-        """The plan compiled on the belief columns `cols`, reading a table
-        whose column k holds grid column at[k] (the full grid by default)."""
-        return _Sweep(self, self._plan, len(Action), cols, at)
+    def compile(self, cols=slice(None), at=None, rows=slice(None)) -> "_Sweep":
+        """The plan on belief columns `cols` of battery rows `rows` (step 1),
+        reading a table whose column k holds grid column at[k] (default: all)."""
+        rows = range(self.params.b_max + 1)[rows]
+        plan = self._plan if len(rows) > self.params.b_max else self._stack(
+            self._blocks, rows)
+        return _Sweep(self, plan, (len(Action), len(rows)), cols, at)
 
-    def q_tables(self, values: np.ndarray) -> np.ndarray:
-        """Backups of `values` as one [action, battery, belief] array; NaN
-        where the action is infeasible or not allowed."""
-        return self.compile().frame(values)
+    def q_tables(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Backups of `values` on the battery rows `rows`, one [action, battery,
+        belief] array; NaN where an action is infeasible or not allowed."""
+        return self.compile(rows=rows).frame(values)
 
     def step(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
         """Max over the feasible action backups on the belief columns `cols`,
@@ -195,28 +209,29 @@ class BellmanOperator:
         return self.compile(cols).step(values)
 
 
-# belief columns per chunk of a `_Sweep`: wide enough that a core (a few
-# dozen columns) is one chunk and numpy's per-row cost is spread over many
-# columns, narrow enough that a big grid's work arrays stay a few MB
+# belief columns per chunk of a `_Sweep` on all battery rows (on r rows, this
+# times (b_max + 1) / r): wide enough that a core (a few dozen columns) is
+# one chunk and numpy's per-row cost is spread over many columns, narrow
+# enough that a big grid's work arrays stay a few MB
 _CHUNK_COLUMNS = 64
 
 
 class _Sweep:
-    """A stacked plan compiled on fixed belief columns.
+    """A stacked plan compiled on fixed battery rows and belief columns.
 
     Backups read a table whose column k holds grid column at[k], so
     value_iteration can iterate its compact core (closed, so its reads stay
-    inside).  Columns go in chunks of at most _CHUNK_COLUMNS.  Each
-    element is computed in the order of the scalar recursion
+    inside).  `shape` is the frame's (slots, battery rows); columns go in
+    chunks.  Each element is computed in the order of the scalar recursion
     (interpolated values, the harvest sum left to right, times beta, plus
     the bits), so every path gives the same bits.  Plan row dest lands on
     row dest of a [slot * battery, column] frame: NaN where no row writes
     for `frame`, -inf for `step`'s max.
     """
 
-    def __init__(self, op: BellmanOperator, plan, slots: int, cols=slice(None),
+    def __init__(self, op: BellmanOperator, plan, shape: tuple, cols=slice(None),
                  at=None):
-        res = op.grid.resolution
+        res, n = op.grid.resolution, op.params.b_max + 1
         cols = np.arange(res)[cols]
         at = np.arange(res) if at is None else np.asarray(at)
         pos = np.full(res, -1)
@@ -227,20 +242,28 @@ class _Sweep:
             raise ValueError("a backup reads a column outside the table")
         self._w, self._p = op._j_w[cols], op.grid.points[cols]
         self._omw, self._omp = 1.0 - self._w, 1.0 - self._p
-        self._beta, self._probs, self._plan = op.params.beta, op._probs, plan
-        self._shape = (slots, op.params.b_max + 1, len(cols))
-        width = max(1, min(len(cols), _CHUNK_COLUMNS))
-        self._chunks = [slice(k, min(k + width, len(cols)))
-                        for k in range(0, len(cols), width)]
+        self._beta, self._probs = op.params.beta, op._probs
+        nonrev, rev = plan
+        if nonrev:  # interpolate only the battery rows they read
+            read, k = np.unique(nonrev[1], return_inverse=True)
+            nonrev = nonrev[0], k.reshape(nonrev[1].shape), nonrev[2]
+            self._read = (slice(read[0], read[-1] + 1)  # a view if contiguous
+                          if read[-1] - read[0] < read.size else read)
+        self._plan = nonrev, rev
+        self._shape = (*shape, len(cols))
+        self._width = max(1, min(len(cols), _CHUNK_COLUMNS * n // max(1, shape[1])))
+        self._chunks = [slice(k, min(k + self._width, len(cols)))
+                        for k in range(0, len(cols), self._width)]
         # arrays of one chunk, reused by every chunk and call, so a sweep
         # allocates nothing big (fresh ones cost hundreds of minor page
-        # faults a sweep on the 801-row grid); every chunk writes the same
-        # rows of step's frame, so the rest stay -inf
-        nonrev, rev = plan
+        # faults a sweep on the 801-row grid)
         self._terms = np.empty((len(self._probs), len(nonrev[0]) if nonrev else 0,
-                                width))
-        self._legs = np.empty((2, len(rev[0]) if rev else 0, width))
-        self._buf = np.full((slots * self._shape[1], width), -np.inf)
+                                self._width))
+        self._legs = np.empty((2, len(rev[0]) if rev else 0, self._width))
+
+    @cached_property
+    def _buf(self) -> np.ndarray:  # step's frame: chunks write the same rows
+        return np.full((self._shape[0] * self._shape[1], self._width), -np.inf)
 
     def _rows(self, values, cols: slice) -> list:
         """(dest, backups) of each kind of stacked row on the chunk `cols`;
@@ -250,8 +273,9 @@ class _Sweep:
         out = []
         if nonrev:
             dest, nxt, bits = nonrev
-            vj = (values[:, self._lo[cols]] * self._omw[cols]
-                  + values[:, self._hi[cols]] * self._w[cols])
+            read = values[self._read]
+            vj = (read[:, self._lo[cols]] * self._omw[cols]
+                  + read[:, self._hi[cols]] * self._w[cols])
             terms = self._terms[:, :, :width]
             np.take(vj, nxt, axis=0, out=terms, mode="clip")  # in range
             for term, prob in zip(terms, self._probs):
@@ -324,19 +348,18 @@ def backup(table: ValueTable, action: Action, b: int, p: float) -> float:
 
 
 def bellman_step(table: ValueTable) -> ValueTable:
-    """One sweep of the backup operator, returning a fresh table with Q-values."""
-    q = BellmanOperator(table.params, table.grid).q_tables(table.values)
-    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=table.grid,
-                      params=table.params, iterations=table.iterations + 1)
+    """One sweep of the backup operator: a fresh table with `table.values`
+    as its source."""
+    op = BellmanOperator(table.params, table.grid)
+    return ValueTable(values=op.step(table.values), source=table.values, operator=op,
+                      grid=table.grid, params=table.params,
+                      iterations=table.iterations + 1)
 
 
 def zero_table(params: SystemParams, grid: BeliefGrid) -> ValueTable:
-    """All-zero values; q_values are 0 where an action is feasible, else NaN."""
-    shape = (params.b_max + 1, grid.resolution)
-    q = np.full((len(Action),) + shape, np.nan)
-    for b in range(params.b_max + 1):
-        q[list(feasible_actions(b, params)), b] = 0.0
-    return ValueTable(values=np.zeros(shape), q_values=q, grid=grid,
+    """All-zero values, with no backups behind them (no Q values)."""
+    return ValueTable(values=np.zeros((params.b_max + 1, grid.resolution)),
+                      source=None, operator=BellmanOperator(params, grid), grid=grid,
                       params=params, iterations=0)
 
 
@@ -367,8 +390,8 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     beta^n.  The other columns are backed up in order of depth, each after
     every column it reads is final; a backup of inputs within c * tol of the
     fixed point is within beta * c * tol of it, so they keep the
-    certificate.  A final backup of the whole grid gives `values` and
-    `q_values`.  Values are discounted bits, so the fixed point is below
+    certificate.  A final backup of the whole grid, its `source`, gives
+    `values`.  Values are discounted bits, so the fixed point is below
     r_high / (1 - beta).
 
     Raises ValueError unless tol and span_tol are finite and positive and
@@ -407,10 +430,9 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     for d in range(1, depth.max() + 1):
         cols = np.flatnonzero(depth == d)
         values[:, cols] = op.step(values, cols)
-    q = op.q_tables(values)
-    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid, params=params,
-                      iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0,
-                      core_columns=core.size)
+    return ValueTable(values=op.step(values), source=values, operator=op,
+                      grid=grid, params=params, iterations=sweeps, span=hi - lo,
+                      bound=c * (hi - lo) / 2.0, core_columns=core.size)
 
 
 def sense_defer_on_good_backups(table: ValueTable):
@@ -430,5 +452,5 @@ def sense_defer_on_good_backups(table: ValueTable):
     legs += [(bad, (0.0, params.e_sense)) for bad, _ in legs]
     op = BellmanOperator(params, table.grid)
     b = np.arange(params.b_max + 1)
-    plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)])
-    return tuple(_Sweep(op, plan, len(legs)).frame(table.values))
+    plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)], range(len(b)))
+    return tuple(_Sweep(op, plan, (len(legs), len(b))).frame(table.values))

@@ -24,9 +24,12 @@ def reference_grid_csv(path, config_hash, header, points, columns):
                                            for c in cells])
 
 
-def assert_same_values(tmp_path, points, values, q_values):
+def assert_same_values(tmp_path, points, values, q_values, q_block=None):
+    """write_value_csv reading `q_block` (slices of `q_values` by default)
+    against the reference writer of `q_values`."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_value_csv(got, "abc123", points, values, q_values)
+    write_value_csv(got, "abc123", points, values,
+                    q_block or (lambda rows: q_values[:, rows]))
     reference_grid_csv(want, "abc123", VALUE_HEADER, points, [values, *q_values])
     assert got.read_bytes() == want.read_bytes()
 
@@ -40,8 +43,9 @@ def assert_same_regions(tmp_path, points, actions):
 
 def test_single_rate_value_table(tmp_path, tiny_params, coarse_grid):
     table = value_iteration(tiny_params, coarse_grid)
-    assert np.isnan(table.q_values[Action.LOW_RATE]).all()
-    assert_same_values(tmp_path, coarse_grid.points, table.values, table.q_values)
+    q = table.q_block(slice(None))
+    assert np.isnan(q[Action.LOW_RATE]).all()
+    assert_same_values(tmp_path, coarse_grid.points, table.values, q)
 
 
 @pytest.fixture(params=["inline", "fan-out"])
@@ -59,10 +63,11 @@ def path_taken(request, monkeypatch):
 
 def test_two_rate_value_table(tmp_path, tiny_two_rate, coarse_grid, path_taken):
     table = value_iteration(tiny_two_rate, coarse_grid)
-    columns = [table.values, *table.q_values]
+    q = table.q_block(slice(None))
+    columns = [table.values, *q]
     partly_nan = [np.isnan(c).any() and not np.isnan(c).all() for c in columns]
     assert sum(partly_nan) >= 2
-    assert_same_values(tmp_path, coarse_grid.points, table.values, table.q_values)
+    assert_same_values(tmp_path, coarse_grid.points, table.values, q, table.q_block)
 
 
 def test_region_table(tmp_path, tiny_two_rate, coarse_grid):

@@ -152,6 +152,21 @@ class TestConfigParsing:
         assert err.startswith("config error: ") and f"{section}.{field}" in err
         assert not out.exists()  # failed before any solve
 
+    @pytest.mark.parametrize("name, value", [
+        ("b_max", "6"), ("e_tx", "2.0"), ("e_sense", "abc"), ("b_max", 6.5)])
+    def test_badly_typed_energy_count_exits_at_parse(self, tmp_path, capsys,
+                                                    name, value):
+        cfg = small_config()
+        cfg["model"][name] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: invalid model: {name} must be an integer number "
+            f"of energy units, got {value!r}\n")
+        assert not out.exists()
+
     def test_exponent_form_model_floats_read_as_numbers(self, tmp_path):
         dotted = small_config()
         dotted["model"]["lambda0"] = 0.6

@@ -48,9 +48,11 @@ class TestExtractPolicy:
         # at (4, 50) every action is feasible; put the pair above the rest,
         # the later action `gap` below the earlier one
         table = value_iteration(tiny_two_rate, coarse_grid)
-        q = table.q_values
+        q = table.q_block(slice(None))
         top = np.nanmax(q[:, 4, 50]) + 1.0
         q[earlier, 4, 50], q[later, 4, 50] = top, top - gap
+        table.values = np.fmax.reduce(q)
+        table.q_block = lambda rows: q[:, rows]
         pol = extract_policy(table)
         assert pol.actions[4, 50] == (later if later_wins else earlier)
 

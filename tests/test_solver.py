@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from ehsense import (Action, BeliefGrid, BellmanOperator, ConvergenceError,
                      value_iteration, zero_table)
 from ehsense.belief import belief_update_no_obs
 from ehsense.config import load_config
+from ehsense.artifacts import row_blocks
+from ehsense.model import feasible_actions
 from ehsense.policies import SINGLE_THRESHOLD_ACTIONS, extract_policy
 from ehsense.solver import default_max_iter
 
@@ -99,12 +102,13 @@ class TestBellmanStep:
         t = table_with(tiny_two_rate, coarse_grid,
                        rng.random((tiny_two_rate.b_max + 1, 101)) * 5)
         stepped = bellman_step(t)
+        q_all = stepped.q_block(slice(None))
         for b in range(tiny_two_rate.b_max + 1):
             for j in range(0, 101, 17):
                 x = float(coarse_grid.points[j])
                 vals = []
                 for a in Action:
-                    q = stepped.q_values[a][b, j]
+                    q = q_all[a, b, j]
                     try:
                         want = backup(t, a, b, x)
                     except InfeasibleActionError:
@@ -195,8 +199,9 @@ class TestBellmanStep:
         stepped = bellman_step(zero_table(params, coarse_grid))
         j = list(coarse_grid.points).index(0.5)
         assert stepped.values[10, j] == pytest.approx(max(0.0, 1.5, 1.2))
-        assert np.isnan(stepped.q_values[Action.LOW_RATE][10, j])
-        assert np.isnan(stepped.q_values[Action.SENSE_TRANSMIT][10, j])
+        q = stepped.q_block(slice(10, 11))
+        assert np.isnan(q[Action.LOW_RATE, 0, j])
+        assert np.isnan(q[Action.SENSE_TRANSMIT, 0, j])
 
     def test_contraction_in_sup_norm(self, tiny_two_rate, coarse_grid):
         rng = np.random.default_rng(4)
@@ -328,10 +333,10 @@ def full_grid_solve(params, grid, tol, span_tol=None):
         if hi - lo <= limit:
             break
     c = params.beta / (1.0 - params.beta)
-    q = op.q_tables(v + c * (hi + lo) / 2.0)
-    return ValueTable(values=np.fmax.reduce(q), q_values=q, grid=grid,
-                      params=params, iterations=sweeps, span=hi - lo,
-                      bound=c * (hi - lo) / 2.0)
+    source = v + c * (hi + lo) / 2.0
+    return ValueTable(values=np.fmax.reduce(op.q_tables(source)), source=source,
+                      operator=op, grid=grid, params=params,
+                      iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
 
 
 def core_loop_solve(params, grid, tol, span_tol=None):
@@ -364,7 +369,7 @@ def assert_is_the_core_loop(params, grid, tol, span_tol=None):
     values, q, sweeps = core_loop_solve(params, grid, tol, span_tol)
     assert t.iterations == sweeps
     assert t.values.tobytes() == values.tobytes()
-    assert t.q_values.tobytes() == q.tobytes()
+    assert t.q_block(slice(None)).tobytes() == q.tobytes()
 
 
 class TestCore:
@@ -445,12 +450,14 @@ class TestCore:
         assert t.core_columns == coarse_grid.resolution
         assert t.iterations == ref.iterations
         assert np.array_equal(t.values, ref.values)
-        assert np.array_equal(t.q_values, ref.q_values, equal_nan=True)
+        assert np.array_equal(t.q_block(slice(None)), ref.q_block(slice(None)),
+                              equal_nan=True)
 
 
 class TestQValues:
-    """q_values is one [action, battery, belief] array whose NaN-skipping
-    max over actions is the table's values."""
+    """A table renders its Q values block by block from `source`: each block
+    is the same rows of `BellmanOperator.q_tables(source)`, and the table's
+    values are their NaN-skipping max over actions."""
 
     @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
     def test_value_iteration_table(self, tiny_two_rate, coarse_grid, allowed):
@@ -461,11 +468,16 @@ class TestQValues:
     def test_bellman_step_table(self, fixture, coarse_grid, request):
         params = request.getfixturevalue(fixture)
         t = zero_table(params, coarse_grid)
-        self.check(t, params, None)
+        with pytest.raises(ValueError, match="no Q values"):
+            t.q_block(slice(None))
         stepped = bellman_step(t)
-        # zero_table's Q-values are zero exactly where the operator backs up
-        assert np.array_equal(np.isnan(t.q_values), np.isnan(stepped.q_values))
-        assert np.all(t.q_values[~np.isnan(t.q_values)] == 0.0)
+        self.check(stepped, params, None)
+        # the first backup of zero is NaN exactly where an action is
+        # infeasible
+        feasible = np.zeros((len(Action), params.b_max + 1, 101), dtype=bool)
+        for b in range(params.b_max + 1):
+            feasible[list(feasible_actions(b, params)), b] = True
+        assert np.array_equal(np.isnan(stepped.q_block(slice(None))), ~feasible)
         self.check(bellman_step(stepped), params, None)
 
     def check_shape(self, q, params):
@@ -473,12 +485,81 @@ class TestQValues:
         assert q.shape == (len(Action), params.b_max + 1, 101)
 
     def check(self, table, params, allowed):
-        q = table.q_values
+        q = table.q_block(slice(None))
         self.check_shape(q, params)
-        assert np.array_equal(table.values, np.fmax.reduce(q))
+        assert table.values.tobytes() == np.fmax.reduce(q).tobytes()
         kept = params.actions() if allowed is None else allowed
         for a in Action:
             assert np.isnan(q[a]).all() == (a not in kept)
+
+
+def some_blocks(n: int) -> list:
+    """The writer's blocks of an n-row table, and partial first and last
+    blocks that do not start or end on a block edge."""
+    return row_blocks(n) + [slice(0, 1), slice(0, 5), slice(5, 21),
+                            slice(n - 3, n), slice(n - 1, n), slice(0, n)]
+
+
+def assert_blocks_are_the_q_tables(table, op):
+    whole = op.q_tables(table.source)
+    for rows in some_blocks(table.params.b_max + 1):
+        assert table.q_block(rows).tobytes() == whole[:, rows].tobytes()
+
+
+class TestQBlocks:
+    """Every block a table renders is byte for byte the same rows of one
+    `q_tables` call on the whole table."""
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_blocks_on_shipped_points(self, cfg, params):
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        rng = np.random.default_rng(10)
+        t = bellman_step(table_with(params, grid,
+                                    rng.random((params.b_max + 1, grid.resolution))))
+        assert_blocks_are_the_q_tables(t, BellmanOperator(params, grid))
+
+    @pytest.mark.parametrize("fixture", ["region_params", "tiny_two_rate"])
+    def test_blocks_of_the_no_sensing_baseline(self, fixture, coarse_grid, request):
+        params = request.getfixturevalue(fixture)
+        t = value_iteration(params, coarse_grid, allowed=SINGLE_THRESHOLD_ACTIONS)
+        assert t.operator.actions == SINGLE_THRESHOLD_ACTIONS
+        assert_blocks_are_the_q_tables(
+            t, BellmanOperator(params, coarse_grid, allowed=SINGLE_THRESHOLD_ACTIONS))
+
+    def test_blocks_read_only_the_batteries_they_reach(self, region_params,
+                                                       coarse_grid):
+        # a block's backups read its own rows, shifted by the harvest and the
+        # debits: every other row of the source may hold anything
+        t = bellman_step(table_with(region_params, coarse_grid,
+                                    np.random.default_rng(11).random((51, 101))))
+        rows = slice(20, 36)
+        want = t.q_block(rows)
+        reached = np.zeros(51, dtype=bool)
+        reached[rows.start - region_params.e_tx:rows.stop + 10] = True
+        t.source = np.where(reached[:, None], t.source, np.nan)
+        assert t.q_block(rows).tobytes() == want.tobytes()
+
+
+def test_solve_extract_and_write_never_hold_a_whole_q_table(tmp_path, tiny_two_rate):
+    # b_max 60 on 501 beliefs: 183k float cells, so the writer stays inline
+    # and all of it runs in this process
+    params = tiny_two_rate.replace(b_max=60, e_tx=10, e_sense=3,
+                                   energy_pmf=(0.5, 0.0, 0.0, 0.5))
+    grid = BeliefGrid.from_resolution(501)
+    t = value_iteration(params, grid)
+    extract_policy(t)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        t = value_iteration(params, grid)
+        extract_policy(t)
+        t.write_csv(tmp_path / "values.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the solve's values, source, out and one chunk's work arrays reach about
+    # 6x values.nbytes here; a whole [action, battery, belief] array would
+    # add 5x on its own (10x in all, as when value_iteration kept one)
+    assert peak < 8 * t.values.nbytes
 
 
 class TestOracleAgreement:
