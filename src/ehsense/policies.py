@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import open_artifact, row_blocks, write_region_csv
+from .artifacts import open_artifact, write_region_csv
 from .model import Action, ParameterError, SystemParams, feasible_actions
 from .belief import BeliefGrid
-from .solver import Q_TIE_TOL, ValueTable
+from .solver import ValueTable
 
 # Canonical single-rate interval pattern: what an optimal row may look like
 # (as a subsequence) once the low-rate code is disabled.
@@ -48,18 +48,11 @@ class PolicyTable:
 
 
 def extract_policy(table: ValueTable) -> PolicyTable:
-    """Greedy policy: the argmax over actions of `table.q_block`, by blocks.
-
-    Ties within 1e-12 of `table.values` go to the action latest in `Action`'s
-    order (DEFER < LOW_RATE < SENSE_DEFER < SENSE_TRANSMIT < HIGH_RATE), so
-    region plots are reproducible.
-    """
-    actions = np.zeros(table.values.shape, dtype=np.int8)
-    for rows in row_blocks(len(actions)):
-        tied = table.q_block(rows) >= table.values[rows] - Q_TIE_TOL  # NaN: False
-        for a in Action:
-            actions[rows][tied[a]] = a
-    return PolicyTable(actions=actions, grid=table.grid, params=table.params)
+    """Greedy policy: the actions of the table's last backup
+    (`solver.greedy_actions`); a zero_table has none: ValueError."""
+    if table.actions is None:
+        raise ValueError("a table without backups has no greedy actions")
+    return PolicyTable(actions=table.actions, grid=table.grid, params=table.params)
 
 
 @dataclass(frozen=True)

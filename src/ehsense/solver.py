@@ -48,16 +48,18 @@ class ValueTable:
 
     values[b, j] approximates the optimal discounted reward from battery b
     and belief grid.points[j], the max of the Q values that `q_block` renders
-    from `source` by `operator` (None in a zero_table: no Q values).
-    `span` is the span of the last change value_iteration saw on its core
-    cells, `bound` = beta / (1 - beta) * span / 2 the certified sup-norm
-    distance of `values` to the grid's fixed point on every cell, and
-    `core_columns` the number of belief columns it iterated (inf, inf and 0
-    for tables value_iteration did not make).
+    from `source` by `operator`, and actions[b, j] (int8) the greedy action
+    there (`greedy_actions`); source and actions are None in a zero_table
+    (no backups).  `span` is the span of the last change value_iteration
+    saw on its core cells, `bound` = beta / (1 - beta) * span / 2 the
+    certified sup-norm distance of `values` to the grid's fixed point on
+    every cell, and `core_columns` the number of belief columns it iterated
+    (inf, inf and 0 for tables value_iteration did not make).
     """
 
     values: np.ndarray = field(repr=False)
     source: np.ndarray | None = field(repr=False)
+    actions: np.ndarray | None = field(repr=False)
     operator: BellmanOperator = field(repr=False)
     grid: BeliefGrid
     params: SystemParams
@@ -87,7 +89,7 @@ class BellmanOperator:
     The slot semantics come from `model.slot_outcomes`: at construction each
     allowed action is planned as the battery blocks where it is feasible,
     one per can-transmit value, and the blocks are stacked into one row set
-    of non-revealing actions and one of revealing ones (`_stack`).
+    of non-revealing actions and one of revealing ones, in battery order.
     `compile` fixes that plan on battery rows and belief columns; `step` (max over
     actions) and `q_tables` (per-action values) both evaluate it.  `allowed`
     restricts the action set (used by the no-sensing baseline); by default
@@ -127,32 +129,28 @@ class BellmanOperator:
                 if ok:
                     blocks.append((a, b[ok[0]:ok[-1] + 1], outcomes.legs(a, can_tx),
                                    bool(outcomes.reveals[a])))
-        self._blocks = blocks
-        self._plan = self._stack(blocks, range(params.b_max + 1))
+        self._plan = self._stack(blocks)
 
-    def _stack(self, blocks, rows: range) -> tuple:
+    def _stack(self, blocks) -> tuple:
         """The (non-revealing, revealing) row sets of plan blocks (slot,
-        batteries, legs, reveals) on battery rows `rows`; None for no blocks.
+        batteries, legs, reveals), each in battery order; None for no blocks.
 
-        A set is (dest, nxt, bits): row n backs up frame row dest[n] =
-        slot * len(rows) + battery - rows.start, reads nxt[s, n] after
-        harvest level s and adds bits[n].  A non-revealing row is its BAD
-        leg, read in the table interpolated at the propagated belief.  A
-        revealing set holds the BAD legs of its rows, then their GOOD legs,
-        read at flat (battery, leg) indices of the pair of reset columns."""
+        A set is (slot, battery, nxt, bits): row n backs up slot[n] at
+        battery[n] from leg g, reading nxt[s, g, n] after harvest level s and
+        adding bits[g, n].  A non-revealing row has one leg, its BAD one,
+        read in the table interpolated at the propagated belief.  A
+        revealing row has its BAD and GOOD legs, read at flat (battery, leg)
+        indices of the pair of reset columns."""
         kinds = []
         for reveals, sides in ((False, (0,)), (True, (0, 1))):
-            kind = [(s, bats[(bats >= rows.start) & (bats < rows.stop)], legs)
-                    for s, bats, legs, r in blocks if r == reveals]
-            kind = [block for block in kind if block[1].size]
-            kinds.append((
-                np.concatenate([s * len(rows) + bats - rows.start
-                                for s, bats, _ in kind]),
-                np.hstack([self._idx[legs[g][1]][bats].T * len(sides) + g
-                           for g in sides for _, bats, legs in kind]),
-                np.hstack([np.full(len(bats), legs[g][0])
-                           for g in sides for _, bats, legs in kind]))
-                         if kind else None)
+            parts = [(np.full(len(bats), s), bats,
+                      np.stack([self._idx[legs[g][1]][bats].T * len(sides) + g
+                                for g in sides], 1),
+                      np.array([np.full(len(bats), legs[g][0]) for g in sides]))
+                     for s, bats, legs, r in blocks if r == reveals]
+            kind = [np.concatenate(part, axis=-1) for part in zip(*parts)]
+            order = np.argsort(kind[1], kind="stable") if parts else None
+            kinds.append(tuple(a[..., order] for a in kind) if parts else None)
         return tuple(kinds)
 
     def depths(self) -> np.ndarray:
@@ -193,20 +191,18 @@ class BellmanOperator:
     def compile(self, cols=slice(None), at=None, rows=slice(None)) -> "_Sweep":
         """The plan on belief columns `cols` of battery rows `rows` (step 1),
         reading a table whose column k holds grid column at[k] (default: all)."""
-        rows = range(self.params.b_max + 1)[rows]
-        plan = self._plan if len(rows) > self.params.b_max else self._stack(
-            self._blocks, rows)
-        return _Sweep(self, plan, (len(Action), len(rows)), cols, at)
+        return _Sweep(self, self._plan, len(Action), range(self.params.b_max + 1)[rows],
+                      cols, at)
 
     def q_tables(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Backups of `values` on the battery rows `rows`, one [action, battery,
         belief] array; NaN where an action is infeasible or not allowed."""
         return self.compile(rows=rows).frame(values)
 
-    def step(self, values: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def step(self, values: np.ndarray, cols=slice(None), actions=None) -> np.ndarray:
         """Max over the feasible action backups on the belief columns `cols`,
-        without q_tables' NaN frames."""
-        return self.compile(cols).step(values)
+        without q_tables' NaN frames; `actions` as in `_Sweep.step`."""
+        return self.compile(cols).step(values, actions)
 
 
 # belief columns per chunk of a `_Sweep` on all battery rows (on r rows, this
@@ -221,21 +217,23 @@ class _Sweep:
 
     Backups read a table whose column k holds grid column at[k], so
     value_iteration can iterate its compact core (closed, so its reads stay
-    inside).  `shape` is the frame's (slots, battery rows); columns go in
-    chunks.  Each element is computed in the order of the scalar recursion
-    (interpolated values, the harvest sum left to right, times beta, plus
-    the bits), so every path gives the same bits.  Plan row dest lands on
-    row dest of a [slot * battery, column] frame: NaN where no row writes
-    for `frame`, -inf for `step`'s max.
+    inside).  The frame has `slots` slots on the battery rows `rows`, where
+    the plan's part is a slice; columns go in chunks.  Each element is
+    computed in the order of the scalar recursion (interpolated values, the
+    harvest sum left to right, times beta, plus the bits), so every path
+    gives the same bits.  Plan row dest lands on row dest of a [slot *
+    battery, column] frame: NaN where no row writes for `frame`, -inf for
+    `step`'s max.
     """
 
-    def __init__(self, op: BellmanOperator, plan, shape: tuple, cols=slice(None),
-                 at=None):
+    def __init__(self, op: BellmanOperator, plan, slots: int, rows: range,
+                 cols=slice(None), at=None):
         res, n = op.grid.resolution, op.params.b_max + 1
         cols = np.arange(res)[cols]
         at = np.arange(res) if at is None else np.asarray(at)
         pos = np.full(res, -1)
         pos[at] = np.arange(len(at))
+        self._cols = cols
         self._lo, self._hi = pos[op._j_lo[cols]], pos[op._j_lo[cols] + 1]
         self._reset = pos[[op._i0, op._i1]]  # BAD, GOOD
         if (np.concatenate([self._lo, self._hi, self._reset]) < 0).any():
@@ -243,15 +241,23 @@ class _Sweep:
         self._w, self._p = op._j_w[cols], op.grid.points[cols]
         self._omw, self._omp = 1.0 - self._w, 1.0 - self._p
         self._beta, self._probs = op.params.beta, op._probs
-        nonrev, rev = plan
+        kinds = []
+        for kind in plan:
+            if kind is not None:
+                slot, battery, nxt, bits = kind
+                lo, hi = np.searchsorted(battery, (rows.start, rows.stop))
+                kind = ((slot[lo:hi] * len(rows) + battery[lo:hi] - rows.start,
+                         nxt[..., lo:hi], bits[:, lo:hi]) if hi > lo else None)
+            kinds.append(kind)
+        nonrev, rev = kinds
         if nonrev:  # interpolate only the battery rows they read
-            read, k = np.unique(nonrev[1], return_inverse=True)
-            nonrev = nonrev[0], k.reshape(nonrev[1].shape), nonrev[2]
+            read, k = np.unique(nonrev[1][:, 0], return_inverse=True)  # BAD legs
+            nonrev = nonrev[0], k.reshape(len(nonrev[1]), -1), nonrev[2][0]
             self._read = (slice(read[0], read[-1] + 1)  # a view if contiguous
                           if read[-1] - read[0] < read.size else read)
         self._plan = nonrev, rev
-        self._shape = (*shape, len(cols))
-        self._width = max(1, min(len(cols), _CHUNK_COLUMNS * n // max(1, shape[1])))
+        self._shape = (slots, len(rows), len(cols))
+        self._width = max(1, min(len(cols), _CHUNK_COLUMNS * n // max(1, len(rows))))
         self._chunks = [slice(k, min(k + self._width, len(cols)))
                         for k in range(0, len(cols), self._width)]
         # arrays of one chunk, reused by every chunk and call, so a sweep
@@ -288,8 +294,8 @@ class _Sweep:
             out.append((dest, q))
         if rev:
             dest, nxt, bits = rev
-            e = values[:, self._reset].ravel()[nxt] * self._probs[:, None]
-            bad, good = (sum(e[1:], e[0]) * self._beta + bits).reshape(2, -1)
+            e = values[:, self._reset].ravel()[nxt] * self._probs[:, None, None]
+            bad, good = sum(e[1:], e[0]) * self._beta + bits
             q, q_bad = self._legs[:, :, :width]
             np.multiply.outer(good, self._p[cols], out=q)
             q += np.multiply.outer(bad, self._omp[cols], out=q_bad)
@@ -306,17 +312,30 @@ class _Sweep:
                 flat[dest, cols] = q
         return out
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, actions=None) -> np.ndarray:
         """A fresh [battery, column] array of the max over the backups of
-        `values`."""
+        `values`; fills this sweep's columns of `actions`, an int8 [battery,
+        grid column] array, if given, with their `greedy_actions`."""
         slots, n, _ = self._shape
         out = np.empty(self._shape[1:])
         for cols in self._chunks:
             buf = self._buf[:, :cols.stop - cols.start]
             for dest, q in self._rows(values, cols):
                 buf[dest] = q
-            buf.reshape(slots, n, -1).max(axis=0, out=out[:, cols])
+            q = buf.reshape(slots, n, -1)
+            q.max(axis=0, out=out[:, cols])
+            if actions is not None:
+                actions[:, self._cols[cols]] = greedy_actions(q, out[:, cols])
         return out
+
+
+def greedy_actions(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The greedy action (int8) of each cell of the backups q [action,
+    battery, belief] (NaN or -inf where not backed up): the latest action in
+    `Action`'s order within Q_TIE_TOL of the cell's value, so ties go to the
+    later action and region plots are reproducible (0 if none is)."""
+    codes = np.arange(len(q), dtype=np.int8)[:, None, None]
+    return ((q >= values - Q_TIE_TOL) * codes).max(axis=0)  # NaN: False
 
 
 def _cont(table: ValueTable, b: int, debit: int, next_belief: float) -> float:
@@ -351,16 +370,17 @@ def bellman_step(table: ValueTable) -> ValueTable:
     """One sweep of the backup operator: a fresh table with `table.values`
     as its source."""
     op = BellmanOperator(table.params, table.grid)
-    return ValueTable(values=op.step(table.values), source=table.values, operator=op,
-                      grid=table.grid, params=table.params,
+    v, actions = table.values, np.empty(table.values.shape, dtype=np.int8)
+    return ValueTable(values=op.step(v, actions=actions), source=v, actions=actions,
+                      operator=op, grid=table.grid, params=table.params,
                       iterations=table.iterations + 1)
 
 
 def zero_table(params: SystemParams, grid: BeliefGrid) -> ValueTable:
     """All-zero values, with no backups behind them (no Q values)."""
     return ValueTable(values=np.zeros((params.b_max + 1, grid.resolution)),
-                      source=None, operator=BellmanOperator(params, grid), grid=grid,
-                      params=params, iterations=0)
+                      source=None, actions=None, operator=BellmanOperator(params, grid),
+                      grid=grid, params=params, iterations=0)
 
 
 def default_max_iter(beta: float) -> int:
@@ -390,9 +410,10 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     beta^n.  The other columns are backed up in order of depth, each after
     every column it reads is final; a backup of inputs within c * tol of the
     fixed point is within beta * c * tol of it, so they keep the
-    certificate.  A final backup of the whole grid, its `source`, gives
-    `values`.  Values are discounted bits, so the fixed point is below
-    r_high / (1 - beta).
+    certificate.  That table is the `source` of `values`: off the core, its
+    backup is itself, so only the core is backed up again, and the depth
+    pass and that backup give the greedy `actions`.  Values are discounted
+    bits, so the fixed point is below r_high / (1 - beta).
 
     Raises ValueError unless tol and span_tol are finite and positive and
     v_init has the table's shape, and ConvergenceError when max_iter sweeps
@@ -427,10 +448,13 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
         raise ConvergenceError(hi - lo, max_iter)
     c = params.beta / (1.0 - params.beta)
     values[:, core] = new + c * (hi + lo) / 2.0
+    actions = np.empty(shape, dtype=np.int8)
     for d in range(1, depth.max() + 1):
         cols = np.flatnonzero(depth == d)
-        values[:, cols] = op.step(values, cols)
-    return ValueTable(values=op.step(values), source=values, operator=op,
+        values[:, cols] = op.step(values, cols, actions)
+    final = values.copy()
+    final[:, core] = sweep.step(values[:, core], actions)
+    return ValueTable(values=final, source=values, actions=actions, operator=op,
                       grid=grid, params=params, iterations=sweeps, span=hi - lo,
                       bound=c * (hi - lo) / 2.0, core_columns=core.size)
 
@@ -452,5 +476,5 @@ def sense_defer_on_good_backups(table: ValueTable):
     legs += [(bad, (0.0, params.e_sense)) for bad, _ in legs]
     op = BellmanOperator(params, table.grid)
     b = np.arange(params.b_max + 1)
-    plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)], range(len(b)))
-    return tuple(_Sweep(op, plan, (len(legs), len(b))).frame(table.values))
+    plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)])
+    return tuple(_Sweep(op, plan, len(legs), range(len(b))).frame(table.values))

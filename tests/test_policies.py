@@ -10,6 +10,7 @@ from ehsense import (Action, BeliefGrid, ParameterError, StructureViolationError
 from ehsense.policies import (NO_REGION, SINGLE_THRESHOLD_ACTIONS, PolicyRow,
                               PolicyTable, ThresholdPolicy, policy_from_rho,
                               rho_from_policy, row_from_rho)
+from ehsense.solver import greedy_actions
 from conftest import two_point_pmf
 
 
@@ -47,14 +48,15 @@ class TestExtractPolicy:
                                       earlier, later, gap, later_wins):
         # at (4, 50) every action is feasible; put the pair above the rest,
         # the later action `gap` below the earlier one
+        # (the tie rule reads Q as q_tables gives it, NaN where an action is
+        # not backed up, and as a sweep's frame holds it, -inf there)
         table = value_iteration(tiny_two_rate, coarse_grid)
         q = table.q_block(slice(None))
         top = np.nanmax(q[:, 4, 50]) + 1.0
         q[earlier, 4, 50], q[later, 4, 50] = top, top - gap
-        table.values = np.fmax.reduce(q)
-        table.q_block = lambda rows: q[:, rows]
-        pol = extract_policy(table)
-        assert pol.actions[4, 50] == (later if later_wins else earlier)
+        for backups in (q, np.where(np.isnan(q), -np.inf, q)):
+            actions = greedy_actions(backups, np.fmax.reduce(q))
+            assert actions[4, 50] == (later if later_wins else earlier)
 
     def test_scaling_rewards_leaves_policy_unchanged(self, tiny_two_rate, coarse_grid):
         t1 = value_iteration(tiny_two_rate, coarse_grid)

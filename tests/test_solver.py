@@ -13,7 +13,7 @@ from ehsense.config import load_config
 from ehsense.artifacts import row_blocks
 from ehsense.model import feasible_actions
 from ehsense.policies import SINGLE_THRESHOLD_ACTIONS, extract_policy
-from ehsense.solver import default_max_iter
+from ehsense.solver import Q_TIE_TOL, default_max_iter, greedy_actions
 
 # Every sweep point of the shipped configs.  perfbench/configs/tiny/
 # two_rate_regions.yaml is left out: its 51-point grid puts lambda0 = 0.81
@@ -321,7 +321,8 @@ class TestValueIteration:
 
 def full_grid_solve(params, grid, tol, span_tol=None):
     """value_iteration's stop rule and midpoint on plain sweeps of
-    `BellmanOperator.step` over every belief column, from zero."""
+    `BellmanOperator.step` over every belief column, from zero; values and
+    greedy actions from one `q_tables` of the result."""
     op = BellmanOperator(params, grid)
     v = np.zeros((params.b_max + 1, grid.resolution))
     limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
@@ -334,7 +335,9 @@ def full_grid_solve(params, grid, tol, span_tol=None):
             break
     c = params.beta / (1.0 - params.beta)
     source = v + c * (hi + lo) / 2.0
-    return ValueTable(values=np.fmax.reduce(op.q_tables(source)), source=source,
+    q = op.q_tables(source)
+    values = np.fmax.reduce(q)
+    return ValueTable(values=values, source=source, actions=greedy_actions(q, values),
                       operator=op, grid=grid, params=params,
                       iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
 
@@ -538,6 +541,48 @@ class TestQBlocks:
         reached[rows.start - region_params.e_tx:rows.stop + 10] = True
         t.source = np.where(reached[:, None], t.source, np.nan)
         assert t.q_block(rows).tobytes() == want.tobytes()
+
+
+def block_rule(table) -> np.ndarray:
+    """Greedy actions by the tie rule applied to `q_block`, one writer block
+    at a time: an action within Q_TIE_TOL of the value ties, and the later
+    action wins."""
+    actions = np.zeros(table.values.shape, dtype=np.int8)
+    for rows in row_blocks(len(actions)):
+        tied = table.q_block(rows) >= table.values[rows] - Q_TIE_TOL  # NaN: False
+        for a in Action:
+            actions[rows][tied[a]] = a
+    return actions
+
+
+class TestGreedyActions:
+    """A table's greedy actions, kept from its last backup, are the ones the
+    tie rule gives on the Q blocks it renders."""
+
+    @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_value_iteration_tables(self, cfg, params, allowed):
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        t = value_iteration(params, grid, tol=cfg.tol, span_tol=cfg.span_tol,
+                            allowed=allowed)
+        assert t.actions.dtype == np.int8
+        assert np.array_equal(extract_policy(t).actions, block_rule(t))
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_bellman_step_tables(self, cfg, params):
+        # the first backup of zero ties wherever actions pay the same bits
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        rng = np.random.default_rng(12)
+        for t in (zero_table(params, grid),
+                  table_with(params, grid, rng.random((params.b_max + 1, grid.resolution)))):
+            stepped = bellman_step(t)
+            assert np.array_equal(extract_policy(stepped).actions, block_rule(stepped))
+
+    def test_zero_table_has_no_actions(self, tiny_two_rate, coarse_grid):
+        t = zero_table(tiny_two_rate, coarse_grid)
+        assert t.actions is None
+        with pytest.raises(ValueError, match="no greedy actions"):
+            extract_policy(t)
 
 
 def test_solve_extract_and_write_never_hold_a_whole_q_table(tmp_path, tiny_two_rate):
