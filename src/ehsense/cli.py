@@ -76,9 +76,11 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, say,
         table.write_csv(_file(out, "values", label, "csv"), cfg.config_hash)
         extract_thresholds(policy).write_text(
             _file(out, "thresholds", label, "txt"), cfg.config_hash)
+        uncertified = int((table.margins <= 2.0 * table.bound).sum())
         say(f"  converged in {table.iterations} sweeps on {table.core_columns} "
             f"of {cfg.grid_resolution} belief columns, values within "
-            f"{table.bound:.1e} of the fixed point")
+            f"{table.bound:.1e} of the fixed point; {uncertified} cells have a "
+            f"margin <= {2.0 * table.bound:.1e}")
     return EXIT_OK
 
 

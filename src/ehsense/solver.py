@@ -47,20 +47,20 @@ class ValueTable:
     """Converged (or truncated) values on the grid.
 
     values[b, j] approximates the optimal discounted reward from battery b
-    and belief grid.points[j], the max of the Q values that `q_block` renders
-    from `source` by `operator`, and actions[b, j] (int8) the greedy action
-    there (`greedy_actions`); source and actions are None in a zero_table
-    (no backups).  `span` is the span of the last change value_iteration
-    saw on its core cells, `bound` = beta / (1 - beta) * span / 2 the
-    certified sup-norm distance of `values` to the grid's fixed point on
-    every cell, and `core_columns` the number of belief columns it iterated
-    (inf, inf and 0 for tables value_iteration did not make).
+    and belief grid.points[j]; actions[b, j] (int8) is the greedy action of
+    the last backup of that cell (`greedy_actions`) and margins[b, j] its
+    best backup minus the runner-up, inf where one action is backed up
+    (actions and margins are None in a zero_table: no backups).  `span` is
+    the span of the last change value_iteration saw on its core cells,
+    `bound` = beta / (1 - beta) * span / 2 the certified sup-norm distance
+    of `values` to the grid's fixed point on every cell, and `core_columns`
+    the number of belief columns it iterated (inf, inf and 0 for tables
+    value_iteration did not make).
     """
 
     values: np.ndarray = field(repr=False)
-    source: np.ndarray | None = field(repr=False)
     actions: np.ndarray | None = field(repr=False)
-    operator: BellmanOperator = field(repr=False)
+    margins: np.ndarray | None = field(repr=False)
     grid: BeliefGrid
     params: SystemParams
     iterations: int
@@ -68,19 +68,14 @@ class ValueTable:
     bound: float = math.inf
     core_columns: int = 0
 
-    def q_block(self, rows: slice) -> np.ndarray:
-        """Q values on the battery rows `rows`, as `BellmanOperator.q_tables`
-        gives them: [action, battery, belief], NaN where not backed up."""
-        if self.source is None:
-            raise ValueError("a table without backups has no Q values")
-        return self.operator.q_tables(self.source, rows)
-
     def value_at(self, battery: int, p: float) -> float:
         return float(self.grid.interp(self.values[battery], p))
 
     def write_csv(self, path, config_hash: str = "") -> None:
+        if self.margins is None:
+            raise ValueError("a table without backups has no margins")
         write_value_csv(path, config_hash, self.grid.points, self.values,
-                        self.q_block)
+                        self.margins)
 
 
 class BellmanOperator:
@@ -89,11 +84,11 @@ class BellmanOperator:
     The slot semantics come from `model.slot_outcomes`: at construction each
     allowed action is planned as the battery blocks where it is feasible,
     one per can-transmit value, and the blocks are stacked into one row set
-    of non-revealing actions and one of revealing ones, in battery order.
-    `compile` fixes that plan on battery rows and belief columns; `step` (max over
-    actions) and `q_tables` (per-action values) both evaluate it.  `allowed`
-    restricts the action set (used by the no-sensing baseline); by default
-    it is the model's own action set.  `step` reads the whole value table
+    of non-revealing actions and one of revealing ones.  `compile` fixes
+    that plan on belief columns; `step` (max over actions) and `q_tables`
+    (per-action values) both evaluate it.  `allowed` restricts the action
+    set (used by the no-sensing baseline); by default it is the model's own
+    action set.  `step` reads the whole value table
     and returns a fresh array over the belief columns `cols` (all of them by
     default).
     """
@@ -133,7 +128,7 @@ class BellmanOperator:
 
     def _stack(self, blocks) -> tuple:
         """The (non-revealing, revealing) row sets of plan blocks (slot,
-        batteries, legs, reveals), each in battery order; None for no blocks.
+        batteries, legs, reveals); None for no blocks.
 
         A set is (slot, battery, nxt, bits): row n backs up slot[n] at
         battery[n] from leg g, reading nxt[s, g, n] after harvest level s and
@@ -148,9 +143,8 @@ class BellmanOperator:
                                 for g in sides], 1),
                       np.array([np.full(len(bats), legs[g][0]) for g in sides]))
                      for s, bats, legs, r in blocks if r == reveals]
-            kind = [np.concatenate(part, axis=-1) for part in zip(*parts)]
-            order = np.argsort(kind[1], kind="stable") if parts else None
-            kinds.append(tuple(a[..., order] for a in kind) if parts else None)
+            kinds.append(tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+                         if parts else None)
         return tuple(kinds)
 
     def depths(self) -> np.ndarray:
@@ -188,46 +182,45 @@ class BellmanOperator:
                 nxt = nxt[nxt]
             seeds = nxt[todo]
 
-    def compile(self, cols=slice(None), at=None, rows=slice(None)) -> "_Sweep":
-        """The plan on belief columns `cols` of battery rows `rows` (step 1),
-        reading a table whose column k holds grid column at[k] (default: all)."""
-        return _Sweep(self, self._plan, len(Action), range(self.params.b_max + 1)[rows],
-                      cols, at)
+    def compile(self, cols=slice(None), at=None) -> "_Sweep":
+        """The plan on belief columns `cols`, reading a table whose column k
+        holds grid column at[k] (default: all)."""
+        return _Sweep(self, self._plan, len(Action), cols, at)
 
-    def q_tables(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Backups of `values` on the battery rows `rows`, one [action, battery,
-        belief] array; NaN where an action is infeasible or not allowed."""
-        return self.compile(rows=rows).frame(values)
+    def q_tables(self, values: np.ndarray) -> np.ndarray:
+        """Backups of `values`, one [action, battery, belief] array; NaN where
+        an action is infeasible or not allowed."""
+        return self.compile().frame(values)
 
-    def step(self, values: np.ndarray, cols=slice(None), actions=None) -> np.ndarray:
+    def step(self, values: np.ndarray, cols=slice(None), actions=None,
+             margins=None) -> np.ndarray:
         """Max over the feasible action backups on the belief columns `cols`,
-        without q_tables' NaN frames; `actions` as in `_Sweep.step`."""
-        return self.compile(cols).step(values, actions)
+        without q_tables' NaN frames; `actions` and `margins` as in
+        `_Sweep.step`."""
+        return self.compile(cols).step(values, actions, margins)
 
 
-# belief columns per chunk of a `_Sweep` on all battery rows (on r rows, this
-# times (b_max + 1) / r): wide enough that a core (a few dozen columns) is
-# one chunk and numpy's per-row cost is spread over many columns, narrow
-# enough that a big grid's work arrays stay a few MB
+# belief columns per chunk of a `_Sweep`: wide enough that a core (a few
+# dozen columns) is one chunk and numpy's per-row cost is spread over many
+# columns, narrow enough that a big grid's work arrays stay a few MB
 _CHUNK_COLUMNS = 64
 
 
 class _Sweep:
-    """A stacked plan compiled on fixed battery rows and belief columns.
+    """A stacked plan compiled on fixed belief columns.
 
     Backups read a table whose column k holds grid column at[k], so
     value_iteration can iterate its compact core (closed, so its reads stay
-    inside).  The frame has `slots` slots on the battery rows `rows`, where
-    the plan's part is a slice; columns go in chunks.  Each element is
-    computed in the order of the scalar recursion (interpolated values, the
-    harvest sum left to right, times beta, plus the bits), so every path
-    gives the same bits.  Plan row dest lands on row dest of a [slot *
-    battery, column] frame: NaN where no row writes for `frame`, -inf for
-    `step`'s max.
+    inside).  The frame has `slots` slots on every battery row; columns go
+    in chunks.  Each element is computed in the order of the scalar
+    recursion (interpolated values, the harvest sum left to right, times
+    beta, plus the bits), so every path gives the same bits.  Plan row dest
+    lands on row dest of a [slot * battery, column] frame: NaN where no row
+    writes for `frame`, -inf for `step`'s max.
     """
 
-    def __init__(self, op: BellmanOperator, plan, slots: int, rows: range,
-                 cols=slice(None), at=None):
+    def __init__(self, op: BellmanOperator, plan, slots: int, cols=slice(None),
+                 at=None):
         res, n = op.grid.resolution, op.params.b_max + 1
         cols = np.arange(res)[cols]
         at = np.arange(res) if at is None else np.asarray(at)
@@ -241,23 +234,14 @@ class _Sweep:
         self._w, self._p = op._j_w[cols], op.grid.points[cols]
         self._omw, self._omp = 1.0 - self._w, 1.0 - self._p
         self._beta, self._probs = op.params.beta, op._probs
-        kinds = []
-        for kind in plan:
-            if kind is not None:
-                slot, battery, nxt, bits = kind
-                lo, hi = np.searchsorted(battery, (rows.start, rows.stop))
-                kind = ((slot[lo:hi] * len(rows) + battery[lo:hi] - rows.start,
-                         nxt[..., lo:hi], bits[:, lo:hi]) if hi > lo else None)
-            kinds.append(kind)
-        nonrev, rev = kinds
-        if nonrev:  # interpolate only the battery rows they read
-            read, k = np.unique(nonrev[1][:, 0], return_inverse=True)  # BAD legs
-            nonrev = nonrev[0], k.reshape(len(nonrev[1]), -1), nonrev[2][0]
-            self._read = (slice(read[0], read[-1] + 1)  # a view if contiguous
-                          if read[-1] - read[0] < read.size else read)
+        # the plan row of (slot, battery) lands on frame row slot * n + battery
+        nonrev, rev = (None if kind is None else (kind[0] * n + kind[1], *kind[2:])
+                       for kind in plan)
+        if nonrev:  # one leg, its BAD one
+            nonrev = nonrev[0], nonrev[1][:, 0], nonrev[2][0]
         self._plan = nonrev, rev
-        self._shape = (slots, len(rows), len(cols))
-        self._width = max(1, min(len(cols), _CHUNK_COLUMNS * n // max(1, len(rows))))
+        self._shape = (slots, n, len(cols))
+        self._width = max(1, min(len(cols), _CHUNK_COLUMNS))
         self._chunks = [slice(k, min(k + self._width, len(cols)))
                         for k in range(0, len(cols), self._width)]
         # arrays of one chunk, reused by every chunk and call, so a sweep
@@ -271,6 +255,10 @@ class _Sweep:
     def _buf(self) -> np.ndarray:  # step's frame: chunks write the same rows
         return np.full((self._shape[0] * self._shape[1], self._width), -np.inf)
 
+    @cached_property
+    def _top_two(self) -> np.ndarray:  # step's top two and their scratch
+        return np.empty((3, self._shape[1], self._width))
+
     def _rows(self, values, cols: slice) -> list:
         """(dest, backups) of each kind of stacked row on the chunk `cols`;
         the backups are views of the work arrays, valid until the next call."""
@@ -279,9 +267,8 @@ class _Sweep:
         out = []
         if nonrev:
             dest, nxt, bits = nonrev
-            read = values[self._read]
-            vj = (read[:, self._lo[cols]] * self._omw[cols]
-                  + read[:, self._hi[cols]] * self._w[cols])
+            vj = (values[:, self._lo[cols]] * self._omw[cols]
+                  + values[:, self._hi[cols]] * self._w[cols])
             terms = self._terms[:, :, :width]
             np.take(vj, nxt, axis=0, out=terms, mode="clip")  # in range
             for term, prob in zip(terms, self._probs):
@@ -312,20 +299,35 @@ class _Sweep:
                 flat[dest, cols] = q
         return out
 
-    def step(self, values: np.ndarray, actions=None) -> np.ndarray:
+    def step(self, values: np.ndarray, actions=None, margins=None) -> np.ndarray:
         """A fresh [battery, column] array of the max over the backups of
-        `values`; fills this sweep's columns of `actions`, an int8 [battery,
-        grid column] array, if given, with their `greedy_actions`."""
+        `values`.  Given `actions` (int8) and `margins` (float), two
+        [battery, grid column] arrays, fills this sweep's columns of them
+        with each cell's `greedy_actions` and its best backup minus the
+        runner-up (inf where one action is backed up)."""
         slots, n, _ = self._shape
         out = np.empty(self._shape[1:])
         for cols in self._chunks:
-            buf = self._buf[:, :cols.stop - cols.start]
+            width = cols.stop - cols.start
+            buf = self._buf[:, :width]
             for dest, q in self._rows(values, cols):
                 buf[dest] = q
             q = buf.reshape(slots, n, -1)
-            q.max(axis=0, out=out[:, cols])
-            if actions is not None:
-                actions[:, self._cols[cols]] = greedy_actions(q, out[:, cols])
+            if actions is None:
+                q.max(axis=0, out=out[:, cols])
+                continue
+            # a running top two, in contiguous arrays (twice as fast as in a
+            # strided view of out); the max is exact, so top is q.max's bits
+            top, second, low = self._top_two[:, :, :width]
+            np.copyto(top, q[0])
+            second.fill(-np.inf)
+            for qs in q[1:]:
+                np.minimum(top, qs, out=low)
+                np.maximum(second, low, out=second)
+                np.maximum(top, qs, out=top)
+            out[:, cols] = top
+            actions[:, self._cols[cols]] = greedy_actions(q, top)
+            margins[:, self._cols[cols]] = np.subtract(top, second, out=second)
         return out
 
 
@@ -367,20 +369,21 @@ def backup(table: ValueTable, action: Action, b: int, p: float) -> float:
 
 
 def bellman_step(table: ValueTable) -> ValueTable:
-    """One sweep of the backup operator: a fresh table with `table.values`
-    as its source."""
+    """One sweep of the backup operator: a fresh table of the backups of
+    `table.values`."""
     op = BellmanOperator(table.params, table.grid)
-    v, actions = table.values, np.empty(table.values.shape, dtype=np.int8)
-    return ValueTable(values=op.step(v, actions=actions), source=v, actions=actions,
-                      operator=op, grid=table.grid, params=table.params,
-                      iterations=table.iterations + 1)
+    shape = table.values.shape
+    actions, margins = np.empty(shape, dtype=np.int8), np.empty(shape)
+    return ValueTable(values=op.step(table.values, actions=actions, margins=margins),
+                      actions=actions, margins=margins, grid=table.grid,
+                      params=table.params, iterations=table.iterations + 1)
 
 
 def zero_table(params: SystemParams, grid: BeliefGrid) -> ValueTable:
-    """All-zero values, with no backups behind them (no Q values)."""
+    """All-zero values, with no backups behind them (no actions)."""
     return ValueTable(values=np.zeros((params.b_max + 1, grid.resolution)),
-                      source=None, actions=None, operator=BellmanOperator(params, grid),
-                      grid=grid, params=params, iterations=0)
+                      actions=None, margins=None, grid=grid, params=params,
+                      iterations=0)
 
 
 def default_max_iter(beta: float) -> int:
@@ -410,9 +413,9 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
     beta^n.  The other columns are backed up in order of depth, each after
     every column it reads is final; a backup of inputs within c * tol of the
     fixed point is within beta * c * tol of it, so they keep the
-    certificate.  That table is the `source` of `values`: off the core, its
-    backup is itself, so only the core is backed up again, and the depth
-    pass and that backup give the greedy `actions`.  Values are discounted
+    certificate.  Off the core, a backup of that table is the table itself,
+    so only the core is backed up again, in place, and the depth pass and
+    that backup give the greedy `actions` and their `margins`.  Values are discounted
     bits, so the fixed point is below r_high / (1 - beta).
 
     Raises ValueError unless tol and span_tol are finite and positive and
@@ -448,14 +451,13 @@ def value_iteration(params: SystemParams, grid: BeliefGrid,
         raise ConvergenceError(hi - lo, max_iter)
     c = params.beta / (1.0 - params.beta)
     values[:, core] = new + c * (hi + lo) / 2.0
-    actions = np.empty(shape, dtype=np.int8)
+    actions, margins = np.empty(shape, dtype=np.int8), np.empty(shape)
     for d in range(1, depth.max() + 1):
         cols = np.flatnonzero(depth == d)
-        values[:, cols] = op.step(values, cols, actions)
-    final = values.copy()
-    final[:, core] = sweep.step(values[:, core], actions)
-    return ValueTable(values=final, source=values, actions=actions, operator=op,
-                      grid=grid, params=params, iterations=sweeps, span=hi - lo,
+        values[:, cols] = op.step(values, cols, actions, margins)
+    values[:, core] = sweep.step(values[:, core], actions, margins)
+    return ValueTable(values=values, actions=actions, margins=margins, grid=grid,
+                      params=params, iterations=sweeps, span=hi - lo,
                       bound=c * (hi - lo) / 2.0, core_columns=core.size)
 
 
@@ -477,4 +479,4 @@ def sense_defer_on_good_backups(table: ValueTable):
     op = BellmanOperator(params, table.grid)
     b = np.arange(params.b_max + 1)
     plan = op._stack([(k, b, leg, True) for k, leg in enumerate(legs)])
-    return tuple(_Sweep(op, plan, len(legs), range(len(b))).frame(table.values))
+    return tuple(_Sweep(op, plan, len(legs)).frame(table.values))

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import ehsense
 from ehsense import BeliefGrid, StructureViolationError, compare_with_solver
-from ehsense.cli import main
+from ehsense.cli import _solver, main
 from ehsense.config import ConfigError, load_config, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -271,10 +272,18 @@ class TestSolveCommand:
         found = re.fullmatch(r"solving model \(grid \d+, tol \S+\)\n"
                              r"  converged in \d+ sweeps on \d+ of \d+ belief "
                              r"columns, values within "
-                             r"(\d\.\de[-+]\d+) of the fixed point\n", out)
+                             r"(\d\.\de[-+]\d+) of the fixed point; "
+                             r"(\d+) cells have a margin <= "
+                             r"(\d\.\de[-+]\d+)\n", out)
         assert found
         # the printed bound, rounded to 2 digits, is beta/(1-beta) * span/2
         assert float(found[1]) <= 1.05 * beta / (1 - beta) * limit / 2
+        # the count is of the solve's cells whose margin is at most 2 * bound
+        parsed = parse_config(cfg)
+        table = _solver(parsed)(parsed.model)
+        assert found[1] == f"{table.bound:.1e}"
+        assert found[3] == f"{2 * table.bound:.1e}"
+        assert int(found[2]) == np.count_nonzero(table.margins <= 2 * table.bound)
 
     def test_export_regions_only(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -443,6 +452,9 @@ class TestVerifyCommand:
 # solve's certified bound (no region cell changes).  values_q0.6.csv: every
 # sweep point is solved cold, no longer warm-started from the values at
 # q0.2, so its values move within the solve's bound (no region cell changes).
+# Every values file: its columns became battery, belief, value, margin (the
+# best backup minus the runner-up) in place of one Q column per action; the
+# first three columns are byte-identical.
 ARTIFACT_DIGESTS = {
     "regions.csv": "b8d0d3ebddd84a6fcb332cac74eafccf57c093908b42dc0ac44d920671b65890",
     "search_log.csv": "55bcac50e50d7d0358f8811e8e0793808481ed5a679f1f04ed92c5182be5c68e",
@@ -450,7 +462,7 @@ ARTIFACT_DIGESTS = {
     "search_throughput.csv": "d3c7483a542e8f89f31257590ab96bed01afe560412cf5f81858d815be05f7c6",
     "thresholds.txt": "5c06c0139bdfef8d6eaa5108477f1e92b219c8da6e116a45854ba77f10ef4e11",
     "throughput.csv": "d49663a30ab7f51528934461a0d8e26d27bd06116493c078c97efad6770c46e8",
-    "values.csv": "19a85afc93b52aa7e4d0626830b018192c2c195b0a1568aa957a5bcf95f3dbfe",
+    "values.csv": "021ec758bd781765c1eafff497ed57bc2199bf92914f1e978548fdb41c44fc5a",
 }
 SWEPT_DIGESTS = {
     "regions_q0.2.csv": "4adbe4996be51e88d62133c37d628145c72851e802f2f8a5e2e1c39818d396f3",
@@ -463,8 +475,8 @@ SWEPT_DIGESTS = {
     "thresholds_q0.2.txt": "5999c52eadc47aa45a0263c7352cc79d35aba9a8f01318bca4b0037e8c639ae9",
     "thresholds_q0.6.txt": "83d3a818f36407fe410482bda47555d252dfbfbddfc1bd663c5839ba3b35b375",
     "throughput.csv": "cfd40f6da2d39ceda7cd892ac159fb3142f732495c4841d16262217d27774418",
-    "values_q0.2.csv": "edea9b429420cb28568eea0e4f6c1f57e6d552a3db6f4303b5553b46517b2a9d",
-    "values_q0.6.csv": "74af1ca5d2e59032577460e57ddc84022134eda16774831994197719763df738",
+    "values_q0.2.csv": "37ed5342bdf91a41735ccd7bca50bc2765394c45fbc878587bd9b0e37a75cfc9",
+    "values_q0.6.csv": "128228606c25138df2785d370c09bc5006bf283895755f3112d76f2c59ff7da4",
 }
 
 
@@ -484,8 +496,8 @@ TAU_DIGESTS = {
     "thresholds_tau0.2.txt": "3fcd1e6b3d48cd769c18b6184ff7896e76936a7cfefd4b87ab954eeb71429700",
     "thresholds_tau0.3.txt": "bd691c5d5b58a279e69715b074d97e4a086b7b61ee629b6198002cbb77f77cec",
     "throughput.csv": "f735802829913e764a2b8bf49afad366648bedfadabb9266521fbf3904f687a3",
-    "values_tau0.2.csv": "58a2f1572b073088aa85865d5877941184ae2e8cac348913bbe1bca20aade6df",
-    "values_tau0.3.csv": "1661d288dd988b01fc77d6d8155f33bd66a437e4f65a476e606aa4b46f0d9b0c",
+    "values_tau0.2.csv": "c88668278e5151696462ee7927f98dd446960f218bdad45f01ae8eabd286352b",
+    "values_tau0.3.csv": "42e822cac11b5f694c60763ce34b73332f690ff522e81412978ba00478e6359a",
 }
 Q_TAU_DIGESTS = {
     "regions_q0.2_tau0.2.csv": "3bcba91faec6c13cf439ad038bba5d5c764b29efe85eaed83727bd20347aad48",
@@ -506,10 +518,10 @@ Q_TAU_DIGESTS = {
     "thresholds_q0.6_tau0.2.txt": "c7b02fe06d4200a8bb9ae207a7210c8c6cd15338b7b17ea4d4dd7f857a81db23",
     "thresholds_q0.6_tau0.3.txt": "223837897773ebd16787ef66314d5759a4706fad611593fe7265fdb0cc9369a8",
     "throughput.csv": "2dee57f8192e0230769cc43aecb5b2eb0eb028602d7d5c409fe13f07dd861bda",
-    "values_q0.2_tau0.2.csv": "ec9e95e26ee43131fa4f17a6d6cc59c01b92f7980c344ae3c300d62a28aeb370",
-    "values_q0.2_tau0.3.csv": "dd902b2a8f8c1f9a18a70a35d8a2d2371f0c94ae0bfbd121c8c533a7c10ac172",
-    "values_q0.6_tau0.2.csv": "619e8a4b62d5171f3342ab8902879f847aa3e9be7bfb7574e406cb29d938a6b0",
-    "values_q0.6_tau0.3.csv": "855d9f610d015edbf12c63cd1ef5e14449f4875620aac78a54c4a5461c8f1304",
+    "values_q0.2_tau0.2.csv": "01df509418cbc7ab3e60f383ac156019669b76cc878396493f56d7cb808d4eaa",
+    "values_q0.2_tau0.3.csv": "00cd18130fb3a13989c49dc610622986d61a7766a41d47287069a021e8e9882c",
+    "values_q0.6_tau0.2.csv": "352c5dce2fd5e72127e837f0513e22b5cb80ca3356a14fc9bd7912a301075885",
+    "values_q0.6_tau0.3.csv": "0f76d3a3029bcf5c086da5efa3acb5d38e80b8b6667757f660e307cd5fb5f64c",
 }
 
 
@@ -531,13 +543,15 @@ def test_artifact_bytes_are_pinned(tmp_path, overrides, digests):
 
 # SHA-256 of `solve`'s artifacts on a two-rate instance (a 51-point copy of
 # configs/two_rate_regions.yaml): unlike small_config(), its value table has
-# LOW_RATE values and both empty and filled Q cells on the same rows.
+# LOW_RATE values, and battery rows of empty margins (one feasible action)
+# beside rows of filled ones.
 # values.csv moved within the solve's bound when value_iteration began to
-# iterate only the core belief columns.
+# iterate only the core belief columns, and took a margin column in place of
+# the Q columns (its first three columns unchanged).
 TWO_RATE_DIGESTS = {
     "regions.csv": "a32639df0b0c3de05a4c6d945189736f4ef88b363e0eaf4d379b45ab94cec38f",
     "thresholds.txt": "6780d2f6cf725df6da86aee56bf1c9c97d9d4f35d768e48f21c3073387d907aa",
-    "values.csv": "e70192d80b2f421fa05c8324db5349eba4eb3169a88a7875fb95375045f1cfaa",
+    "values.csv": "4e0cf5e90725b0b1d7ee6cfc1607ca0b00327ed41dc76de3305818c26f6d89c1",
 }
 
 

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from ehsense import (Action, BeliefGrid, ParameterError, StructureViolationError,
+from ehsense import (Action, BeliefGrid, BellmanOperator, ParameterError, StructureViolationError,
                      encode_rows, extract_policy, extract_thresholds, feasible_actions,
                      greedy_policy, opportunistic_policy, value_iteration)
 from ehsense.policies import (NO_REGION, SINGLE_THRESHOLD_ACTIONS, PolicyRow,
@@ -51,7 +51,7 @@ class TestExtractPolicy:
         # (the tie rule reads Q as q_tables gives it, NaN where an action is
         # not backed up, and as a sweep's frame holds it, -inf there)
         table = value_iteration(tiny_two_rate, coarse_grid)
-        q = table.q_block(slice(None))
+        q = BellmanOperator(tiny_two_rate, coarse_grid).q_tables(table.values)
         top = np.nanmax(q[:, 4, 50]) + 1.0
         q[earlier, 4, 50], q[later, 4, 50] = top, top - gap
         for backups in (q, np.where(np.isnan(q), -np.inf, q)):

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,6 @@ from ehsense import (Action, BeliefGrid, BellmanOperator, ConvergenceError,
                      value_iteration, zero_table)
 from ehsense.belief import belief_update_no_obs
 from ehsense.config import load_config
-from ehsense.artifacts import row_blocks
 from ehsense.model import feasible_actions
 from ehsense.policies import SINGLE_THRESHOLD_ACTIONS, extract_policy
 from ehsense.solver import Q_TIE_TOL, default_max_iter, greedy_actions
@@ -102,7 +102,7 @@ class TestBellmanStep:
         t = table_with(tiny_two_rate, coarse_grid,
                        rng.random((tiny_two_rate.b_max + 1, 101)) * 5)
         stepped = bellman_step(t)
-        q_all = stepped.q_block(slice(None))
+        q_all = BellmanOperator(tiny_two_rate, coarse_grid).q_tables(t.values)
         for b in range(tiny_two_rate.b_max + 1):
             for j in range(0, 101, 17):
                 x = float(coarse_grid.points[j])
@@ -196,12 +196,14 @@ class TestBellmanStep:
         params = SystemParams(lambda0=0.6, lambda1=0.9,
                               energy_pmf=two_point_pmf(0.1, 10), b_max=50,
                               e_tx=10, e_sense=2, r_low=0.0, r_high=3.0, beta=0.98)
-        stepped = bellman_step(zero_table(params, coarse_grid))
+        t = zero_table(params, coarse_grid)
+        stepped = bellman_step(t)
         j = list(coarse_grid.points).index(0.5)
         assert stepped.values[10, j] == pytest.approx(max(0.0, 1.5, 1.2))
-        q = stepped.q_block(slice(10, 11))
-        assert np.isnan(q[Action.LOW_RATE, 0, j])
-        assert np.isnan(q[Action.SENSE_TRANSMIT, 0, j])
+        assert stepped.margins[10, j] == pytest.approx(1.5 - 1.2)
+        q = BellmanOperator(params, coarse_grid).q_tables(t.values)
+        assert np.isnan(q[Action.LOW_RATE, 10, j])
+        assert np.isnan(q[Action.SENSE_TRANSMIT, 10, j])
 
     def test_contraction_in_sup_norm(self, tiny_two_rate, coarse_grid):
         rng = np.random.default_rng(4)
@@ -319,10 +321,35 @@ class TestValueIteration:
         assert np.all(no_sense.values <= full.values + 1e-9)
 
 
+def runner_up_rule(q) -> np.ndarray:
+    """Best minus runner-up of each cell of the backups q [action, battery,
+    belief], NaN where not backed up: inf where one action is."""
+    ranked = np.sort(np.where(np.isnan(q), -np.inf, q), axis=0)
+    return ranked[-1] - ranked[-2]
+
+
+def tie_rule(q) -> np.ndarray:
+    """Greedy actions of the backups q, NaN where not backed up: an action
+    within Q_TIE_TOL of the max ties, and the later action wins."""
+    tied = q >= np.fmax.reduce(q) - Q_TIE_TOL  # NaN: False
+    actions = np.zeros(q.shape[1:], dtype=np.int8)
+    for a in Action:
+        actions[tied[a]] = a
+    return actions
+
+
+def assert_recorded_from(table, q):
+    """The table's values, margins and actions are those of the backups q."""
+    assert table.values.tobytes() == np.fmax.reduce(q).tobytes()
+    assert table.margins.tobytes() == runner_up_rule(q).tobytes()
+    assert table.actions.dtype == np.int8
+    assert np.array_equal(table.actions, tie_rule(q))
+
+
 def full_grid_solve(params, grid, tol, span_tol=None):
     """value_iteration's stop rule and midpoint on plain sweeps of
-    `BellmanOperator.step` over every belief column, from zero; values and
-    greedy actions from one `q_tables` of the result."""
+    `BellmanOperator.step` over every belief column, from zero; values,
+    greedy actions and margins from one `q_tables` of the result."""
     op = BellmanOperator(params, grid)
     v = np.zeros((params.b_max + 1, grid.resolution))
     limit = 2.0 * tol if span_tol is None else min(2.0 * tol, span_tol)
@@ -334,19 +361,19 @@ def full_grid_solve(params, grid, tol, span_tol=None):
         if hi - lo <= limit:
             break
     c = params.beta / (1.0 - params.beta)
-    source = v + c * (hi + lo) / 2.0
-    q = op.q_tables(source)
+    q = op.q_tables(v + c * (hi + lo) / 2.0)
     values = np.fmax.reduce(q)
-    return ValueTable(values=values, source=source, actions=greedy_actions(q, values),
-                      operator=op, grid=grid, params=params,
+    return ValueTable(values=values, actions=greedy_actions(q, values),
+                      margins=runner_up_rule(q), grid=grid, params=params,
                       iterations=sweeps, span=hi - lo, bound=c * (hi - lo) / 2.0)
 
 
-def core_loop_solve(params, grid, tol, span_tol=None):
+def core_loop_solve(params, grid, tol, span_tol=None, allowed=None):
     """value_iteration as a loop over the full table: sweeps of
     `BellmanOperator.step` on the core columns, the same stop rule and
-    midpoint, then one step per depth layer and a final `q_tables`."""
-    op = BellmanOperator(params, grid)
+    midpoint, then one step per depth layer.  Returns the `q_tables` of the
+    result and the number of sweeps."""
+    op = BellmanOperator(params, grid, allowed=allowed)
     depth = op.depths()
     core = np.flatnonzero(depth == 0)
     values = np.zeros((params.b_max + 1, grid.resolution))
@@ -363,16 +390,14 @@ def core_loop_solve(params, grid, tol, span_tol=None):
     for d in range(1, depth.max() + 1):
         cols = np.flatnonzero(depth == d)
         values[:, cols] = op.step(values, cols)
-    q = op.q_tables(values)
-    return np.fmax.reduce(q), q, sweeps
+    return op.q_tables(values), sweeps
 
 
-def assert_is_the_core_loop(params, grid, tol, span_tol=None):
-    t = value_iteration(params, grid, tol=tol, span_tol=span_tol)
-    values, q, sweeps = core_loop_solve(params, grid, tol, span_tol)
+def assert_is_the_core_loop(params, grid, tol, span_tol=None, allowed=None):
+    t = value_iteration(params, grid, tol=tol, span_tol=span_tol, allowed=allowed)
+    q, sweeps = core_loop_solve(params, grid, tol, span_tol, allowed)
     assert t.iterations == sweeps
-    assert t.values.tobytes() == values.tobytes()
-    assert t.q_block(slice(None)).tobytes() == q.tobytes()
+    assert_recorded_from(t, q)
 
 
 class TestCore:
@@ -382,6 +407,11 @@ class TestCore:
     def test_compact_core_is_the_core_loop_bit_for_bit(self, cfg, params):
         assert_is_the_core_loop(params, BeliefGrid.from_resolution(cfg.grid_resolution),
                                 cfg.tol, cfg.span_tol)
+
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_no_sensing_core_is_the_core_loop_bit_for_bit(self, cfg, params):
+        assert_is_the_core_loop(params, BeliefGrid.from_resolution(cfg.grid_resolution),
+                                cfg.tol, cfg.span_tol, SINGLE_THRESHOLD_ACTIONS)
 
     @pytest.mark.parametrize("lambdas", [(0.0, 1.0), (1.0, 0.0), (0.0005, 0.9995)])
     def test_whole_grid_core_is_the_core_loop_bit_for_bit(self, lambdas, tiny_two_rate,
@@ -453,130 +483,74 @@ class TestCore:
         assert t.core_columns == coarse_grid.resolution
         assert t.iterations == ref.iterations
         assert np.array_equal(t.values, ref.values)
-        assert np.array_equal(t.q_block(slice(None)), ref.q_block(slice(None)),
-                              equal_nan=True)
+        assert np.array_equal(t.actions, ref.actions)
+        assert t.margins.tobytes() == ref.margins.tobytes()
 
 
 class TestQValues:
-    """A table renders its Q values block by block from `source`: each block
-    is the same rows of `BellmanOperator.q_tables(source)`, and the table's
-    values are their NaN-skipping max over actions."""
+    """`q_tables` is NaN exactly where an action is infeasible or not
+    allowed, and a table's values, margins and greedy actions are those of
+    the `q_tables` of the values its last sweep read."""
 
     @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
     def test_value_iteration_table(self, tiny_two_rate, coarse_grid, allowed):
         t = value_iteration(tiny_two_rate, coarse_grid, allowed=allowed)
-        self.check(t, tiny_two_rate, allowed)
+        op = BellmanOperator(tiny_two_rate, coarse_grid, allowed=allowed)
+        q = op.q_tables(t.values)
+        self.check_shape(q, tiny_two_rate)
+        kept = tiny_two_rate.actions() if allowed is None else allowed
+        for a in Action:
+            assert np.isnan(q[a]).all() == (a not in kept)
+        # the margin is inf exactly where one action is backed up
+        assert np.array_equal(np.isinf(t.margins),
+                              np.count_nonzero(~np.isnan(q), axis=0) == 1)
 
     @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
-    def test_bellman_step_table(self, fixture, coarse_grid, request):
+    def test_bellman_step_table(self, fixture, coarse_grid, request, tmp_path):
         params = request.getfixturevalue(fixture)
+        op = BellmanOperator(params, coarse_grid)
         t = zero_table(params, coarse_grid)
-        with pytest.raises(ValueError, match="no Q values"):
-            t.q_block(slice(None))
+        assert t.margins is None
+        with pytest.raises(ValueError, match="no margins"):
+            t.write_csv(tmp_path / "values.csv")
         stepped = bellman_step(t)
-        self.check(stepped, params, None)
+        q = op.q_tables(t.values)
+        self.check_shape(q, params)
+        assert_recorded_from(stepped, q)
         # the first backup of zero is NaN exactly where an action is
         # infeasible
         feasible = np.zeros((len(Action), params.b_max + 1, 101), dtype=bool)
         for b in range(params.b_max + 1):
             feasible[list(feasible_actions(b, params)), b] = True
-        assert np.array_equal(np.isnan(stepped.q_block(slice(None))), ~feasible)
-        self.check(bellman_step(stepped), params, None)
+        assert np.array_equal(np.isnan(q), ~feasible)
+        assert_recorded_from(bellman_step(stepped), op.q_tables(stepped.values))
 
     def check_shape(self, q, params):
         assert isinstance(q, np.ndarray) and q.dtype == float
         assert q.shape == (len(Action), params.b_max + 1, 101)
 
-    def check(self, table, params, allowed):
-        q = table.q_block(slice(None))
-        self.check_shape(q, params)
-        assert table.values.tobytes() == np.fmax.reduce(q).tobytes()
-        kept = params.actions() if allowed is None else allowed
-        for a in Action:
-            assert np.isnan(q[a]).all() == (a not in kept)
-
-
-def some_blocks(n: int) -> list:
-    """The writer's blocks of an n-row table, and partial first and last
-    blocks that do not start or end on a block edge."""
-    return row_blocks(n) + [slice(0, 1), slice(0, 5), slice(5, 21),
-                            slice(n - 3, n), slice(n - 1, n), slice(0, n)]
-
-
-def assert_blocks_are_the_q_tables(table, op):
-    whole = op.q_tables(table.source)
-    for rows in some_blocks(table.params.b_max + 1):
-        assert table.q_block(rows).tobytes() == whole[:, rows].tobytes()
-
-
-class TestQBlocks:
-    """Every block a table renders is byte for byte the same rows of one
-    `q_tables` call on the whole table."""
-
-    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
-    def test_blocks_on_shipped_points(self, cfg, params):
-        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
-        rng = np.random.default_rng(10)
-        t = bellman_step(table_with(params, grid,
-                                    rng.random((params.b_max + 1, grid.resolution))))
-        assert_blocks_are_the_q_tables(t, BellmanOperator(params, grid))
-
-    @pytest.mark.parametrize("fixture", ["region_params", "tiny_two_rate"])
-    def test_blocks_of_the_no_sensing_baseline(self, fixture, coarse_grid, request):
-        params = request.getfixturevalue(fixture)
-        t = value_iteration(params, coarse_grid, allowed=SINGLE_THRESHOLD_ACTIONS)
-        assert t.operator.actions == SINGLE_THRESHOLD_ACTIONS
-        assert_blocks_are_the_q_tables(
-            t, BellmanOperator(params, coarse_grid, allowed=SINGLE_THRESHOLD_ACTIONS))
-
-    def test_blocks_read_only_the_batteries_they_reach(self, region_params,
-                                                       coarse_grid):
-        # a block's backups read its own rows, shifted by the harvest and the
-        # debits: every other row of the source may hold anything
-        t = bellman_step(table_with(region_params, coarse_grid,
-                                    np.random.default_rng(11).random((51, 101))))
-        rows = slice(20, 36)
-        want = t.q_block(rows)
-        reached = np.zeros(51, dtype=bool)
-        reached[rows.start - region_params.e_tx:rows.stop + 10] = True
-        t.source = np.where(reached[:, None], t.source, np.nan)
-        assert t.q_block(rows).tobytes() == want.tobytes()
-
-
-def block_rule(table) -> np.ndarray:
-    """Greedy actions by the tie rule applied to `q_block`, one writer block
-    at a time: an action within Q_TIE_TOL of the value ties, and the later
-    action wins."""
-    actions = np.zeros(table.values.shape, dtype=np.int8)
-    for rows in row_blocks(len(actions)):
-        tied = table.q_block(rows) >= table.values[rows] - Q_TIE_TOL  # NaN: False
-        for a in Action:
-            actions[rows][tied[a]] = a
-    return actions
-
 
 class TestGreedyActions:
     """A table's greedy actions, kept from its last backup, are the ones the
-    tie rule gives on the Q blocks it renders."""
-
-    @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
-    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
-    def test_value_iteration_tables(self, cfg, params, allowed):
-        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
-        t = value_iteration(params, grid, tol=cfg.tol, span_tol=cfg.span_tol,
-                            allowed=allowed)
-        assert t.actions.dtype == np.int8
-        assert np.array_equal(extract_policy(t).actions, block_rule(t))
+    tie rule gives on that backup's Q values, and always allowed ones."""
 
     @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
     def test_bellman_step_tables(self, cfg, params):
         # the first backup of zero ties wherever actions pay the same bits
         grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        op = BellmanOperator(params, grid)
         rng = np.random.default_rng(12)
         for t in (zero_table(params, grid),
                   table_with(params, grid, rng.random((params.b_max + 1, grid.resolution)))):
-            stepped = bellman_step(t)
-            assert np.array_equal(extract_policy(stepped).actions, block_rule(stepped))
+            assert_recorded_from(bellman_step(t), op.q_tables(t.values))
+
+    @pytest.mark.parametrize("fixture", ["region_params", "tiny_two_rate"])
+    def test_no_sensing_baseline_never_senses(self, fixture, coarse_grid, request):
+        params = request.getfixturevalue(fixture)
+        t = value_iteration(params, coarse_grid, allowed=SINGLE_THRESHOLD_ACTIONS)
+        outside = [a for a in Action if a not in SINGLE_THRESHOLD_ACTIONS]
+        assert {Action.SENSE_DEFER, Action.SENSE_TRANSMIT} <= set(outside)
+        assert not np.isin(extract_policy(t).actions, outside).any()
 
     def test_zero_table_has_no_actions(self, tiny_two_rate, coarse_grid):
         t = zero_table(tiny_two_rate, coarse_grid)
@@ -586,8 +560,6 @@ class TestGreedyActions:
 
 
 def test_solve_extract_and_write_never_hold_a_whole_q_table(tmp_path, tiny_two_rate):
-    # b_max 60 on 501 beliefs: 183k float cells, so the writer stays inline
-    # and all of it runs in this process
     params = tiny_two_rate.replace(b_max=60, e_tx=10, e_sense=3,
                                    energy_pmf=(0.5, 0.0, 0.0, 0.5))
     grid = BeliefGrid.from_resolution(501)
@@ -601,9 +573,9 @@ def test_solve_extract_and_write_never_hold_a_whole_q_table(tmp_path, tiny_two_r
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the solve's values, source, out and one chunk's work arrays reach about
-    # 6x values.nbytes here; a whole [action, battery, belief] array would
-    # add 5x on its own (10x in all, as when value_iteration kept one)
+    # the solve's values, margins, out and one chunk's work arrays stay
+    # below 6x values.nbytes here; a whole [action, battery, belief] array
+    # would add 5x on its own (10x in all, as when value_iteration kept one)
     assert peak < 8 * t.values.nbytes
 
 
@@ -627,13 +599,29 @@ class TestOracleAgreement:
             assert t.values[b, j] == pytest.approx(want, abs=1e-12)
 
 
-def test_csv_export_roundtrip(tmp_path, tiny_two_rate, coarse_grid):
-    t = value_iteration(tiny_two_rate, coarse_grid)
+@pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
+@pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate"])
+def test_csv_export_roundtrip(tmp_path, coarse_grid, fixture, allowed, request):
+    params = request.getfixturevalue(fixture)
+    t = value_iteration(params, coarse_grid, allowed=allowed)
     path = tmp_path / "values.csv"
     t.write_csv(path, config_hash="abc123")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config=abc123"
-    assert lines[1].split(",")[:3] == ["battery", "belief", "value"]
-    assert len(lines) == 2 + 7 * 101
-    first = lines[2].split(",")
-    assert first[0] == "0" and float(first[2]) == t.values[0, 0]
+    with open(path, newline="") as f:
+        assert f.readline() == "# config=abc123\n"
+        header, *rows = csv.reader(f)
+    assert header == ["battery", "belief", "value", "margin"]
+    shape = t.values.shape
+    assert len(rows) == t.values.size
+    assert [(int(b), float(p)) for b, p, _, _ in rows] == [
+        (b, float(p)) for b in range(shape[0]) for p in coarse_grid.points]
+    values = np.array([float(v) for _, _, v, _ in rows]).reshape(shape)
+    assert values.tobytes() == t.values.tobytes()
+    # an empty margin is a cell with one feasible (and allowed) action
+    kept = params.actions() if allowed is None else allowed
+    lone = [len(set(feasible_actions(b, params)) & set(kept)) == 1
+            for b in range(shape[0])]
+    empty = np.array([m == "" for _, _, _, m in rows]).reshape(shape)
+    assert np.array_equal(empty, np.repeat(lone, shape[1]).reshape(shape))
+    assert empty.any() and not empty.all()
+    margins = np.array([float(m) if m else np.inf for _, _, _, m in rows])
+    assert margins.reshape(shape).tobytes() == t.margins.tobytes()
