@@ -162,6 +162,26 @@ class TestBellmanStep:
             first[...] = -1.0
             assert np.array_equal(second, kept, equal_nan=True)
 
+    @pytest.mark.parametrize("fixture", ["tiny_params", "tiny_two_rate", "region_params"])
+    def test_recording_keeps_the_max_and_fills_only_its_columns(self, fixture,
+                                                                coarse_grid, request):
+        # the running top two gives the plain max's bits, and records actions
+        # and margins on the stepped columns alone (all 101 are two chunks)
+        params = request.getfixturevalue(fixture)
+        op = BellmanOperator(params, coarse_grid)
+        shape = (params.b_max + 1, 101)
+        for V in (np.zeros(shape), np.random.default_rng(13).random(shape) * 10):
+            q_all = op.q_tables(V)
+            for cols in (np.arange(101), np.arange(3, 101, 7)):
+                actions, margins = np.full(shape, -1, dtype=np.int8), np.full(shape, np.nan)
+                assert (op.step(V, cols, actions, margins).tobytes()
+                        == op.step(V, cols).tobytes())
+                rest = np.setdiff1d(np.arange(101), cols)
+                assert (actions[:, rest] == -1).all() and np.isnan(margins[:, rest]).all()
+                q = q_all[:, :, cols]
+                assert np.array_equal(actions[:, cols], tie_rule(q))
+                assert margins[:, cols].tobytes() == runner_up_rule(q).tobytes()
+
     def test_column_chunks_leave_every_bit(self, tiny_two_rate, coarse_grid,
                                            monkeypatch):
         from ehsense import solver
@@ -394,10 +414,13 @@ def core_loop_solve(params, grid, tol, span_tol=None, allowed=None):
 
 
 def assert_is_the_core_loop(params, grid, tol, span_tol=None, allowed=None):
+    """value_iteration takes the core loop's sweeps to its values; returns
+    the table and the core loop's backups."""
     t = value_iteration(params, grid, tol=tol, span_tol=span_tol, allowed=allowed)
     q, sweeps = core_loop_solve(params, grid, tol, span_tol, allowed)
     assert t.iterations == sweeps
-    assert_recorded_from(t, q)
+    assert t.values.tobytes() == np.fmax.reduce(q).tobytes()
+    return t, q
 
 
 class TestCore:
@@ -417,7 +440,7 @@ class TestCore:
     def test_whole_grid_core_is_the_core_loop_bit_for_bit(self, lambdas, tiny_two_rate,
                                                           coarse_grid):
         params = tiny_two_rate.replace(lambda0=lambdas[0], lambda1=lambdas[1])
-        assert_is_the_core_loop(params, coarse_grid, 1e-9)
+        assert_recorded_from(*assert_is_the_core_loop(params, coarse_grid, 1e-9))
 
     def test_compiled_columns_must_be_closed(self, tiny_two_rate, coarse_grid):
         op = BellmanOperator(tiny_two_rate, coarse_grid)
@@ -533,6 +556,19 @@ class TestQValues:
 class TestGreedyActions:
     """A table's greedy actions, kept from its last backup, are the ones the
     tie rule gives on that backup's Q values, and always allowed ones."""
+
+    @pytest.mark.parametrize("allowed", [None, SINGLE_THRESHOLD_ACTIONS])
+    @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
+    def test_value_iteration_tables(self, cfg, params, allowed):
+        # the depth pass and the final core step back up the core loop's
+        # table; their actions reach the policy, their margins the table
+        grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+        t = value_iteration(params, grid, tol=cfg.tol, span_tol=cfg.span_tol,
+                            allowed=allowed)
+        q, _ = core_loop_solve(params, grid, cfg.tol, cfg.span_tol, allowed)
+        assert t.actions.dtype == np.int8
+        assert np.array_equal(extract_policy(t).actions, tie_rule(q))
+        assert t.margins.tobytes() == runner_up_rule(q).tobytes()
 
     @pytest.mark.parametrize("cfg, params", SHIPPED_POINTS + [OFF_GRID_POINT])
     def test_bellman_step_tables(self, cfg, params):
