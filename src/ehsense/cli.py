@@ -110,9 +110,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
 
 def cmd_search(cfg: ExperimentConfig, out: Path, say) -> int:
     if cfg.model.two_rate:
-        print("search requires the single-rate model (r_low = 0)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("search requires the single-rate model (r_low = 0)")
     solve = _solver(cfg)
     rows = []
     for label, params in cfg.sweep_points():

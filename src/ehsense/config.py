@@ -2,15 +2,18 @@
 
 One config file describes a model instance, solver and simulation settings,
 optional sweep axes (`q` rebuilds the two-point harvest pmf, `tau` rescales
-the sensing cost) and the policies to benchmark.  An unknown key, at the top
-level or in any section, is a ConfigError.
+the sensing cost) and the policies to benchmark.  Every value is read by
+one of two readers, `_int` and `_float`, and every section's keys are
+checked against one table; an unknown key, at the top level or in any
+section, is a ConfigError.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import yaml
 
@@ -35,15 +38,6 @@ class SimSettings:
     initial_battery: int = 0
     initial_belief: float | None = None
     g0: float | None = None
-
-    def __post_init__(self):
-        for name in ("episodes", "horizon", "seed", "initial_battery"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"simulation.{name} must be an integer, "
-                                f"got {value!r}")
-        if self.episodes < 1 or self.horizon < 1:
-            raise ValueError("simulation episodes and horizon must be >= 1")
 
 
 @dataclass
@@ -95,137 +89,136 @@ class ExperimentConfig:
         return points
 
 
-def _parse_pmf(raw) -> tuple:
-    """energy_pmf, a list or an {arrival: prob} map, as a tuple."""
+def _int(name: str, value, least: int | None = None) -> int:
+    """value, a Python int and never a bool, >= least when a floor is given."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or least is not None and value < least:
+        floor = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _float(name: str, value) -> float:
+    """value as a finite float, never from a bool.  A numeric string is read
+    as its number: YAML reads 1e-9, which has no dot, as a string."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a number (finite, not a bool), "
+                          f"got {value!r}")
+    return number
+
+
+def _floats(name: str, values) -> tuple:
+    """values, a nonempty list, as a tuple of `_float`s."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{name} must be a nonempty list of numbers, "
+                          f"got {values!r}")
+    return tuple(_float(name, v) for v in values)
+
+
+def _pmf(name: str, raw) -> tuple:
+    """energy_pmf, a list or an {arrival: prob} map, as a tuple of floats."""
     if isinstance(raw, (list, tuple)):
         raw = dict(enumerate(raw))
     if not isinstance(raw, dict):
-        raise ConfigError("energy_pmf must be a list or an {arrival: prob} map")
-    try:
-        items = {int(k): float(v) for k, v in raw.items()}
-        fractional = [k for k in raw if float(k) != int(k)]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad energy_pmf: {exc}") from None
-    if fractional:
-        raise ConfigError(f"energy_pmf arrival levels must be integers, "
-                          f"got {fractional}")
-    if min(items, default=0) < 0:
-        raise ConfigError("energy_pmf arrival levels must be >= 0")
-    pmf = [0.0] * (max(items, default=-1) + 1)
-    for m, p in items.items():
+        raise ConfigError(f"{name} must be a list or an {{arrival: prob}} map, "
+                          f"got {raw!r}")
+    probs = {_int(f"{name} arrival level", m, least=0):
+             _float(f"{name}[{m!r}]", p) for m, p in raw.items()}
+    pmf = [0.0] * (max(probs, default=-1) + 1)
+    for m, p in probs.items():
         pmf[m] = p
     return tuple(pmf)
 
+
+def _fields(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+# The reader of every key, per section: a key a table does not list is a
+# ConfigError.  The keys of `model`, `simulation` and `search` are their
+# dataclasses' fields.  The energy counts b_max, e_tx and e_sense are passed
+# as they are, to SystemParams' own rule.
+_READERS = {
+    "model": {**dict.fromkeys(_fields(SystemParams), lambda name, value: value),
+              **dict.fromkeys(("lambda0", "lambda1", "r_low", "r_high", "beta"),
+                              _float),
+              "energy_pmf": _pmf},
+    "grid": {"resolution": partial(_int, least=2)},
+    "solver": {"tol": _float, "max_iter": partial(_int, least=1),
+               "span_tol": _float},
+    "simulation": {**dict.fromkeys(_fields(SimSettings), _int),
+                   "episodes": partial(_int, least=1),
+                   "horizon": partial(_int, least=1),
+                   "initial_belief": _float, "g0": _float},
+    "search": {**dict.fromkeys(_fields(SearchConfig), _int), "candidates": _floats},
+    "sweep": {"q": _floats, "tau": _floats},
+}
 
 _TOP_KEYS = ("model", "grid", "solver", "simulation", "search", "policies",
              "sweep", "output_dir")
 
 
-def _check_keys(mapping: dict, where: str, known: tuple) -> None:
+def _check_keys(mapping: dict, where: str, known) -> None:
     unknown = [k for k in mapping if k not in known]
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}; valid: {list(known)}")
 
 
-def _section(data, name, keys=None) -> dict:
-    """data[name] as a mapping, {} when absent; with `keys`, no other key."""
-    sect = data.get(name, {})
+def _section(data: dict, name: str) -> dict:
+    """data[name] as a mapping, {} when absent or null, with no key that
+    its `_READERS` table does not list."""
+    sect = data.get(name)
     if sect is None:
-        sect = {}
+        return {}
     if not isinstance(sect, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
-    if keys is not None:
-        _check_keys(sect, f"section '{name}'", keys)
+    _check_keys(sect, f"section '{name}'", _READERS[name])
     return sect
 
 
-def _integer(sect: dict, section: str, name: str, default, least: int):
-    """sect[name], an integer >= least, or `default` when absent or null."""
-    value = sect.get(name)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{section}.{name} must be an integer >= {least}, "
-                          f"got {value!r}")
-    return value
-
-
-def _float(value) -> float:
-    """value as a float; NaN for a bool or a non-number.  A numeric string
-    is read as its number: YAML reads 1e-9, which has no dot, as a string."""
-    try:
-        return math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _positive(sect: dict, section: str, name: str, default):
-    """sect[name] as a finite float > 0 (`_float`), or `default` when absent
-    or null."""
-    value = sect.get(name)
-    if value is None:
-        return default
-    number = _float(value)
-    if not 0 < number < math.inf:
-        raise ConfigError(f"{section}.{name} must be a finite positive number, "
-                          f"got {value!r}")
-    return number
-
-
-def _number_list(sweep: dict, name: str) -> tuple:
-    """sweep[name] as a tuple of finite floats; () when absent."""
-    if name not in sweep:
-        return ()
-    values = sweep[name]
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"sweep.{name} must be a nonempty list when present, "
-                          f"got {values!r}")
-    try:
-        numbers = tuple(float(v) for v in values)
-        if all(map(math.isfinite, numbers)) \
-                and not any(isinstance(v, bool) for v in values):
-            return numbers
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"sweep.{name} must be a list of finite numbers, "
-                      f"got {values!r}")
+def _settings(data: dict, name: str) -> dict:
+    """The keys section `name` sets, each read by its reader.  A null is a
+    key left out, so the default applies."""
+    readers = _READERS[name]
+    return {k: readers[k](f"{name}.{k}", v)
+            for k, v in _section(data, name).items() if v is not None}
 
 
 def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(data, dict) or "model" not in data:
         raise ConfigError("config must be a mapping with a 'model' section")
     _check_keys(data, "config", _TOP_KEYS)
-    model_raw = dict(_section(data, "model"))
-    if "energy_pmf" not in model_raw:
-        raise ConfigError("model.energy_pmf is required")
-    model_raw["energy_pmf"] = _parse_pmf(model_raw["energy_pmf"])
-    for name in ("lambda0", "lambda1", "r_low", "r_high", "beta"):
-        if name in model_raw:  # a missing one is SystemParams' TypeError
-            number = _float(model_raw[name])
-            if math.isnan(number):
-                raise ConfigError(f"model.{name} must be a number, "
-                                  f"got {model_raw[name]!r}")
-            model_raw[name] = number
+    model_raw = _section(data, "model")
+    missing = [k for k in _READERS["model"] if k not in model_raw]
+    if missing:
+        raise ConfigError(f"missing keys {missing} in section 'model'")
     try:
-        model = SystemParams(**model_raw)
-    except (TypeError, ValueError) as exc:  # ParameterError is a ValueError
+        model = SystemParams(**{k: read(f"model.{k}", model_raw[k])
+                                for k, read in _READERS["model"].items()})
+    except ParameterError as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
-    grid = _section(data, "grid", ("resolution",))
-    solver = _section(data, "solver", ("tol", "max_iter", "span_tol"))
-    sim_raw = _section(data, "simulation")
-    search_raw = _section(data, "search")
-
     if seed_override is not None:
-        sim_raw = dict(sim_raw, seed=int(seed_override))
+        data = dict(data, simulation=dict(_section(data, "simulation"),
+                                          seed=int(seed_override)))
+    sim = SimSettings(**_settings(data, "simulation"))
     try:
-        sim = SimSettings(**sim_raw)
         episode_start(model, sim.initial_battery, sim.initial_belief, sim.g0)
-        if search_raw.get("seed") is None:  # defaults to the simulation seed
-            search_raw = dict(search_raw, seed=sim.seed)
-        search = SearchConfig(**search_raw)
-    except (TypeError, ValueError) as exc:
+        # the search seed defaults to the simulation seed
+        search = SearchConfig(**{"seed": sim.seed, **_settings(data, "search")})
+    except ParameterError as exc:
         raise ConfigError(f"bad simulation/search settings: {exc}") from None
+
+    grid = _settings(data, "grid")
+    solver = _settings(data, "solver")
+    for name in ("tol", "span_tol"):
+        if name in solver and solver[name] <= 0:
+            raise ConfigError(f"solver.{name} must be > 0, got {solver[name]!r}")
+    sweep = _settings(data, "sweep")
 
     policies = data.get("policies", KNOWN_POLICIES)
     if not isinstance(policies, (list, tuple)):
@@ -242,26 +235,21 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
 
-    sweep = _section(data, "sweep", ("q", "tau"))
-    sweep_q = _number_list(sweep, "q")
-    sweep_tau = _number_list(sweep, "tau")
-
-    effective = dict(data)
-    effective["simulation"] = dict(sim_raw)
+    effective = dict(data, simulation=_section(data, "simulation"))
     digest = hashlib.sha256(
         json.dumps(effective, sort_keys=True, default=str).encode()).hexdigest()[:12]
 
     cfg = ExperimentConfig(
         model=model,
-        grid_resolution=_integer(grid, "grid", "resolution", 1001, least=2),
-        tol=_positive(solver, "solver", "tol", DEFAULT_TOL),
-        max_iter=_integer(solver, "solver", "max_iter", None, least=1),
-        span_tol=_positive(solver, "solver", "span_tol", None),
+        grid_resolution=grid.get("resolution", 1001),
+        tol=solver.get("tol", DEFAULT_TOL),
+        max_iter=solver.get("max_iter"),
+        span_tol=solver.get("span_tol"),
         sim=sim,
         search=search,
         policies=tuple(policies),
-        sweep_q=sweep_q,
-        sweep_tau=sweep_tau,
+        sweep_q=sweep.get("q", ()),
+        sweep_tau=sweep.get("tau", ()),
         output_dir=output_dir,
         config_hash=digest,
     )

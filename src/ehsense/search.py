@@ -55,10 +55,6 @@ class SearchConfig:
     max_passes: int = 2
 
     def __post_init__(self):
-        for name in ("episodes", "horizon", "seed", "max_passes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"search.{name} must be an integer, got {value!r}")
         if min(self.episodes, self.horizon, self.max_passes) < 1:
             raise ParameterError("episodes, horizon and max_passes must be >= 1")
         if self.candidates is not None:

@@ -12,7 +12,9 @@ import yaml
 import ehsense
 from ehsense import BeliefGrid, StructureViolationError, compare_with_solver
 from ehsense.cli import _solver, main
-from ehsense.config import ConfigError, load_config, parse_config
+from ehsense.config import (KNOWN_POLICIES, ConfigError, SimSettings,
+                            load_config, parse_config)
+from ehsense.model import SystemParams
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -38,6 +40,86 @@ def write_config(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def _two_point(p0, top, q):
+    """A harvest pmf with mass p0 at 0 and q at `top`."""
+    return (p0,) + (0.0,) * (top - 1) + (q,)
+
+
+def _bench_model(p0, q):
+    return SystemParams(0.2, 0.8, _two_point(p0, 10, q), 50, 10, 1, 0.0, 2.0,
+                        0.999)
+
+
+def _sweep_model(e_sense):
+    return SystemParams(0.4, 0.8, _two_point(0.2, 10, 0.8), 50, 10, e_sense,
+                        0.0, 3.0, 0.9)
+
+
+_REGIONS_MODEL = SystemParams(0.6, 0.9, _two_point(0.9, 10, 0.1), 50, 10, 2,
+                              0.0, 3.0, 0.98)
+_TWO_RATE_MODEL = SystemParams(0.81, 0.98, _two_point(0.9, 201, 0.1), 800,
+                               200, 7, 2.91, 3.0, 0.7)
+_SEED = 20240601
+_BENCH_ORDER = ("optimal", "single_threshold", "greedy", "opportunistic")
+_SPAN_STOP = {"tol": 1e-5, "span_tol": 1e-6}
+
+# sim: SimSettings' fields in order; search: episodes, horizon, seed,
+# max_passes and candidates
+SHIPPED_DEFAULTS = {
+    "grid_resolution": 1001, "tol": 1e-9, "max_iter": None, "span_tol": None,
+    "sim": (30, 100_000, 0, 0, None, None), "search": (16, 3000, 0, 2, None),
+    "policies": KNOWN_POLICIES, "sweep_q": (), "sweep_tau": ()}
+# path: (config_hash, the settings that differ from SHIPPED_DEFAULTS)
+SHIPPED_CONFIGS = {
+    "configs/policy_regions.yaml": ("37bc97c45e59", {
+        "model": _REGIONS_MODEL, "output_dir": "out/policy_regions"}),
+    "configs/regions_harvest_sweep.yaml": ("223f243cf8f6", {
+        "model": _sweep_model(1), "sweep_q": (0.8, 0.2),
+        "output_dir": "out/harvest_sweep"}),
+    "configs/regions_sense_cost_sweep.yaml": ("4774928f6ada", {
+        "model": _sweep_model(2), "sweep_tau": (0.2, 0.3),
+        "output_dir": "out/sense_cost_sweep"}),
+    "configs/throughput_benchmark.yaml": ("3304852af9a5", {
+        "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
+        "sim": (30, 100_000, _SEED, 0, None, None),
+        "search": (12, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
+        "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
+    "configs/two_rate_regions.yaml": ("372c75e2e157", {
+        "model": _TWO_RATE_MODEL, "output_dir": "out/two_rate"}),
+    "perfbench/configs/search.yaml": ("0f44d0bccd5f", {
+        "model": _bench_model(0.7, 0.3), **_SPAN_STOP,
+        "sim": (30, 100_000, _SEED, 0, None, None),
+        "search": (12, 500, _SEED, 1, [0.2, 0.4, 0.6, 0.8]),
+        "output_dir": "out/search"}),
+    "perfbench/configs/throughput.yaml": ("4e27f060e6d6", {
+        "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
+        "sim": (30, 4000, _SEED, 0, None, None),
+        "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
+        "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
+    "perfbench/configs/tiny/policy_regions.yaml": ("32f3803894c5", {
+        "model": _REGIONS_MODEL, "grid_resolution": 101,
+        "output_dir": "out/tiny"}),
+    "perfbench/configs/tiny/regions_harvest_sweep.yaml": ("8a8a8f30084f", {
+        "model": _sweep_model(1), "grid_resolution": 101, "sweep_q": (0.8, 0.2),
+        "output_dir": "out/tiny"}),
+    "perfbench/configs/tiny/regions_sense_cost_sweep.yaml": ("7be5a725639c", {
+        "model": _sweep_model(2), "grid_resolution": 101,
+        "sweep_tau": (0.2, 0.3), "output_dir": "out/tiny"}),
+    "perfbench/configs/tiny/search.yaml": ("c9e91a37f98a", {
+        "model": _bench_model(0.7, 0.3), "grid_resolution": 101, **_SPAN_STOP,
+        "sim": (30, 100_000, _SEED, 0, None, None),
+        "search": (4, 100, _SEED, 1, [0.3, 0.7]), "output_dir": "out/tiny"}),
+    "perfbench/configs/tiny/throughput.yaml": ("cd50f60fd393", {
+        "model": _bench_model(0.9, 0.1), "grid_resolution": 101, **_SPAN_STOP,
+        "sim": (8, 300, _SEED, 0, None, None),
+        "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
+        "sweep_q": (0.3, 0.7), "output_dir": "out/tiny"}),
+    "perfbench/configs/tiny/two_rate_regions.yaml": ("b8f8ecf32876", {
+        "model": _TWO_RATE_MODEL, "grid_resolution": 51,
+        "output_dir": "out/tiny"}),
+}
 
 
 class TestConfigParsing:
@@ -168,6 +250,60 @@ class TestConfigParsing:
             f"of energy units, got {value!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda c: c["simulation"].update(g0=True), "simulation.g0"),
+        (lambda c: c["model"].update(energy_pmf={0: False, 2: True}),
+         "model.energy_pmf[0]"),
+        (lambda c: c["model"].update(energy_pmf={0: 0.5, True: 0.5}),
+         "model.energy_pmf arrival level"),
+        (lambda c: c.update(search={"candidates": [True, 0.5]}),
+         "search.candidates"),
+    ])
+    def test_bool_where_a_number_is_expected_exits_at_parse(
+            self, tmp_path, capsys, mutate, field):
+        cfg = small_config()
+        mutate(cfg)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", [
+        "model", "grid", "solver", "simulation", "search", "sweep"])
+    def test_unknown_key_is_named_with_its_section(self, section):
+        cfg = small_config()
+        cfg[section] = dict(cfg.get(section) or {}, episdoes=3)
+        with pytest.raises(ConfigError, match=rf"^unknown keys \['episdoes'\] "
+                                              rf"in section '{section}'; valid: "):
+            parse_config(cfg)
+
+    def test_missing_model_key_is_named(self):
+        cfg = small_config()
+        del cfg["model"]["beta"], cfg["model"]["energy_pmf"]
+        with pytest.raises(ConfigError, match=r"^missing keys \['energy_pmf', "
+                                              r"'beta'\] in section 'model'$"):
+            parse_config(cfg)
+
+    def test_numeric_string_initial_belief_reads_as_its_number(self):
+        cfg = small_config()
+        cfg["simulation"]["initial_belief"] = "0.5"
+        belief = parse_config(cfg).sim.initial_belief
+        assert type(belief) is float and belief == 0.5
+
+    def test_null_is_a_key_left_out(self):
+        nulls = small_config(grid={"resolution": None},
+                             solver={"tol": None, "max_iter": None},
+                             simulation={"episodes": None, "seed": None},
+                             search={"seed": None, "candidates": None},
+                             sweep={"q": None})
+        bare = small_config(grid={}, solver={}, simulation={}, search={},
+                            sweep={})
+        a, b = parse_config(nulls), parse_config(bare)
+        assert (a.grid_resolution, a.tol, a.sim, a.search.seed, a.sweep_q) \
+            == (b.grid_resolution, b.tol, b.sim, b.search.seed, b.sweep_q)
+
     def test_exponent_form_model_floats_read_as_numbers(self, tmp_path):
         dotted = small_config()
         dotted["model"]["lambda0"] = 0.6
@@ -215,8 +351,19 @@ class TestConfigParsing:
         p.relative_to(REPO).as_posix() for d in ("configs", "perfbench/configs")
         for p in (REPO / d).rglob("*.yaml")))
     def test_shipped_configs_parse(self, path):
+        """Each shipped config parses to its pinned settings and hash; the
+        hash is the first line of every artifact it writes."""
+        digest, pinned = SHIPPED_CONFIGS[path]
+        want = {**SHIPPED_DEFAULTS, **pinned}
+        *search, candidates = want.pop("search")
         cfg = load_config(REPO / path)
-        assert isinstance(cfg.output_dir, str) and cfg.output_dir
+        assert cfg.config_hash == digest
+        assert cfg.sim == SimSettings(*want.pop("sim"))
+        assert {k: getattr(cfg, k) for k in want} == want
+        got = cfg.search
+        assert [got.episodes, got.horizon, got.seed, got.max_passes] == search
+        assert (candidates is None and got.candidates is None
+                or np.array_equal(got.candidates, candidates))
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -326,6 +473,9 @@ class TestSimulateCommand:
 
 
 class TestSearchCommand:
+    TWO_RATE_ERROR = \
+        "config error: search requires the single-rate model (r_low = 0)\n"
+
     def test_search_artifacts(self, tmp_path):
         cfg = small_config()
         cfg["search"] = {"episodes": 2, "horizon": 150, "max_passes": 1,
@@ -338,13 +488,22 @@ class TestSearchCommand:
         assert (out / "search_log.csv").exists()
         assert (out / "search_throughput.csv").exists()
 
-    def test_two_rate_model_rejected(self, tmp_path):
+    def test_two_rate_model_rejected(self, tmp_path, capsys):
         cfg = small_config()
         cfg["model"]["r_low"] = 0.5
         path = write_config(tmp_path, cfg)
         out = tmp_path / "search_out"
         assert main(["search", "--config", str(path), "--out", str(out),
                      "--quiet"]) == 1
+        assert capsys.readouterr().err == self.TWO_RATE_ERROR
+        assert not out.exists()
+
+    def test_shipped_two_rate_config_rejected(self, tmp_path, capsys):
+        path = REPO / "perfbench/configs/tiny/two_rate_regions.yaml"
+        out = tmp_path / "search_out"
+        assert main(["search", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == self.TWO_RATE_ERROR
         assert not out.exists()
 
 
