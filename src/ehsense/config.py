@@ -89,12 +89,13 @@ class ExperimentConfig:
         return points
 
 
-def _int(name: str, value, least: int | None = None) -> int:
-    """value, a Python int and never a bool, >= least when a floor is given."""
+def _int(name: str, value, least: float = -math.inf, most: float = math.inf) -> int:
+    """value, a Python int and never a bool, from least to most."""
     if isinstance(value, bool) or not isinstance(value, int) \
-            or least is not None and value < least:
-        floor = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{name} must be an integer{floor}, got {value!r}")
+            or not least <= value <= most:
+        bounds = " and".join(f" {op} {bound}" for op, bound
+                             in ((">=", least), ("<=", most)) if abs(bound) < math.inf)
+        raise ConfigError(f"{name} must be an integer{bounds}, got {value!r}")
     return value
 
 
@@ -147,14 +148,16 @@ _READERS = {
               **dict.fromkeys(("lambda0", "lambda1", "r_low", "r_high", "beta"),
                               _float),
               "energy_pmf": _pmf},
-    "grid": {"resolution": partial(_int, least=2)},
+    # A ceiling far above the shipped 1001 (one battery row is 8 MB per table
+    # at 10**6 points) makes an absurd resolution a config error, not a crash.
+    "grid": {"resolution": partial(_int, least=2, most=10**6)},
     "solver": {"tol": _float, "max_iter": partial(_int, least=1),
                "span_tol": _float},
     "simulation": {**dict.fromkeys(_fields(SimSettings), _int),
-                   "episodes": partial(_int, least=1),
-                   "horizon": partial(_int, least=1),
+                   **dict.fromkeys(("episodes", "horizon"), partial(_int, least=1)),
                    "initial_belief": _float, "g0": _float},
-    "search": {**dict.fromkeys(_fields(SearchConfig), _int), "candidates": _floats},
+    "search": {**dict.fromkeys(_fields(SearchConfig), partial(_int, least=1)),
+               "seed": _int, "candidates": _floats},
     "sweep": {"q": _floats, "tau": _floats},
 }
 

@@ -1,11 +1,12 @@
 """The grid CSV writers against a plain `csv.writer` loop over the cells."""
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
-from ehsense import Action, extract_policy, value_iteration
+from ehsense import Action, artifacts, extract_policy, value_iteration
 from ehsense.artifacts import open_artifact, write_region_csv, write_value_csv
 
 VALUE_HEADER = ["battery", "belief", "value", "margin"]
@@ -59,9 +60,9 @@ def test_region_table(tmp_path, tiny_two_rate, coarse_grid):
     assert_same_regions(tmp_path, coarse_grid.points, actions)
 
 
-def test_value_and_margin_cells(tmp_path):
+def random_cells(shape):
+    """(values, margins) with -0.0, 0.0, ties, inf margins and an all-inf row."""
     rng = np.random.default_rng(7)
-    shape = (20, 37)
     values = rng.normal(size=shape)
     values[:, ::5] = -0.0
     values[2, 3] = 0.0
@@ -69,7 +70,69 @@ def test_value_and_margin_cells(tmp_path):
     margins[rng.random(shape) < 0.3] = np.inf
     margins[:, 1::5] = 0.0  # tied top two
     margins[4] = np.inf  # a whole row with one action
-    assert_same_values(tmp_path, np.linspace(0.0, 1.0, 37), values, margins)
+    return values, margins
+
+
+def test_value_and_margin_cells(tmp_path):
+    assert_same_values(tmp_path, np.linspace(0.0, 1.0, 37),
+                       *random_cells((20, 37)))
+
+
+def usable_cores(monkeypatch, cores):
+    """Make the writer see `cores` usable cores; the list it returns gets
+    one entry per fork."""
+    monkeypatch.setattr(artifacts.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(artifacts.os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 64])
+def test_rows_split_over_the_usable_cores(tmp_path, monkeypatch, tiny_two_rate,
+                                          coarse_grid, cores):
+    forks = usable_cores(monkeypatch, cores)
+    table = value_iteration(tiny_two_rate, coarse_grid)
+    rows = len(table.values)
+    assert_same_values(tmp_path, coarse_grid.points, table.values, table.margins)
+    assert len(forks) == min(cores, rows) - 1  # one child per later part
+    values, margins = random_cells((20, 37))
+    assert_same_values(tmp_path, np.linspace(0.0, 1.0, 37), values[2:3],
+                       margins[2:3])
+    assert len(forks) == min(cores, rows) - 1  # one row: no child
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
+
+
+@pytest.mark.parametrize("fails_in", ["child", "parent"])
+def test_a_failed_part_raises_and_leaves_no_child(tmp_path, monkeypatch,
+                                                  fails_in):
+    usable_cores(monkeypatch, 3)
+    parent, lines = os.getpid(), artifacts._value_lines
+
+    def value_lines(*args):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            raise OSError(f"no space left in the {fails_in}")
+        return lines(*args)
+
+    monkeypatch.setattr(artifacts, "_value_lines", value_lines)
+    out = tmp_path / "out"
+    error = RuntimeError if fails_in == "child" else OSError
+    with pytest.raises(error, match="value CSV child|in the parent"):
+        write_value_csv(out / "values.csv", "abc123", np.linspace(0.0, 1.0, 37),
+                        *random_cells((20, 37)))
+    assert_no_child_left()
+    assert [p.name for p in out.iterdir()] == ["values.csv"]
 
 
 def test_region_codes(tmp_path):

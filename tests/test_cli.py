@@ -270,6 +270,23 @@ class TestConfigParsing:
         assert capsys.readouterr().err.startswith(f"config error: {field} must be")
         assert not out.exists()
 
+    def test_resolution_beyond_the_ceiling_exits_at_parse(self, tmp_path, capsys):
+        cfg = small_config(grid={"resolution": 10**24})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["export-regions", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: grid.resolution must be an integer >= 2 and "
+            "<= 1000000, got 1000000000000000000000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["episodes", "horizon", "max_passes"])
+    def test_search_range_error_names_the_field(self, field):
+        with pytest.raises(ConfigError, match=rf"^search\.{field} must be an "
+                                              rf"integer >= 1, got 0$"):
+            parse_config(small_config(search={field: 0}))
+
     @pytest.mark.parametrize("section", [
         "model", "grid", "solver", "simulation", "search", "sweep"])
     def test_unknown_key_is_named_with_its_section(self, section):
