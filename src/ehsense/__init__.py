@@ -17,7 +17,7 @@ from .policies import (PolicyRow, PolicyTable, StructureViolationError,
                        ThresholdPolicy, encode_rows, extract_policy,
                        extract_thresholds, greedy_policy, opportunistic_policy)
 from .simulate import (EpisodeTrace, SimState, ThroughputStats, discounted_return,
-                       energy_audit, episode_rng, run_episodes, run_trace, step)
+                       episode_rng, run_episodes, run_trace, step)
 from .search import (SearchConfig, SearchResult, default_candidates,
                      search_thresholds)
 from .oracle import (CheckReport, OracleResult, check_good_state_dominance,

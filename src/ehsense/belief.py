@@ -9,7 +9,8 @@ simulator and for `reachable_beliefs`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,36 +85,26 @@ def reachable_beliefs(p0: float, depth: int, params: SystemParams) -> np.ndarray
 
 @dataclass(frozen=True)
 class BeliefGrid:
-    """Uniform discretization of the belief interval [0, 1]."""
+    """Uniform discretization of the belief interval [0, 1]: `resolution`
+    evenly spaced `points` from 0 to 1."""
 
-    points: np.ndarray
+    resolution: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ParameterError("grid needs at least two points")
-        if pts[0] != 0.0 or pts[-1] != 1.0:
-            raise ParameterError("grid must span [0, 1] inclusive")
-        steps = np.diff(pts)
-        if np.any(steps <= 0):
-            raise ParameterError("grid points must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12:
-            raise ParameterError("grid spacing must be uniform")
-        object.__setattr__(self, "points", pts)
+        resolution = operator.index(self.resolution)  # an int, never an array
+        if resolution < 2:
+            raise ParameterError("resolution must be >= 2")
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "points", np.linspace(0.0, 1.0, resolution))
 
     @classmethod
     def from_resolution(cls, resolution: int) -> "BeliefGrid":
-        if resolution < 2:
-            raise ParameterError("resolution must be >= 2")
-        return cls(np.linspace(0.0, 1.0, resolution))
-
-    @property
-    def resolution(self) -> int:
-        return len(self.points)
+        return cls(resolution)
 
     @property
     def step(self) -> float:
-        return 1.0 / (len(self.points) - 1)
+        return 1.0 / (self.resolution - 1)
 
     def locate(self, p) -> tuple:
         """Lower bracket index and interpolation weight for belief(s) p."""

@@ -95,8 +95,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
     all_stats = run_episodes(policies, [params for _, params, _ in lanes],
                              cfg.sim.episodes, cfg.sim.horizon, cfg.sim.seed,
                              initial_battery=cfg.sim.initial_battery,
-                             initial_belief=cfg.sim.initial_belief,
-                             g0=cfg.sim.g0)
+                             initial_belief=cfg.sim.initial_belief)
     rows = []
     for (label, params, name), stats in zip(lanes, all_stats):
         rows.append(_throughput_row(name, params, stats))

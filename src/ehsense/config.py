@@ -17,6 +17,7 @@ from functools import partial
 
 import yaml
 
+from .belief import stationary_belief
 from .model import ParameterError, SystemParams
 from .search import SearchConfig
 from .simulate import episode_start
@@ -37,7 +38,6 @@ class SimSettings:
     seed: int = 0
     initial_battery: int = 0
     initial_belief: float | None = None
-    g0: float | None = None
 
 
 @dataclass
@@ -155,7 +155,7 @@ _READERS = {
                "span_tol": _float},
     "simulation": {**dict.fromkeys(_fields(SimSettings), _int),
                    **dict.fromkeys(("episodes", "horizon"), partial(_int, least=1)),
-                   "initial_belief": _float, "g0": _float},
+                   "initial_belief": _float},
     "search": {**dict.fromkeys(_fields(SearchConfig), partial(_int, least=1)),
                "seed": _int, "candidates": _floats},
     "sweep": {"q": _floats, "tau": _floats},
@@ -202,6 +202,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     try:
         model = SystemParams(**{k: read(f"model.{k}", model_raw[k])
                                 for k, read in _READERS["model"].items()})
+        stationary_belief(model)  # every command's default start belief
     except ParameterError as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
@@ -210,7 +211,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
                                           seed=int(seed_override)))
     sim = SimSettings(**_settings(data, "simulation"))
     try:
-        episode_start(model, sim.initial_battery, sim.initial_belief, sim.g0)
+        episode_start(model, sim.initial_battery, sim.initial_belief)
         # the search seed defaults to the simulation seed
         search = SearchConfig(**{"seed": sim.seed, **_settings(data, "search")})
     except ParameterError as exc:

@@ -24,14 +24,6 @@ from .simulate import ThroughputStats, run_episodes
 _ORBIT_DEPTH = 20
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """np.unique(values), without the numpy.ma import np.unique makes."""
-    v = np.sort(values, axis=None)
-    keep = np.ones(v.size, dtype=bool)
-    keep[1:] = v[1:] != v[:-1]
-    return v[keep]
-
-
 def default_candidates(params: SystemParams) -> np.ndarray:
     """Breakpoint candidates: reachable beliefs plus a coarse uniform mesh.
 
@@ -40,7 +32,7 @@ def default_candidates(params: SystemParams) -> np.ndarray:
     """
     orbit = reachable_beliefs(params.lambda0, _ORBIT_DEPTH, params)
     mesh = np.linspace(0.0, 1.0, 21)
-    cands = _sorted_distinct(np.concatenate([orbit, mesh]))
+    cands = np.array(sorted({*orbit.tolist(), *mesh.tolist()}))
     return cands[(cands > 0.0) & (cands <= 1.0)]
 
 
@@ -58,7 +50,7 @@ class SearchConfig:
         if min(self.episodes, self.horizon, self.max_passes) < 1:
             raise ParameterError("episodes, horizon and max_passes must be >= 1")
         if self.candidates is not None:
-            c = _sorted_distinct(np.asarray(self.candidates, dtype=float))
+            c = np.array(sorted(set(map(float, self.candidates))))
             if c.size == 0 or not np.all((c >= 0.0) & (c <= 1.0)):
                 raise ParameterError("candidates must be a nonempty subset of [0, 1]")
             self.candidates = c

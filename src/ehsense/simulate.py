@@ -75,9 +75,6 @@ class EpisodeTrace:
     action: np.ndarray = field(repr=False)
     bits: np.ndarray = field(repr=False)         # bits actually delivered
 
-    def __len__(self):
-        return len(self.bits)
-
 
 def step(state: SimState, action: Action, rng: np.random.Generator,
          params: SystemParams):
@@ -118,35 +115,31 @@ def _harvest_cdf(energy_pmf: tuple) -> np.ndarray:
     return cdf
 
 
-def episode_start(params: SystemParams, initial_battery: int, initial_belief,
-                  g0):
-    """(belief, P[channel GOOD]) at the first slot of an episode.
+def episode_start(params: SystemParams, initial_battery: int, initial_belief):
+    """The belief at the first slot of an episode, whose channel is drawn
+    from it, so the posterior is calibrated from the very first slot.
 
-    The belief defaults to the stationary one and the first channel is drawn
-    from it, so the posterior is calibrated from the very first slot; `g0`
-    overrides the probability of that draw.  Raises ParameterError for a
-    battery outside [0, b_max] or a probability outside [0, 1].
+    The belief defaults to the stationary one.  Raises ParameterError for a
+    battery outside [0, b_max] or a belief outside [0, 1].
     """
     if not 0 <= initial_battery <= params.b_max:
         raise ParameterError(
             f"initial battery {initial_battery} outside [0, {params.b_max}]")
     belief = stationary_belief(params) if initial_belief is None \
         else float(initial_belief)
-    p_good = belief if g0 is None else float(g0)
-    if not (0.0 <= belief <= 1.0 and 0.0 <= p_good <= 1.0):
-        raise ParameterError(
-            f"initial belief {belief} and g0 {p_good} must lie in [0, 1]")
-    return belief, p_good
+    if not 0.0 <= belief <= 1.0:
+        raise ParameterError(f"initial belief {belief} must lie in [0, 1]")
+    return belief
 
 
 def run_trace(policy, params: SystemParams, horizon: int, seed: int,
               episode: int = 0, initial_battery: int = 0,
-              initial_belief=None, g0=None) -> EpisodeTrace:
+              initial_belief=None) -> EpisodeTrace:
     """Scalar reference episode; consumes the same stream as run_episodes."""
     rng = episode_rng(seed, episode)
-    belief, p_good = episode_start(params, initial_battery, initial_belief, g0)
+    belief = episode_start(params, initial_battery, initial_belief)
     state = SimState(battery=initial_battery, belief=belief,
-                     channel=int(rng.random() < p_good))
+                     channel=int(rng.random() < belief))
     cols = {k: [] for k in ("channel", "harvest", "battery", "belief",
                             "action", "bits")}
     for _ in range(horizon):
@@ -155,17 +148,6 @@ def run_trace(policy, params: SystemParams, horizon: int, seed: int,
         for k, v in row.items():
             cols[k].append(v)
     return EpisodeTrace(**{k: np.asarray(v) for k, v in cols.items()})
-
-
-def energy_audit(trace: EpisodeTrace, params: SystemParams) -> bool:
-    """Replay every battery transition through the model; True iff all match."""
-    for t in range(len(trace) - 1):
-        expected = next_battery(int(trace.battery[t]), int(trace.harvest[t]),
-                                Action(int(trace.action[t])),
-                                bool(trace.channel[t]), params)
-        if expected != int(trace.battery[t + 1]):
-            return False
-    return True
 
 
 # Uniforms are drawn this many slots at a time: memory grows with lanes times
@@ -290,8 +272,7 @@ def _harvest_blocks(points, point_of):
 
 
 def run_episodes(policy, params, episodes: int, horizon: int,
-                 seed: int, initial_battery: int = 0, initial_belief=None,
-                 g0=None):
+                 seed: int, initial_battery: int = 0, initial_belief=None):
     """Vectorized throughput estimate over independent episodes.
 
     `policy` is one ThresholdPolicy or a sequence of them.  `params` is one
@@ -312,7 +293,7 @@ def run_episodes(policy, params, episodes: int, horizon: int,
     policies = [policy] if single else list(policy)
     points, point_of = _points(policies, params)
     model = points[0]  # its channel and battery size are every lane's
-    belief0, p_good0 = episode_start(model, initial_battery, initial_belief, g0)
+    belief0 = episode_start(model, initial_battery, initial_belief)
     n_pol, n_b = len(policies), model.b_max + 1
     row_at, code, bits, drop, j_next, stride = _slot_tables(
         policies, points, point_of, belief0, horizon)
@@ -332,7 +313,7 @@ def run_episodes(policy, params, episodes: int, horizon: int,
     total_bits = np.zeros(pb.shape)
 
     rngs = [episode_rng(seed, e) for e in range(episodes)]
-    chan = (np.array([rng.random() for rng in rngs]) < p_good0).astype(np.intp)
+    chan = (np.array([rng.random() for rng in rngs]) < belief0).astype(np.intp)
     for t0 in range(0, horizon, _CHUNK):
         u = np.stack([rng.random((min(_CHUNK, horizon - t0), 2)) for rng in rngs])
         n = u.shape[1]

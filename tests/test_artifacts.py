@@ -2,6 +2,7 @@
 import csv
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -114,25 +115,50 @@ def test_rows_split_over_the_usable_cores(tmp_path, monkeypatch, tiny_two_rate,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["got.csv", "want.csv"]
 
 
-@pytest.mark.parametrize("fails_in", ["child", "parent"])
+@pytest.mark.parametrize("fails_in, error, message", [
+    ("child", RuntimeError, "value CSV child failed"),
+    ("parent", OSError, "no space left in the parent"),
+    ("fork", OSError, "no second child")], ids=["child", "parent", "fork"])
 def test_a_failed_part_raises_and_leaves_no_child(tmp_path, monkeypatch,
-                                                  fails_in):
-    usable_cores(monkeypatch, 3)
-    parent, lines = os.getpid(), artifacts._value_lines
+                                                  fails_in, error, message):
+    forks = usable_cores(monkeypatch, 3)
+    parent, lines, fork, waitpid = (os.getpid(), artifacts._value_lines,
+                                    os.fork, os.waitpid)
+    reaped = []
 
     def value_lines(*args):
-        if (os.getpid() == parent) == (fails_in == "parent"):
-            raise OSError(f"no space left in the {fails_in}")
+        here = "parent" if os.getpid() == parent else "child"
+        if here == fails_in:
+            raise OSError(f"no space left in the {here}")
+        if fails_in == "fork" and here == "child":
+            time.sleep(60)  # only a kill ends the first child in time
         return lines(*args)
 
+    def second_fork_fails():
+        if forks:
+            raise OSError("no second child")
+        return fork()
+
+    def recorded_waitpid(pid, options):
+        done = waitpid(pid, options)
+        reaped.append(done[1])
+        return done
+
     monkeypatch.setattr(artifacts, "_value_lines", value_lines)
+    monkeypatch.setattr(artifacts.os, "waitpid", recorded_waitpid)
+    if fails_in == "fork":
+        monkeypatch.setattr(artifacts.os, "fork", second_fork_fails)
     out = tmp_path / "out"
-    error = RuntimeError if fails_in == "child" else OSError
-    with pytest.raises(error, match="value CSV child|in the parent"):
+    with pytest.raises(error, match=message):
         write_value_csv(out / "values.csv", "abc123", np.linspace(0.0, 1.0, 37),
                         *random_cells((20, 37)))
     assert_no_child_left()
-    assert [p.name for p in out.iterdir()] == ["values.csv"]
+    if fails_in == "fork":  # the first child was killed; the file never opened
+        assert len(reaped) == 1 and os.WTERMSIG(reaped[0]) == 9
+        assert not out.exists()
+    else:
+        assert len(reaped) == 2
+        assert [p.name for p in out.iterdir()] == ["values.csv"]
 
 
 def test_region_codes(tmp_path):

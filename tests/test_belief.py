@@ -109,13 +109,15 @@ class TestGrid:
         assert g.step == pytest.approx(0.1)
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
 
-    def test_rejects_nonuniform(self):
+    def test_is_built_from_its_resolution_only(self):
+        with pytest.raises(TypeError):  # a points array is not a resolution
+            BeliefGrid(np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ParameterError):
-            BeliefGrid(np.array([0.0, 0.1, 0.5, 1.0]))
-
-    def test_rejects_wrong_span(self):
-        with pytest.raises(ParameterError):
-            BeliefGrid(np.array([0.1, 0.5, 1.0]))
+            BeliefGrid.from_resolution(1)
+        g = BeliefGrid.from_resolution(np.int64(5))
+        assert type(g.resolution) is int  # the solver reads its bit_length
+        assert g == BeliefGrid(5)
+        assert np.array_equal(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_interp_recovers_linear_functions(self):
         g = BeliefGrid.from_resolution(101)

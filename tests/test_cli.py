@@ -69,7 +69,7 @@ _SPAN_STOP = {"tol": 1e-5, "span_tol": 1e-6}
 # max_passes and candidates
 SHIPPED_DEFAULTS = {
     "grid_resolution": 1001, "tol": 1e-9, "max_iter": None, "span_tol": None,
-    "sim": (30, 100_000, 0, 0, None, None), "search": (16, 3000, 0, 2, None),
+    "sim": (30, 100_000, 0, 0, None), "search": (16, 3000, 0, 2, None),
     "policies": KNOWN_POLICIES, "sweep_q": (), "sweep_tau": ()}
 # path: (config_hash, the settings that differ from SHIPPED_DEFAULTS)
 SHIPPED_CONFIGS = {
@@ -83,19 +83,19 @@ SHIPPED_CONFIGS = {
         "output_dir": "out/sense_cost_sweep"}),
     "configs/throughput_benchmark.yaml": ("3304852af9a5", {
         "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None, None),
+        "sim": (30, 100_000, _SEED, 0, None),
         "search": (12, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
     "configs/two_rate_regions.yaml": ("372c75e2e157", {
         "model": _TWO_RATE_MODEL, "output_dir": "out/two_rate"}),
     "perfbench/configs/search.yaml": ("0f44d0bccd5f", {
         "model": _bench_model(0.7, 0.3), **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None, None),
+        "sim": (30, 100_000, _SEED, 0, None),
         "search": (12, 500, _SEED, 1, [0.2, 0.4, 0.6, 0.8]),
         "output_dir": "out/search"}),
     "perfbench/configs/throughput.yaml": ("4e27f060e6d6", {
         "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
-        "sim": (30, 4000, _SEED, 0, None, None),
+        "sim": (30, 4000, _SEED, 0, None),
         "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
     "perfbench/configs/tiny/policy_regions.yaml": ("32f3803894c5", {
@@ -109,11 +109,11 @@ SHIPPED_CONFIGS = {
         "sweep_tau": (0.2, 0.3), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/search.yaml": ("c9e91a37f98a", {
         "model": _bench_model(0.7, 0.3), "grid_resolution": 101, **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None, None),
+        "sim": (30, 100_000, _SEED, 0, None),
         "search": (4, 100, _SEED, 1, [0.3, 0.7]), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/throughput.yaml": ("cd50f60fd393", {
         "model": _bench_model(0.9, 0.1), "grid_resolution": 101, **_SPAN_STOP,
-        "sim": (8, 300, _SEED, 0, None, None),
+        "sim": (8, 300, _SEED, 0, None),
         "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.3, 0.7), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/two_rate_regions.yaml": ("b8f8ecf32876", {
@@ -161,7 +161,7 @@ class TestConfigParsing:
         lambda c: c.update(search={"episodes": 0}),
         lambda c: c.update(search={"candidates": [0.5, 1.5]}),
         lambda c: c["simulation"].update(initial_belief=1.5),
-        lambda c: c["simulation"].update(g0=-0.3),
+        lambda c: c["simulation"].update(initial_belief=-0.3),
         lambda c: c["simulation"].update(initial_battery=7),  # b_max is 6
         lambda c: c["simulation"].update(initial_battery=-1),
         lambda c: c.update(search={"episodes": -2, "horizon": -3}),
@@ -251,7 +251,8 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("mutate, field", [
-        (lambda c: c["simulation"].update(g0=True), "simulation.g0"),
+        (lambda c: c["simulation"].update(initial_belief=True),
+         "simulation.initial_belief"),
         (lambda c: c["model"].update(energy_pmf={0: False, 2: True}),
          "model.energy_pmf[0]"),
         (lambda c: c["model"].update(energy_pmf={0: 0.5, True: 0.5}),
@@ -279,6 +280,33 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             "config error: grid.resolution must be an integer >= 2 and "
             "<= 1000000, got 1000000000000000000000000\n")
+        assert not out.exists()
+
+    def test_start_override_g0_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config(simulation={"g0": 0.5}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown keys ['g0'] in section 'simulation'; valid: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    @pytest.mark.parametrize("initial_belief", [None, 0.5])
+    def test_channel_that_never_changes_state_exits_at_parse(
+            self, tmp_path, capsys, command, initial_belief):
+        # lambda0 = 0, lambda1 = 1 has no stationary belief, the start
+        # belief of verify's oracle and of the search's episodes
+        cfg = small_config()
+        cfg["model"].update(lambda0=0.0, lambda1=1.0)
+        cfg["simulation"]["initial_belief"] = initial_belief
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid model: no stationary belief: "
+            "lambda1 - lambda0 == 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["episodes", "horizon", "max_passes"])

@@ -8,7 +8,7 @@ import pytest
 
 from ehsense import (Action, BeliefGrid, InfeasibleActionError, ParameterError,
                      SimState, SystemParams, belief_update_no_obs,
-                     discounted_return, energy_audit, episode_rng,
+                     discounted_return, episode_rng,
                      greedy_policy, opportunistic_policy, orbits, run_episodes,
                      run_trace, step, stationary_belief, value_iteration,
                      extract_policy, encode_rows)
@@ -148,30 +148,6 @@ class TestScalarVectorAgreement:
         assert np.mean(totals) / 300 == pytest.approx(stats.mean_bits_per_slot)
 
 
-class TestEnergyAudit:
-    def test_generated_trace_passes(self, region_params):
-        pol = opportunistic_policy(region_params)
-        trace = run_trace(pol, region_params, 300, seed=4)
-        assert energy_audit(trace, region_params)
-
-    def test_perturbed_trace_fails(self, region_params):
-        pol = opportunistic_policy(region_params)
-        trace = run_trace(pol, region_params, 300, seed=4)
-        trace.battery[150] += 1
-        assert not energy_audit(trace, region_params)
-
-    def test_hand_built_trace(self, region_params):
-        # defer at 5 (harvest 10), sense-only at 15... battery follows the model
-        from ehsense import EpisodeTrace
-        trace = EpisodeTrace(
-            channel=np.array([1, 0, 1]), harvest=np.array([10, 0, 10]),
-            battery=np.array([5, 15, 13]), belief=np.array([0.5, 0.75, 0.6]),
-            action=np.array([int(Action.DEFER), int(Action.SENSE_DEFER),
-                             int(Action.HIGH_RATE)]),
-            bits=np.array([0.0, 0.0, 3.0]))
-        assert energy_audit(trace, region_params)
-
-
 class TestStatisticalCalibration:
     def test_channel_marginal_matches_stationary(self, region_params):
         pol = all_defer(region_params)
@@ -233,7 +209,7 @@ def mixed_policies(params, grid):
 class TestBatchedLanes:
     def test_batch_equals_one_call_per_policy(self, tiny_params, coarse_grid):
         pols = mixed_policies(tiny_params, coarse_grid)
-        kw = dict(initial_battery=3, initial_belief=0.37, g0=0.9)
+        kw = dict(initial_battery=3, initial_belief=0.37)
         stats = run_episodes(pols, tiny_params, 4, 700, seed=5, **kw)
         assert len(stats) == len(pols)
         for pol, s in zip(pols, stats):
@@ -325,23 +301,29 @@ class TestBatchedLanes:
     def test_root_deep_in_an_earlier_orbit_is_walked_to_the_horizon(self):
         # From belief 1 the no-observation beliefs are 1, lambda1 = 0,
         # lambda0, ...: lambda0 sits two steps deep in the start belief's
-        # orbit.  A lane reset to lambda0 after slot 0 must follow the float
-        # recursion to the last slot, not freeze where that orbit was cut.
+        # orbit.  Its own walk must follow the float recursion for the 58
+        # steps that a reset to lambda0 after slot 0 would take to the last
+        # slot, not freeze where that orbit was cut.
         p = SystemParams(lambda0=0.9995, lambda1=0.0, energy_pmf=(0.5, 0.5),
                          b_max=50, e_tx=2, e_sense=1, r_low=0.5, r_high=1.0,
                          beta=0.9)
+        beliefs, successor, (_, j, _) = orbits(p, (1.0, p.lambda0, p.lambda1), 60)
+        belief = p.lambda0
+        for _ in range(59):
+            assert beliefs[j] == belief
+            j, belief = successor[j], belief_update_no_obs(belief, p)
         transmit = PolicyRow((0.5, 0.99999),
                              (Action.LOW_RATE, Action.DEFER, Action.HIGH_RATE))
         pol = ThresholdPolicy(rows=tuple(
             transmit if b >= p.e_tx else PolicyRow((), (Action.DEFER,))
             for b in range(p.b_max + 1)), params=p)
-        kw = dict(initial_battery=50, initial_belief=1.0, g0=0.0)
+        kw = dict(initial_battery=50, initial_belief=1.0)
         stats = run_episodes(pol, p, 4, 60, seed=1, **kw)
         totals = [run_trace(pol, p, 60, seed=1, episode=e, **kw).bits.sum()
                   for e in range(4)]
-        # H on BAD at slot 0, then D and L alternate: L in 29 of the 59 slots
-        assert totals == [29 * 0.5] * 4
-        assert stats.mean_bits_per_slot == pytest.approx(29 * 0.5 / 60,
+        # H on GOOD at slot 0, then L and D alternate: L in 30 of the 59 slots
+        assert totals == [1.0 + 30 * 0.5] * 4
+        assert stats.mean_bits_per_slot == pytest.approx((1.0 + 30 * 0.5) / 60,
                                                          abs=1e-15)
 
     @pytest.mark.parametrize("lam0, lam1", [(0.2, 0.8), (0.9, 0.3), (0.4, 0.4),
@@ -401,8 +383,9 @@ class TestBatchedLanes:
 
     @pytest.mark.parametrize("start", [
         {"initial_battery": 51}, {"initial_battery": -1},
-        {"initial_belief": 1.5}, {"g0": -0.3}, {"initial_belief": float("nan")},
-    ], ids=["battery51", "battery-1", "belief1.5", "g0-0.3", "belief-nan"])
+        {"initial_belief": 1.5}, {"initial_belief": -0.3},
+        {"initial_belief": float("nan")},
+    ], ids=["battery51", "battery-1", "belief1.5", "belief-0.3", "belief-nan"])
     def test_initial_battery_outside_the_range_is_rejected(self, region_params,
                                                            start):
         pol = greedy_policy(region_params)
@@ -442,7 +425,7 @@ def sweep(p, grid, axis):
 
 
 class TestSweepPointLanes:
-    KW = dict(initial_battery=30, initial_belief=0.4, g0=0.7)
+    KW = dict(initial_battery=30, initial_belief=0.4)
 
     @pytest.mark.parametrize("axis", ["q", "tau", "q_tau"])
     def test_one_call_equals_a_call_per_point(self, region_params, coarse_grid,
