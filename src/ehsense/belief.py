@@ -100,6 +100,7 @@ class BeliefGrid:
 
     @classmethod
     def from_resolution(cls, resolution: int) -> "BeliefGrid":
+        """BeliefGrid(resolution); kept for perfbench/checks.py, its caller."""
         return cls(resolution)
 
     @property

@@ -47,7 +47,7 @@ def _file(out: Path, stem: str, label: str, ext: str) -> Path:
 def _solver(cfg: ExperimentConfig):
     """solve(params, name="optimal"): the solved policy `name` at `params`,
     solved cold, so each sweep point's artifacts depend on that point alone."""
-    grid = BeliefGrid.from_resolution(cfg.grid_resolution)
+    grid = BeliefGrid(cfg.grid_resolution)
 
     def solve(params: SystemParams, name: str = "optimal"):
         return value_iteration(params, grid, tol=cfg.tol, max_iter=cfg.max_iter,
@@ -93,9 +93,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
                 for _, params, name in lanes]
     # one pass for every (point, policy): the points share the uniforms
     all_stats = run_episodes(policies, [params for _, params, _ in lanes],
-                             cfg.sim.episodes, cfg.sim.horizon, cfg.sim.seed,
-                             initial_battery=cfg.sim.initial_battery,
-                             initial_belief=cfg.sim.initial_belief)
+                             cfg.sim.episodes, cfg.sim.horizon, cfg.sim.seed)
     rows = []
     for (label, params, name), stats in zip(lanes, all_stats):
         rows.append(_throughput_row(name, params, stats))
@@ -132,7 +130,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, say) -> int:
     """Print one PASS/FAIL line per check; writes no file."""
     reports = []  # (passed, text) pairs; text carries its own PASS/FAIL
 
-    res = compare_with_solver(cfg.model, BeliefGrid.from_resolution(1001), n=4)
+    res = compare_with_solver(cfg.model, BeliefGrid(1001), n=4)
     ok = res.passed
     reports.append((ok, f"{'PASS' if ok else 'FAIL'} oracle_agreement: gap "
                         f"{res.max_abs_gap_vs_solver:.2e} (bound {res.bound:.2e})"))

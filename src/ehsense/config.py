@@ -20,7 +20,6 @@ import yaml
 from .belief import stationary_belief
 from .model import ParameterError, SystemParams
 from .search import SearchConfig
-from .simulate import episode_start
 from .solver import DEFAULT_TOL
 
 # Every benchmark policy, in the default order (the row order of throughput.csv).
@@ -36,8 +35,6 @@ class SimSettings:
     episodes: int = 30
     horizon: int = 100_000
     seed: int = 0
-    initial_battery: int = 0
-    initial_belief: float | None = None
 
 
 @dataclass
@@ -154,8 +151,7 @@ _READERS = {
     "solver": {"tol": _float, "max_iter": partial(_int, least=1),
                "span_tol": _float},
     "simulation": {**dict.fromkeys(_fields(SimSettings), _int),
-                   **dict.fromkeys(("episodes", "horizon"), partial(_int, least=1)),
-                   "initial_belief": _float},
+                   **dict.fromkeys(("episodes", "horizon"), partial(_int, least=1))},
     "search": {**dict.fromkeys(_fields(SearchConfig), partial(_int, least=1)),
                "seed": _int, "candidates": _floats},
     "sweep": {"q": _floats, "tau": _floats},
@@ -202,7 +198,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     try:
         model = SystemParams(**{k: read(f"model.{k}", model_raw[k])
                                 for k, read in _READERS["model"].items()})
-        stationary_belief(model)  # every command's default start belief
+        stationary_belief(model)  # every command's start belief
     except ParameterError as exc:
         raise ConfigError(f"invalid model: {exc}") from None
 
@@ -211,11 +207,10 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
                                           seed=int(seed_override)))
     sim = SimSettings(**_settings(data, "simulation"))
     try:
-        episode_start(model, sim.initial_battery, sim.initial_belief)
         # the search seed defaults to the simulation seed
         search = SearchConfig(**{"seed": sim.seed, **_settings(data, "search")})
     except ParameterError as exc:
-        raise ConfigError(f"bad simulation/search settings: {exc}") from None
+        raise ConfigError(f"bad search settings: {exc}") from None
 
     grid = _settings(data, "grid")
     solver = _settings(data, "solver")

@@ -13,7 +13,7 @@ consecutive lanes with one harvest pmf, and shared by the block's lanes.
 The uniforms are drawn a chunk of slots at a time, so memory does not grow
 with the horizon.  A lane's belief is kept as an index into
 `belief.orbits`, the beliefs that the no-observation update reaches from
-the start belief, lambda0 and lambda1 within the horizon; this makes each
+the stationary belief, lambda0 and lambda1 within the horizon; this makes each
 slot's action a lookup in a table that holds one row of actions over the
 orbit beliefs per distinct `PolicyRow`, so policies that share a row, like
 the trials of a search batch, share its table row.  What each action
@@ -66,13 +66,10 @@ class ThroughputStats:
 
 @dataclass
 class EpisodeTrace:
-    """Per-slot log of one episode: everything needed to audit the run."""
+    """Per-slot log of one episode."""
 
     channel: np.ndarray = field(repr=False)      # true state during the slot
-    harvest: np.ndarray = field(repr=False)      # energy arriving at slot end
-    battery: np.ndarray = field(repr=False)      # battery at slot start
     belief: np.ndarray = field(repr=False)       # belief at slot start
-    action: np.ndarray = field(repr=False)
     bits: np.ndarray = field(repr=False)         # bits actually delivered
 
 
@@ -84,7 +81,7 @@ def step(state: SimState, action: Action, rng: np.random.Generator,
     The bits and whether the action reveals the channel come from
     `slot_outcomes`: a revealed channel resets the next belief to lambda1
     (GOOD) or lambda0 (BAD), otherwise it propagates.  Returns (next state,
-    delivered bits, trace row dict).  `next_battery` raises
+    delivered bits).  `next_battery` raises
     InfeasibleActionError if the policy chose an unaffordable action; that
     is a policy bug, not a recoverable condition.
     """
@@ -102,9 +99,7 @@ def step(state: SimState, action: Action, rng: np.random.Generator,
                 else belief_update_no_obs(state.belief, params)),
         channel=int(next_good),
     )
-    row = {"channel": state.channel, "harvest": harvest, "battery": state.battery,
-           "belief": state.belief, "action": int(action), "bits": bits}
-    return nxt, bits, row
+    return nxt, bits
 
 
 @lru_cache(maxsize=64)
@@ -115,12 +110,14 @@ def _harvest_cdf(energy_pmf: tuple) -> np.ndarray:
     return cdf
 
 
-def episode_start(params: SystemParams, initial_battery: int, initial_belief):
-    """The belief at the first slot of an episode, whose channel is drawn
-    from it, so the posterior is calibrated from the very first slot.
+def run_trace(policy, params: SystemParams, horizon: int, seed: int,
+              episode: int = 0, initial_battery: int = 0,
+              initial_belief=None) -> EpisodeTrace:
+    """Scalar reference episode; consumes the same stream as run_episodes.
 
-    The belief defaults to the stationary one.  Raises ParameterError for a
-    battery outside [0, b_max] or a belief outside [0, 1].
+    The first channel is drawn from the start belief, the stationary one by
+    default.  Raises ParameterError for a battery outside [0, b_max] or a
+    belief outside [0, 1].
     """
     if not 0 <= initial_battery <= params.b_max:
         raise ParameterError(
@@ -129,25 +126,17 @@ def episode_start(params: SystemParams, initial_battery: int, initial_belief):
         else float(initial_belief)
     if not 0.0 <= belief <= 1.0:
         raise ParameterError(f"initial belief {belief} must lie in [0, 1]")
-    return belief
-
-
-def run_trace(policy, params: SystemParams, horizon: int, seed: int,
-              episode: int = 0, initial_battery: int = 0,
-              initial_belief=None) -> EpisodeTrace:
-    """Scalar reference episode; consumes the same stream as run_episodes."""
     rng = episode_rng(seed, episode)
-    belief = episode_start(params, initial_battery, initial_belief)
     state = SimState(battery=initial_battery, belief=belief,
                      channel=int(rng.random() < belief))
-    cols = {k: [] for k in ("channel", "harvest", "battery", "belief",
-                            "action", "bits")}
+    channel, beliefs, bits = [], [], []
     for _ in range(horizon):
+        channel.append(state.channel)
+        beliefs.append(state.belief)
         action = policy.action_at(state.battery, state.belief)
-        state, _, row = step(state, action, rng, params)
-        for k, v in row.items():
-            cols[k].append(v)
-    return EpisodeTrace(**{k: np.asarray(v) for k, v in cols.items()})
+        state, slot_bits = step(state, action, rng, params)
+        bits.append(slot_bits)
+    return EpisodeTrace(np.asarray(channel), np.asarray(beliefs), np.asarray(bits))
 
 
 # Uniforms are drawn this many slots at a time: memory grows with lanes times
@@ -271,8 +260,7 @@ def _harvest_blocks(points, point_of):
     return [_harvest_cdf(q) for q in pmf[::k]], k
 
 
-def run_episodes(policy, params, episodes: int, horizon: int,
-                 seed: int, initial_battery: int = 0, initial_belief=None):
+def run_episodes(policy, params, episodes: int, horizon: int, seed: int):
     """Vectorized throughput estimate over independent episodes.
 
     `policy` is one ThresholdPolicy or a sequence of them.  `params` is one
@@ -285,7 +273,8 @@ def run_episodes(policy, params, episodes: int, horizon: int,
     of its own params, and every lane of episode e reads the same uniforms,
     so each result equals its single-policy, single-params call.  Episode e
     draws from the (seed, e) stream, so the result is independent of how
-    episodes are batched.
+    episodes are batched.  Every lane starts at battery 0 with the
+    stationary belief, from which its first channel is drawn.
     """
     if horizon < 1 or episodes < 1:
         raise ValueError("episodes and horizon must be >= 1")
@@ -293,14 +282,14 @@ def run_episodes(policy, params, episodes: int, horizon: int,
     policies = [policy] if single else list(policy)
     points, point_of = _points(policies, params)
     model = points[0]  # its channel and battery size are every lane's
-    belief0 = episode_start(model, initial_battery, initial_belief)
+    belief0 = stationary_belief(model)
     n_pol, n_b = len(policies), model.b_max + 1
     row_at, code, bits, drop, j_next, stride = _slot_tables(
         policies, points, point_of, belief0, horizon)
     cdfs, k = _harvest_blocks(points, point_of)
 
     first = np.arange(n_pol) * n_b
-    pb = np.repeat(first + int(initial_battery), episodes)
+    pb = np.repeat(first, episodes)
     cap = np.repeat(first + model.b_max, episodes)
     j = np.zeros_like(pb)
     c, i = np.empty_like(pb), np.empty_like(pb)

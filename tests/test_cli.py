@@ -69,7 +69,7 @@ _SPAN_STOP = {"tol": 1e-5, "span_tol": 1e-6}
 # max_passes and candidates
 SHIPPED_DEFAULTS = {
     "grid_resolution": 1001, "tol": 1e-9, "max_iter": None, "span_tol": None,
-    "sim": (30, 100_000, 0, 0, None), "search": (16, 3000, 0, 2, None),
+    "sim": (30, 100_000, 0), "search": (16, 3000, 0, 2, None),
     "policies": KNOWN_POLICIES, "sweep_q": (), "sweep_tau": ()}
 # path: (config_hash, the settings that differ from SHIPPED_DEFAULTS)
 SHIPPED_CONFIGS = {
@@ -83,19 +83,19 @@ SHIPPED_CONFIGS = {
         "output_dir": "out/sense_cost_sweep"}),
     "configs/throughput_benchmark.yaml": ("3304852af9a5", {
         "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None),
+        "sim": (30, 100_000, _SEED),
         "search": (12, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
     "configs/two_rate_regions.yaml": ("372c75e2e157", {
         "model": _TWO_RATE_MODEL, "output_dir": "out/two_rate"}),
     "perfbench/configs/search.yaml": ("0f44d0bccd5f", {
         "model": _bench_model(0.7, 0.3), **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None),
+        "sim": (30, 100_000, _SEED),
         "search": (12, 500, _SEED, 1, [0.2, 0.4, 0.6, 0.8]),
         "output_dir": "out/search"}),
     "perfbench/configs/throughput.yaml": ("4e27f060e6d6", {
         "model": _bench_model(0.9, 0.1), **_SPAN_STOP,
-        "sim": (30, 4000, _SEED, 0, None),
+        "sim": (30, 4000, _SEED),
         "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.1, 0.3, 0.5, 0.7, 0.9), "output_dir": "out/throughput"}),
     "perfbench/configs/tiny/policy_regions.yaml": ("32f3803894c5", {
@@ -109,11 +109,11 @@ SHIPPED_CONFIGS = {
         "sweep_tau": (0.2, 0.3), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/search.yaml": ("c9e91a37f98a", {
         "model": _bench_model(0.7, 0.3), "grid_resolution": 101, **_SPAN_STOP,
-        "sim": (30, 100_000, _SEED, 0, None),
+        "sim": (30, 100_000, _SEED),
         "search": (4, 100, _SEED, 1, [0.3, 0.7]), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/throughput.yaml": ("cd50f60fd393", {
         "model": _bench_model(0.9, 0.1), "grid_resolution": 101, **_SPAN_STOP,
-        "sim": (8, 300, _SEED, 0, None),
+        "sim": (8, 300, _SEED),
         "search": (16, 3000, _SEED, 2, None), "policies": _BENCH_ORDER,
         "sweep_q": (0.3, 0.7), "output_dir": "out/tiny"}),
     "perfbench/configs/tiny/two_rate_regions.yaml": ("b8f8ecf32876", {
@@ -160,10 +160,10 @@ class TestConfigParsing:
         lambda c: c["solver"].update(tol=-1),
         lambda c: c.update(search={"episodes": 0}),
         lambda c: c.update(search={"candidates": [0.5, 1.5]}),
-        lambda c: c["simulation"].update(initial_belief=1.5),
-        lambda c: c["simulation"].update(initial_belief=-0.3),
-        lambda c: c["simulation"].update(initial_battery=7),  # b_max is 6
-        lambda c: c["simulation"].update(initial_battery=-1),
+        lambda c: c["simulation"].update(horizon=0),
+        lambda c: c["simulation"].update(episodes=-1),
+        lambda c: c["simulation"].update(seed=0.5),
+        lambda c: c.update(simulation=5),
         lambda c: c.update(search={"episodes": -2, "horizon": -3}),
         lambda c: c["grid"].update(resolution="abc"),
         lambda c: c["grid"].update(resolution=51.7),
@@ -251,8 +251,7 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("mutate, field", [
-        (lambda c: c["simulation"].update(initial_belief=True),
-         "simulation.initial_belief"),
+        (lambda c: c["solver"].update(tol=True), "solver.tol"),
         (lambda c: c["model"].update(energy_pmf={0: False, 2: True}),
          "model.energy_pmf[0]"),
         (lambda c: c["model"].update(energy_pmf={0: 0.5, True: 0.5}),
@@ -282,24 +281,27 @@ class TestConfigParsing:
             "<= 1000000, got 1000000000000000000000000\n")
         assert not out.exists()
 
-    def test_start_override_g0_is_an_unknown_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, small_config(simulation={"g0": 0.5}))
+    @pytest.mark.parametrize("key, value", [
+        ("g0", 0.5), ("initial_battery", 0), ("initial_belief", 0.5)])
+    def test_start_override_is_an_unknown_key(self, tmp_path, capsys, key,
+                                              value):
+        # every episode starts at battery 0 with the stationary belief
+        path = write_config(tmp_path, small_config(simulation={key: value}))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out),
                      "--quiet"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: unknown keys ['g0'] in section 'simulation'; valid: ")
+        assert capsys.readouterr().err == (
+            f"config error: unknown keys ['{key}'] in section 'simulation'; "
+            f"valid: ['episodes', 'horizon', 'seed']\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "search"])
-    @pytest.mark.parametrize("initial_belief", [None, 0.5])
     def test_channel_that_never_changes_state_exits_at_parse(
-            self, tmp_path, capsys, command, initial_belief):
+            self, tmp_path, capsys, command):
         # lambda0 = 0, lambda1 = 1 has no stationary belief, the start
         # belief of verify's oracle and of the search's episodes
         cfg = small_config()
         cfg["model"].update(lambda0=0.0, lambda1=1.0)
-        cfg["simulation"]["initial_belief"] = initial_belief
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out),
@@ -331,11 +333,10 @@ class TestConfigParsing:
                                               r"'beta'\] in section 'model'$"):
             parse_config(cfg)
 
-    def test_numeric_string_initial_belief_reads_as_its_number(self):
-        cfg = small_config()
-        cfg["simulation"]["initial_belief"] = "0.5"
-        belief = parse_config(cfg).sim.initial_belief
-        assert type(belief) is float and belief == 0.5
+    def test_numeric_string_reads_as_its_number(self):
+        # YAML reads 1e-9, which has no dot, as a string
+        tol = parse_config(small_config(solver={"tol": "1e-9"})).tol
+        assert type(tol) is float and tol == 1e-9
 
     def test_null_is_a_key_left_out(self):
         nulls = small_config(grid={"resolution": None},

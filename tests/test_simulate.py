@@ -41,7 +41,7 @@ class TestStep:
         # deferring and the low rate learn nothing, so the belief propagates.
         p, belief = tiny_two_rate, 0.37
         state = SimState(battery=4, belief=belief, channel=channel)
-        nxt, _, _ = step(state, action, episode_rng(0, 0), p)
+        nxt, _ = step(state, action, episode_rng(0, 0), p)
         if action in (Action.HIGH_RATE, Action.SENSE_DEFER, Action.SENSE_TRANSMIT):
             assert nxt.belief == (p.lambda1 if channel else p.lambda0)
         else:
@@ -54,8 +54,8 @@ class TestStep:
                 (1, region_params.r_high, region_params.lambda1),
                 (0, 0.0, region_params.lambda0)]:
             state = SimState(battery=20, belief=0.5, channel=good)
-            nxt, bits, row = step(state, Action.HIGH_RATE, episode_rng(0, 0),
-                                  region_params)
+            nxt, bits = step(state, Action.HIGH_RATE, episode_rng(0, 0),
+                             region_params)
             assert bits == want_bits
             assert nxt.belief == want_belief
             assert nxt.battery == 20 - region_params.e_tx  # harvest 0 w.p. 0.9
@@ -63,7 +63,7 @@ class TestStep:
     def test_low_rate_always_delivers(self, tiny_two_rate):
         rng = episode_rng(1, 0)
         state = SimState(battery=4, belief=0.5, channel=0)
-        nxt, bits, row = step(state, Action.LOW_RATE, rng, tiny_two_rate)
+        nxt, bits = step(state, Action.LOW_RATE, rng, tiny_two_rate)
         assert bits == tiny_two_rate.r_low
         j = tiny_two_rate.lambda0 * 0.5 + tiny_two_rate.lambda1 * 0.5
         assert nxt.belief == pytest.approx(j)
@@ -72,14 +72,14 @@ class TestStep:
         p = region_params.replace(energy_pmf=(1.0,))
         rng = episode_rng(2, 0)
         state = SimState(battery=20, belief=0.5, channel=0)
-        nxt, bits, row = step(state, Action.SENSE_DEFER, rng, p)
+        nxt, bits = step(state, Action.SENSE_DEFER, rng, p)
         assert bits == 0.0
         assert nxt.battery == 20 - p.e_sense
 
     def test_sense_only_band_never_transmits(self, region_params):
         p = region_params.replace(energy_pmf=(1.0,))
         state = SimState(battery=5, belief=0.9, channel=1)  # GOOD revealed
-        nxt, bits, row = step(state, Action.SENSE_DEFER, episode_rng(2, 0), p)
+        nxt, bits = step(state, Action.SENSE_DEFER, episode_rng(2, 0), p)
         assert bits == 0.0
         assert nxt.battery == 5 - p.e_sense
         assert nxt.belief == p.lambda1
@@ -103,17 +103,26 @@ class TestRunEpisodes:
                              episodes=3, horizon=200, seed=1)
         assert stats.mean_bits_per_slot == 0.0
 
+    # The channel is always GOOD and e_tx arrives every slot: slot 0 starts
+    # with an empty battery and defers, and every later slot spends e_tx.
     def test_always_good_greedy_cycles_deterministically(self):
         p = certain_good_params()
         stats = run_episodes(greedy_policy(p), p, episodes=2, horizon=500,
-                             seed=3, initial_battery=p.e_tx, initial_belief=1.0)
-        assert stats.mean_bits_per_slot == pytest.approx(p.r_high)
+                             seed=3)
+        assert stats.mean_bits_per_slot == pytest.approx(p.r_high * 499 / 500)
 
     def test_always_good_opportunistic_pays_the_sensing_time(self):
         p = certain_good_params()
         stats = run_episodes(opportunistic_policy(p), p, episodes=2, horizon=500,
-                             seed=3, initial_battery=p.e_tx, initial_belief=1.0)
-        assert stats.mean_bits_per_slot == pytest.approx((1 - p.tau) * p.r_high)
+                             seed=3)
+        assert stats.mean_bits_per_slot == pytest.approx(
+            (1 - p.tau) * p.r_high * 499 / 500)
+
+    def test_takes_no_start(self, region_params):
+        # every lane starts at battery 0 with the stationary belief
+        with pytest.raises(TypeError):
+            run_episodes(greedy_policy(region_params), region_params, 2, 10,
+                         seed=0, initial_battery=0)
 
     def test_deterministic_and_seed_sensitive(self, region_params):
         pol = greedy_policy(region_params)
@@ -209,11 +218,10 @@ def mixed_policies(params, grid):
 class TestBatchedLanes:
     def test_batch_equals_one_call_per_policy(self, tiny_params, coarse_grid):
         pols = mixed_policies(tiny_params, coarse_grid)
-        kw = dict(initial_battery=3, initial_belief=0.37)
-        stats = run_episodes(pols, tiny_params, 4, 700, seed=5, **kw)
+        stats = run_episodes(pols, tiny_params, 4, 700, seed=5)
         assert len(stats) == len(pols)
         for pol, s in zip(pols, stats):
-            s1 = run_episodes(pol, tiny_params, 4, 700, seed=5, **kw)
+            s1 = run_episodes(pol, tiny_params, 4, 700, seed=5)
             assert s == s1
 
     def test_batched_lane_totals_equal_run_trace(self, region_params):
@@ -262,10 +270,9 @@ class TestBatchedLanes:
     @pytest.mark.parametrize("horizon", [1, _CHUNK, 2 * _CHUNK + 7])
     def test_horizons_around_the_chunk(self, tiny_params, horizon):
         pols = [greedy_policy(tiny_params), opportunistic_policy(tiny_params)]
-        stats = run_episodes(pols, tiny_params, 1, horizon, seed=12,
-                             initial_battery=2)
+        stats = run_episodes(pols, tiny_params, 1, horizon, seed=12)
         for pol, s in zip(pols, stats):
-            want = lane_total(pol, tiny_params, horizon, 12, initial_battery=2)
+            want = lane_total(pol, tiny_params, horizon, 12)
             assert s.mean_bits_per_slot == want / horizon
 
     @pytest.mark.parametrize("lam0, lam1", [
@@ -299,32 +306,38 @@ class TestBatchedLanes:
             assert s.mean_bits_per_slot == lane_total(pol, p, horizon, 2) / horizon
 
     def test_root_deep_in_an_earlier_orbit_is_walked_to_the_horizon(self):
-        # From belief 1 the no-observation beliefs are 1, lambda1 = 0,
-        # lambda0, ...: lambda0 sits two steps deep in the start belief's
-        # orbit.  Its own walk must follow the float recursion for the 58
-        # steps that a reset to lambda0 after slot 0 would take to the last
-        # slot, not freeze where that orbit was cut.
-        p = SystemParams(lambda0=0.9995, lambda1=0.0, energy_pmf=(0.5, 0.5),
+        # With lambda0 = 1, lambda1 = f(lambda0) sits one step deep in
+        # lambda0's orbit, which is cut at the horizon.  lambda1's own walk
+        # must follow the float recursion for all 60 steps, not freeze where
+        # lambda0's orbit was cut.
+        p = SystemParams(lambda0=1.0, lambda1=0.0005, energy_pmf=(0.5, 0.5),
                          b_max=50, e_tx=2, e_sense=1, r_low=0.5, r_high=1.0,
                          beta=0.9)
-        beliefs, successor, (_, j, _) = orbits(p, (1.0, p.lambda0, p.lambda1), 60)
-        belief = p.lambda0
-        for _ in range(59):
+        p0 = stationary_belief(p)
+        beliefs, successor, (_, _, j) = orbits(p, (p0, p.lambda0, p.lambda1), 60)
+        belief = p.lambda1
+        for _ in range(60):
             assert beliefs[j] == belief
             j, belief = successor[j], belief_update_no_obs(belief, p)
-        transmit = PolicyRow((0.5, 0.99999),
-                             (Action.LOW_RATE, Action.DEFER, Action.HIGH_RATE))
+        # H near p*, which reveals the channel; L elsewhere, which does not
+        transmit = PolicyRow((0.4, 0.6),
+                             (Action.LOW_RATE, Action.HIGH_RATE, Action.LOW_RATE))
         pol = ThresholdPolicy(rows=tuple(
             transmit if b >= p.e_tx else PolicyRow((), (Action.DEFER,))
             for b in range(p.b_max + 1)), params=p)
-        kw = dict(initial_battery=50, initial_belief=1.0)
-        stats = run_episodes(pol, p, 4, 60, seed=1, **kw)
-        totals = [run_trace(pol, p, 60, seed=1, episode=e, **kw).bits.sum()
-                  for e in range(4)]
-        # H on GOOD at slot 0, then L and D alternate: L in 30 of the 59 slots
-        assert totals == [1.0 + 30 * 0.5] * 4
-        assert stats.mean_bits_per_slot == pytest.approx((1.0 + 30 * 0.5) / 60,
-                                                         abs=1e-15)
+        stats = run_episodes(pol, p, 4, 60, seed=1)
+        for e in range(4):
+            # one reset to lambda0 or lambda1 early on, then a walk
+            # without observation that never comes back near p*
+            trace = run_trace(pol, p, 60, seed=1, episode=e)
+            t = int(np.argmax(np.abs(trace.belief - p0) > 0.1))
+            assert 0 < t < 10 and trace.belief[t] in (p.lambda0, p.lambda1)
+            belief = trace.belief[t]
+            for got in trace.belief[t:].tolist():
+                assert got == belief
+                belief = belief_update_no_obs(belief, p)
+        totals = np.array([lane_total(pol, p, 60, 1, episode=e) for e in range(4)])
+        assert stats.mean_bits_per_slot == float((totals / 60).mean())
 
     @pytest.mark.parametrize("lam0, lam1", [(0.2, 0.8), (0.9, 0.3), (0.4, 0.4),
                                             (1.0, 0.0), (0.0, 1.0)])
@@ -388,11 +401,9 @@ class TestBatchedLanes:
     ], ids=["battery51", "battery-1", "belief1.5", "belief-0.3", "belief-nan"])
     def test_initial_battery_outside_the_range_is_rejected(self, region_params,
                                                            start):
-        pol = greedy_policy(region_params)
         with pytest.raises(ParameterError):
-            run_episodes(pol, region_params, 2, 10, seed=0, **start)
-        with pytest.raises(ParameterError):
-            run_trace(pol, region_params, 10, seed=0, **start)
+            run_trace(greedy_policy(region_params), region_params, 10, seed=0,
+                      **start)
 
     def test_cmd_simulate_makes_one_call_for_every_sweep_point(self, tmp_path,
                                                                monkeypatch):
@@ -425,17 +436,15 @@ def sweep(p, grid, axis):
 
 
 class TestSweepPointLanes:
-    KW = dict(initial_battery=30, initial_belief=0.4)
-
     @pytest.mark.parametrize("axis", ["q", "tau", "q_tau"])
     def test_one_call_equals_a_call_per_point(self, region_params, coarse_grid,
                                               axis):
         points = sweep(region_params, coarse_grid, axis)
         want = [s for pt, pols in points
-                for s in run_episodes(pols, pt, 4, 700, seed=5, **self.KW)]
+                for s in run_episodes(pols, pt, 4, 700, seed=5)]
         got = run_episodes([pol for _, pols in points for pol in pols],
                            [pt for pt, pols in points for _ in pols],
-                           4, 700, seed=5, **self.KW)
+                           4, 700, seed=5)
         assert got == want
         assert len({s.mean_bits_per_slot for s in got}) > len(got) // 2
 
@@ -444,10 +453,9 @@ class TestSweepPointLanes:
         # pmf runs of 3, 1 and 2 policies: harvest blocks of one policy
         (a, pa), (b, pb), (c, pc) = sweep(region_params, coarse_grid, "q")
         pols, params = pa + pb[:1] + pc[:2], [a] * 3 + [b] + [c] * 2
-        got = run_episodes(pols, params, 1, 600, seed=2, **self.KW)
+        got = run_episodes(pols, params, 1, 600, seed=2)
         for pol, pt, s in zip(pols, params, got):
-            assert s.mean_bits_per_slot == lane_total(pol, pt, 600, 2,
-                                                      **self.KW) / 600
+            assert s.mean_bits_per_slot == lane_total(pol, pt, 600, 2) / 600
 
     @pytest.mark.parametrize("field, value", [
         ("lambda0", 0.5), ("lambda1", 0.95), ("b_max", 60), ("e_sense", 1),
