@@ -14,8 +14,9 @@ from .belief import (BeliefGrid, belief_update_no_obs, orbits, reachable_beliefs
 from .solver import (BellmanOperator, ConvergenceError, ValueTable, backup,
                      bellman_step, value_iteration, zero_table)
 from .policies import (PolicyRow, PolicyTable, StructureViolationError,
-                       ThresholdPolicy, encode_rows, extract_policy,
-                       extract_thresholds, greedy_policy, opportunistic_policy)
+                       ThresholdPolicy, check_row_form, encode_rows,
+                       extract_policy, extract_thresholds, greedy_policy,
+                       opportunistic_policy)
 from .simulate import (EpisodeTrace, SimState, ThroughputStats, discounted_return,
                        episode_rng, run_episodes, run_trace, step)
 from .search import (SearchConfig, SearchResult, default_candidates,

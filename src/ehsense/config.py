@@ -117,6 +117,12 @@ def _floats(name: str, values) -> tuple:
     return tuple(_float(name, v) for v in values)
 
 
+# One ceiling, far above the shipped sizes (a battery row is 8 MB per table
+# at 10**6 belief points), makes an absurd resolution or arrival level a
+# config error, checked before anything is allocated, not a crash.
+_CEILING = 10**6
+
+
 def _pmf(name: str, raw) -> tuple:
     """energy_pmf, a list or an {arrival: prob} map, as a tuple of floats."""
     if isinstance(raw, (list, tuple)):
@@ -124,7 +130,7 @@ def _pmf(name: str, raw) -> tuple:
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a list or an {{arrival: prob}} map, "
                           f"got {raw!r}")
-    probs = {_int(f"{name} arrival level", m, least=0):
+    probs = {_int(f"{name} arrival level", m, least=0, most=_CEILING):
              _float(f"{name}[{m!r}]", p) for m, p in raw.items()}
     pmf = [0.0] * (max(probs, default=-1) + 1)
     for m, p in probs.items():
@@ -145,9 +151,7 @@ _READERS = {
               **dict.fromkeys(("lambda0", "lambda1", "r_low", "r_high", "beta"),
                               _float),
               "energy_pmf": _pmf},
-    # A ceiling far above the shipped 1001 (one battery row is 8 MB per table
-    # at 10**6 points) makes an absurd resolution a config error, not a crash.
-    "grid": {"resolution": partial(_int, least=2, most=10**6)},
+    "grid": {"resolution": partial(_int, least=2, most=_CEILING)},
     "solver": {"tol": _float, "max_iter": partial(_int, least=1),
                "span_tol": _float},
     "simulation": {**dict.fromkeys(_fields(SimSettings), _int),

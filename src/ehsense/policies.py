@@ -1,5 +1,6 @@
 """Policy representations: grid tables, per-battery threshold intervals,
-greedy extraction, the single-rate threshold codec and the two baselines.
+greedy extraction, the threshold-form rule, the single-rate threshold
+codec and the two baselines.
 
 A threshold policy stores, for every battery level, a partition of the
 belief interval into labeled action intervals.  That form is what the
@@ -28,8 +29,8 @@ SINGLE_THRESHOLD_ACTIONS = (Action.DEFER, Action.HIGH_RATE)
 NO_REGION = 2.0  # sentinel threshold meaning "interval is empty"
 
 
-class StructureViolationError(ValueError):
-    """An extracted policy row contradicts the proven interval structure."""
+class StructureViolationError(ParameterError):
+    """A policy row contradicts the proven interval structure."""
 
 
 @dataclass
@@ -164,43 +165,35 @@ def _significant_labels(actions: np.ndarray):
                     if length > 1])
 
 
-def _is_subsequence(seq, template) -> bool:
-    it = iter(template)
-    return all(any(a == t for t in it) for a in seq)
+def _template(b: int, params: SystemParams) -> tuple:
+    """PATTERN_FULL with each action battery b cannot afford read as DEFER."""
+    ok = feasible_actions(b, params)
+    return tuple(a if a in ok else Action.DEFER for a in PATTERN_FULL)
 
 
-def validate_single_rate_row(actions: np.ndarray, battery: int,
-                             params: SystemParams) -> None:
-    """Check one grid row against the canonical single-rate pattern.
+def check_row_form(labels, battery: int, params: SystemParams) -> None:
+    """Raise StructureViolationError unless a row's interval labels have the
+    threshold form; every interval counts, however narrow.
 
-    A row may look like any subsequence of the actions of D|O|D|H that its
-    battery affords: D|O|D|H where it can transmit, D|O|D in the sense-only
-    band, D below the sensing cost.  Runs of a single grid cell are ignored
-    as discretization slack.
+    Single-rate: the labels are a subsequence of D|OD|D|H with each action
+    the battery cannot afford read as D: D|OD|D in the sense-only band, D
+    below the sensing cost.  Two-rate: each sensing action holds at most
+    one interval and a high-rate interval is the last; defer and low-rate
+    intervals may fragment.
     """
-    labels = _significant_labels(actions)
-    affordable = feasible_actions(battery, params)
-    template = _merged([a if a in affordable else Action.DEFER for a in PATTERN_FULL])
-    if not _is_subsequence(labels, template):
-        raise StructureViolationError(
-            f"battery {battery}: intervals {'|'.join(a.code for a in labels)} "
-            f"do not fit {'|'.join(a.code for a in template)}")
-
-
-def validate_two_rate_row(actions: np.ndarray, battery: int,
-                          params: SystemParams) -> None:
-    """Interval checks that hold in the two-rate model.
-
-    The high-rate region must be a single suffix and each sensing action
-    must occupy at most one interval; defer and low-rate regions may
-    fragment.  Single-cell runs are ignored as discretization slack.
-    """
-    labels = _significant_labels(actions)
+    if not params.two_rate:
+        template = _merged(_template(battery, params))
+        rest = iter(template)
+        if not all(any(a == t for t in rest) for a in labels):
+            raise StructureViolationError(
+                f"battery {battery}: intervals {'|'.join(a.code for a in labels)} "
+                f"do not fit {'|'.join(a.code for a in template)}")
+        return
     for a in (Action.SENSE_DEFER, Action.SENSE_TRANSMIT):
         if labels.count(a) > 1:
             raise StructureViolationError(
                 f"battery {battery}: {a.code} occupies {labels.count(a)} intervals")
-    if Action.HIGH_RATE in labels and labels.index(Action.HIGH_RATE) != len(labels) - 1:
+    if Action.HIGH_RATE in labels[:-1]:
         raise StructureViolationError(
             f"battery {battery}: high-rate region is not a suffix "
             f"({'|'.join(a.code for a in labels)})")
@@ -209,14 +202,14 @@ def validate_two_rate_row(actions: np.ndarray, battery: int,
 def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
     """Structure-check and run-length encode a grid policy.
 
+    Each grid row's labels must pass `check_row_form` once its single-cell
+    runs are dropped as grid-step slack, the only place that slack applies.
     A violation raises rather than being silently repaired: it signals a
     solver bug or an insufficient grid resolution.  `encode_rows` is the
     unchecked form.
     """
-    check = validate_two_rate_row if policy.params.two_rate \
-        else validate_single_rate_row
-    for b in range(policy.params.b_max + 1):
-        check(policy.actions[b], b, policy.params)
+    for b, actions in enumerate(policy.actions):
+        check_row_form(_significant_labels(actions), b, policy.params)
     return encode_rows(policy)
 
 
@@ -226,17 +219,15 @@ def rho_from_policy(policy: ThresholdPolicy, params: SystemParams) -> np.ndarray
     Row semantics: defer on [0, rho1), sense on [rho1, rho2), defer on
     [rho2, rho3), high rate on [rho3, 1].  Rows that cannot transmit carry
     the NO_REGION sentinel as rho3; rows that cannot sense have rho1 == rho2.
-    A row must fit D|OD|D|H, the single-rate threshold form.
+    A row outside the threshold form (`check_row_form`) raises
+    StructureViolationError.
     """
     if params.two_rate:
         raise ParameterError("threshold search requires the single-rate model")
     rho = np.full((params.b_max + 1, 3), NO_REGION)
     for b, row in enumerate(policy.rows):
         labels = row.labels
-        if not _is_subsequence(labels, PATTERN_FULL):
-            raise ParameterError(
-                f"battery {b}: intervals {'|'.join(a.code for a in labels)} "
-                f"are not in threshold form D|OD|D|H")
+        check_row_form(labels, b, params)
         edges = (0.0,) + row.breakpoints + (1.0,)
         r3 = edges[-2] if labels[-1] == Action.HIGH_RATE else NO_REGION
         if Action.SENSE_DEFER in labels:
@@ -257,11 +248,9 @@ def row_from_rho(b: int, rho, params: SystemParams) -> PolicyRow:
     afford reads as DEFER, empty intervals are dropped and equal
     neighbours merged.
     """
-    ok = feasible_actions(b, params)
     edges = (0.0, *(min(float(r), 1.0) for r in rho), 1.0)
     bps, labels = [], []
-    for lo, hi, a in zip(edges, edges[1:], PATTERN_FULL):
-        a = a if a in ok else Action.DEFER
+    for lo, hi, a in zip(edges, edges[1:], _template(b, params)):
         if hi <= lo or (labels and a == labels[-1]):
             continue
         if labels:

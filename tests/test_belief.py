@@ -79,6 +79,10 @@ class TestReachable:
             assert len(reachable_beliefs(0.5, depth, p)) <= 3 * depth + 3
             assert len(reachable_beliefs(p.lambda0, depth, p)) <= 2 * depth + 3
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ParameterError, match="depth must be >= 0"):
+            reachable_beliefs(0.5, -1, chain(0.6, 0.9))
+
 
 
 class TestOrbits:

@@ -281,6 +281,20 @@ class TestConfigParsing:
             "<= 1000000, got 1000000000000000000000000\n")
         assert not out.exists()
 
+    def test_arrival_level_beyond_the_ceiling_exits_at_parse(self, tmp_path,
+                                                             capsys):
+        # checked before the pmf list is built, so no OverflowError
+        cfg = small_config()
+        cfg["model"]["energy_pmf"] = {0: 0.9, 10**24: 0.1}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["export-regions", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: model.energy_pmf arrival level must be an integer "
+            ">= 0 and <= 1000000, got 1000000000000000000000000\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("g0", 0.5), ("initial_battery", 0), ("initial_belief", 0.5)])
     def test_start_override_is_an_unknown_key(self, tmp_path, capsys, key,
@@ -629,6 +643,28 @@ class TestVerifyCommand:
                      str(tmp_path / "out"), "--quiet"]) == 3
         assert capsys.readouterr().err == (
             "policy structure violation: battery 3: intervals D|H|D\n")
+
+    def test_search_from_a_row_outside_the_form_exits_3(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a one-cell run passes grid extraction, but the codec reads every
+        # interval: the row's second OD interval leaves the threshold form
+        D, _, OD, _, H = ehsense.Action
+
+        def one_cell_run(policy):
+            init = ehsense.extract_thresholds(policy)
+            rows = init.rows[:-1] + (ehsense.PolicyRow(
+                (0.2, 0.4, 0.6, 0.7, 0.8), (D, OD, D, H, OD, H)),)
+            return ehsense.ThresholdPolicy(rows=rows, params=init.params)
+
+        monkeypatch.setattr("ehsense.cli.extract_thresholds", one_cell_run)
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "policy structure violation: battery 6: intervals D|OD|D|H|OD|H "
+            "do not fit D|OD|D|H\n")
+        assert not out.exists()
 
     def test_oracle_agreement_checks_the_configs_own_model(self, tmp_path,
                                                            capsys):

@@ -67,6 +67,12 @@ class TestFeasibleActions:
         acts = feasible_actions(10, make_params(r_low=0.0))
         assert acts == (Action.DEFER, Action.SENSE_DEFER, Action.HIGH_RATE)
 
+    def test_battery_outside_the_range_is_rejected(self):
+        p = make_params()
+        for b in (-1, p.b_max + 1):
+            with pytest.raises(ParameterError, match=f"battery {b} outside "):
+                feasible_actions(b, p)
+
 
 def expected_reward(battery, p, action, params):
     """Expected bits of one slot at belief p: p * good + (1 - p) * bad."""

@@ -34,6 +34,10 @@ class TestHorizonOne:
                 got = exact_finite_horizon(tiny_two_rate, b, float(p), 1)
                 assert got == pytest.approx(myopic_value(tiny_two_rate, b, p))
 
+    def test_horizon_zero_rejected(self, tiny_params):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            exact_finite_horizon(tiny_params, 0, 0.5, 0)
+
 
 class TestHorizonTwoFrozen:
     """Hand-expanded two-step values for the tiny single-rate instance

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ehsense import (Action, BeliefGrid, BellmanOperator, ParameterError, StructureViolationError,
-                     encode_rows, extract_policy, extract_thresholds, feasible_actions,
-                     greedy_policy, opportunistic_policy, value_iteration)
+                     check_row_form, encode_rows, extract_policy, extract_thresholds,
+                     feasible_actions, greedy_policy, opportunistic_policy,
+                     value_iteration)
 from ehsense.policies import (NO_REGION, SINGLE_THRESHOLD_ACTIONS, PolicyRow,
                               PolicyTable, ThresholdPolicy, policy_from_rho,
                               rho_from_policy, row_from_rho)
@@ -168,6 +169,53 @@ class TestThresholdEncoding:
             ThresholdPolicy(rows=tuple([PolicyRow((), (Action.HIGH_RATE,))]
                                        + [PolicyRow((), (Action.DEFER,))] * 4),
                             params=tiny_params)
+
+
+D, L, OD, OT, H = Action
+
+
+class TestRowForm:
+    """`check_row_form` judges a row's interval labels; every interval
+    counts.  Only grid extraction drops single-cell runs first."""
+
+    def test_single_rate_template_per_battery_band(self, search_params):
+        # b_max 10, e_sense 1, e_tx 5
+        for b, labels in [(0, (D,)), (1, (D, OD, D)), (4, (OD, D)),
+                          (5, (D, OD, D, H)), (10, (OD, H)), (10, (H,))]:
+            check_row_form(labels, b, search_params)
+        with pytest.raises(StructureViolationError,
+                           match=r"^battery 4: intervals D\|OD\|D\|OD do not fit "
+                                 r"D\|OD\|D$"):
+            check_row_form((D, OD, D, OD), 4, search_params)
+
+    def test_one_interval_run_counts_on_labels(self, search_params):
+        b = search_params.b_max
+        with pytest.raises(StructureViolationError,
+                           match=r"^battery 10: intervals D\|OD\|D\|H\|OD\|H do not "
+                                 r"fit D\|OD\|D\|H$"):
+            check_row_form((D, OD, D, H, OD, H), b, search_params)
+        # the same row on a grid, its second OD run one cell wide, is slack
+        rows = [[int(D)] * 12] * b + [[int(a) for a in
+                                       (D, D, OD, OD, D, D, H, H, OD, H, H, H)]]
+        tp = extract_thresholds(PolicyTable(actions=np.array(rows, dtype=np.int8),
+                                            grid=BeliefGrid.from_resolution(12),
+                                            params=search_params))
+        assert tp.rows[b].labels == (D, OD, D, H, OD, H)
+        with pytest.raises(StructureViolationError, match="battery 10:"):
+            rho_from_policy(tp, search_params)
+        with pytest.raises(ParameterError, match="battery 10:"):
+            rho_from_policy(tp, search_params)
+
+    def test_two_rate_sensing_once_and_high_rate_last(self, tiny_two_rate):
+        check_row_form((L, D, L, OD, D, OT, L, H), 6, tiny_two_rate)
+        check_row_form((L, D, L), 6, tiny_two_rate)
+        with pytest.raises(StructureViolationError,
+                           match="^battery 6: OD occupies 2 intervals$"):
+            check_row_form((D, OD, D, OD, H), 6, tiny_two_rate)
+        with pytest.raises(StructureViolationError,
+                           match=r"^battery 6: high-rate region is not a suffix "
+                                 r"\(D\|H\|L\)$"):
+            check_row_form((D, H, L), 6, tiny_two_rate)
 
 
 # Every nondecreasing threshold triple over these values.

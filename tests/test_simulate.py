@@ -118,6 +118,12 @@ class TestRunEpisodes:
         assert stats.mean_bits_per_slot == pytest.approx(
             (1 - p.tau) * p.r_high * 499 / 500)
 
+    @pytest.mark.parametrize("episodes, horizon", [(0, 10), (2, 0)])
+    def test_empty_run_is_rejected(self, region_params, episodes, horizon):
+        with pytest.raises(ValueError, match="episodes and horizon must be >= 1"):
+            run_episodes(greedy_policy(region_params), region_params, episodes,
+                         horizon, seed=0)
+
     def test_takes_no_start(self, region_params):
         # every lane starts at battery 0 with the stationary belief
         with pytest.raises(TypeError):

@@ -97,6 +97,10 @@ class TestScalarBackups:
 
 
 class TestBellmanStep:
+    def test_action_set_without_defer_is_rejected(self, tiny_two_rate, coarse_grid):
+        with pytest.raises(ValueError, match="must contain DEFER"):
+            BellmanOperator(tiny_two_rate, coarse_grid, allowed=(Action.HIGH_RATE,))
+
     def test_matches_scalar_backups_on_random_table(self, tiny_two_rate, coarse_grid):
         rng = np.random.default_rng(3)
         t = table_with(tiny_two_rate, coarse_grid,
@@ -286,11 +290,12 @@ class TestValueIteration:
         {"span_tol": float("nan")}, {"span_tol": -1.0}, {"span_tol": 0.0},
         {"span_tol": float("inf")},
         {"v_init": np.zeros((7, 1001))}, {"v_init": np.zeros((8, 101))},
-        {"v_init": np.zeros((6, 101))}, {"v_init": np.zeros(101)}],
+        {"v_init": np.zeros((6, 101))}, {"v_init": np.zeros(101)},
+        {"max_iter": 0}],
         ids=["tol_nan", "tol_zero", "tol_negative", "tol_inf", "span_tol_nan",
              "span_tol_negative", "span_tol_zero", "span_tol_inf",
              "v_init_columns", "v_init_extra_row", "v_init_missing_row",
-             "v_init_1d"])
+             "v_init_1d", "max_iter_zero"])
     def test_rejects_bad_arguments(self, kwargs, tiny_two_rate, coarse_grid):
         with pytest.raises(ValueError):
             value_iteration(tiny_two_rate, coarse_grid, **kwargs)
