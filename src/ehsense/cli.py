@@ -174,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None,
-                       help="simulation seed override")
+        if name in ("simulate", "search"):  # the rest simulate nothing
+            p.add_argument("--seed", type=int, default=None,
+                           help="simulation seed override")
         p.add_argument("--quiet", action="store_true", help="suppress progress")
     return parser
 
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed)
+        cfg = load_config(args.config, seed_override=getattr(args, "seed", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

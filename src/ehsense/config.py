@@ -118,8 +118,8 @@ def _floats(name: str, values) -> tuple:
 
 
 # One ceiling, far above the shipped sizes (a battery row is 8 MB per table
-# at 10**6 belief points), makes an absurd resolution or arrival level a
-# config error, checked before anything is allocated, not a crash.
+# at 10**6 belief points), makes an absurd resolution, arrival level or energy
+# count a config error, checked before anything is allocated, not a crash.
 _CEILING = 10**6
 
 
@@ -142,12 +142,20 @@ def _fields(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
+def _energy_count(name: str, value):
+    """value as it is, for SystemParams' own integral rule, unless it is a
+    number beyond the ceiling, which numpy could not hold or allocate."""
+    if isinstance(value, (int, float)) and abs(value) > _CEILING:
+        raise ConfigError(f"{name} must be at most {_CEILING} energy units in "
+                          f"magnitude, got {value!r}")
+    return value
+
+
 # The reader of every key, per section: a key a table does not list is a
 # ConfigError.  The keys of `model`, `simulation` and `search` are their
-# dataclasses' fields.  The energy counts b_max, e_tx and e_sense are passed
-# as they are, to SystemParams' own rule.
+# dataclasses' fields.
 _READERS = {
-    "model": {**dict.fromkeys(_fields(SystemParams), lambda name, value: value),
+    "model": {**dict.fromkeys(_fields(SystemParams), _energy_count),
               **dict.fromkeys(("lambda0", "lambda1", "r_low", "r_high", "beta"),
                               _float),
               "energy_pmf": _pmf},

@@ -111,24 +111,13 @@ def _harvest_cdf(energy_pmf: tuple) -> np.ndarray:
 
 
 def run_trace(policy, params: SystemParams, horizon: int, seed: int,
-              episode: int = 0, initial_battery: int = 0,
-              initial_belief=None) -> EpisodeTrace:
-    """Scalar reference episode; consumes the same stream as run_episodes.
-
-    The first channel is drawn from the start belief, the stationary one by
-    default.  Raises ParameterError for a battery outside [0, b_max] or a
-    belief outside [0, 1].
-    """
-    if not 0 <= initial_battery <= params.b_max:
-        raise ParameterError(
-            f"initial battery {initial_battery} outside [0, {params.b_max}]")
-    belief = stationary_belief(params) if initial_belief is None \
-        else float(initial_belief)
-    if not 0.0 <= belief <= 1.0:
-        raise ParameterError(f"initial belief {belief} must lie in [0, 1]")
+              episode: int = 0) -> EpisodeTrace:
+    """Scalar reference episode; consumes the same stream as run_episodes
+    and starts where its lanes do, at battery 0 with the stationary belief,
+    from which the first channel is drawn."""
+    belief = stationary_belief(params)
     rng = episode_rng(seed, episode)
-    state = SimState(battery=initial_battery, belief=belief,
-                     channel=int(rng.random() < belief))
+    state = SimState(battery=0, belief=belief, channel=int(rng.random() < belief))
     channel, beliefs, bits = [], [], []
     for _ in range(horizon):
         channel.append(state.channel)
@@ -281,6 +270,8 @@ def run_episodes(policy, params, episodes: int, horizon: int, seed: int):
     single = isinstance(policy, ThresholdPolicy)
     policies = [policy] if single else list(policy)
     points, point_of = _points(policies, params)
+    if not policies:
+        return []
     model = points[0]  # its channel and battery size are every lane's
     belief0 = stationary_belief(model)
     n_pol, n_b = len(policies), model.b_max + 1
@@ -337,24 +328,18 @@ def run_episodes(policy, params, episodes: int, horizon: int, seed: int):
     return stats[0] if single else stats
 
 
-def discounted_return(policy, params: SystemParams, b0: int, p0: float,
-                      episodes: int, seed: int, horizon: int | None = None):
-    """Simulated discounted reward from (b0, p0); cross-checks the value table.
-
-    The initial true channel state is drawn from the initial belief, which
-    is what makes the comparison against the solver's value meaningful.
-    Returns (mean, standard error).
+def discounted_return(policy, params: SystemParams, episodes: int, seed: int):
+    """Simulated discounted reward from the start state of `run_trace`, the
+    first channel drawn from the stationary belief, which is what makes the
+    comparison against the solver's value at (0, p*) meaningful.  Episodes
+    run until beta^horizon < 1e-6.  Returns (mean, standard error).
     """
     beta = params.beta
-    if horizon is None:
-        # beta^horizon * max value < 1e-6 of the value scale
-        horizon = max(1, int(np.ceil(np.log(1e-6) / np.log(max(beta, 1e-12)))))
+    horizon = max(1, int(np.ceil(np.log(1e-6) / np.log(max(beta, 1e-12)))))
     returns = np.empty(episodes)
     for e in range(episodes):
         total, disc = 0.0, 1.0
-        trace = run_trace(policy, params, horizon, seed, episode=e,
-                          initial_battery=b0, initial_belief=p0)
-        for bits in trace.bits.tolist():
+        for bits in run_trace(policy, params, horizon, seed, episode=e).bits.tolist():
             total += disc * bits
             disc *= beta
         returns[e] = total

@@ -11,7 +11,7 @@ import yaml
 
 import ehsense
 from ehsense import BeliefGrid, StructureViolationError, compare_with_solver
-from ehsense.cli import _solver, main
+from ehsense.cli import _solver, build_parser, main
 from ehsense.config import (KNOWN_POLICIES, ConfigError, SimSettings,
                             load_config, parse_config)
 from ehsense.model import SystemParams
@@ -295,6 +295,22 @@ class TestConfigParsing:
             ">= 0 and <= 1000000, got 1000000000000000000000000\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [10**24, 1.0e30], ids=["int", "float"])
+    def test_energy_count_beyond_the_ceiling_exits_at_parse(self, tmp_path,
+                                                            capsys, value):
+        # numpy can neither hold the int (the integral rule's isfinite) nor
+        # allocate tables for the float
+        cfg = small_config()
+        cfg["model"]["b_max"] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["export-regions", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: model.b_max must be at most 1000000 energy units "
+            f"in magnitude, got {value!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("g0", 0.5), ("initial_battery", 0), ("initial_belief", 0.5)])
     def test_start_override_is_an_unknown_key(self, tmp_path, capsys, key,
@@ -521,6 +537,24 @@ class TestSimulateCommand:
                      "--quiet"]) == 0
         assert (out1 / "throughput.csv").read_bytes() \
             == (out2 / "throughput.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "search"])
+    def test_seed_parses_where_episodes_are_simulated(self, command):
+        args = build_parser().parse_args([command, "--config", "c.yaml",
+                                          "--seed", "5"])
+        assert args.seed == 5
+
+    @pytest.mark.parametrize("command", ["solve", "export-regions", "verify"])
+    def test_seed_is_rejected_where_nothing_is_simulated(self, tmp_path, capsys,
+                                                         command):
+        path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--out", str(out),
+                  "--seed", "5", "--quiet"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_results(self, tmp_path):
         path = write_config(tmp_path, small_config())

@@ -130,6 +130,17 @@ class TestRunEpisodes:
             run_episodes(greedy_policy(region_params), region_params, 2, 10,
                          seed=0, initial_battery=0)
 
+    def test_empty_policy_sequence_runs_no_lane(self, region_params):
+        assert run_episodes([], region_params, 2, 10, seed=0) == []
+        assert run_episodes([], [], 2, 10, seed=0) == []
+
+    def test_trace_starts_where_every_lane_does(self, region_params):
+        trace = run_trace(greedy_policy(region_params), region_params, 10, seed=0)
+        assert trace.belief[0] == stationary_belief(region_params)
+        with pytest.raises(TypeError):
+            run_trace(greedy_policy(region_params), region_params, 10, seed=0,
+                      initial_battery=0)
+
     def test_deterministic_and_seed_sensitive(self, region_params):
         pol = greedy_policy(region_params)
         a = run_episodes(pol, region_params, 4, 300, seed=9)
@@ -195,10 +206,8 @@ class TestStatisticalCalibration:
     def test_discounted_return_matches_value_table(self, tiny_params, fine_grid):
         table = value_iteration(tiny_params, fine_grid)
         pol = encode_rows(extract_policy(table))
-        b0, p0 = 3, tiny_params.lambda1
-        mean, se = discounted_return(pol, tiny_params, b0, p0,
-                                     episodes=400, seed=13)
-        want = table.value_at(b0, p0)
+        mean, se = discounted_return(pol, tiny_params, episodes=400, seed=13)
+        want = table.value_at(0, stationary_belief(tiny_params))
         assert abs(mean - want) <= 4 * se + 0.01
 
 
@@ -399,17 +408,6 @@ class TestBatchedLanes:
         with pytest.raises(ParameterError):
             run_episodes([greedy_policy(region_params), cheaper], region_params,
                          2, 10, seed=0)
-
-    @pytest.mark.parametrize("start", [
-        {"initial_battery": 51}, {"initial_battery": -1},
-        {"initial_belief": 1.5}, {"initial_belief": -0.3},
-        {"initial_belief": float("nan")},
-    ], ids=["battery51", "battery-1", "belief1.5", "belief-0.3", "belief-nan"])
-    def test_initial_battery_outside_the_range_is_rejected(self, region_params,
-                                                           start):
-        with pytest.raises(ParameterError):
-            run_trace(greedy_policy(region_params), region_params, 10, seed=0,
-                      **start)
 
     def test_cmd_simulate_makes_one_call_for_every_sweep_point(self, tmp_path,
                                                                monkeypatch):
