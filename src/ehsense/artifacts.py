@@ -11,7 +11,6 @@ Each grid table, one row per (battery, belief) cell, has its own writer.
 from __future__ import annotations
 
 import csv
-import os
 import shutil
 import tempfile
 from contextlib import ExitStack, contextmanager
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cores import on_cores, usable_cores
 from .model import Action
 
 
@@ -53,41 +53,29 @@ def write_value_csv(path, config_hash: str, points, values, margins) -> None:
     """Value table, battery-major: the row of cell (b, j) is b, repr(points[j]),
     repr(values[b, j]) and repr(margins[b, j]), an inf margin (a cell with
     one action backed up) left empty; the bytes are those of a `csv.writer`
-    writing these rows.  Each usable core writes one contiguous part of the
-    battery rows: this process the first, and a child forked before the file
-    opens each later one, into an unlinked temporary file appended in turn.
-    A failed child is a RuntimeError; every child is reaped on every path."""
+    writing these rows.  `on_cores` writes one contiguous part of the battery
+    rows per usable core: this process the header and the first part
+    straight into the file, which opens once every child is forked, and each
+    later one into an unlinked temporary file, appended in turn."""
     beliefs = list(map(repr, np.asarray(points).tolist()))
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    parts = min(len(os.sched_getaffinity(0)) if can_fork else 1, len(values)) or 1
+    parts = min(usable_cores(), len(values)) or 1
     cuts = [len(values) * i // parts for i in range(parts + 1)]
-    children = {}  # pid -> the file of its part, in row order
     with ExitStack() as files:
-        try:
-            for rows in map(range, cuts[1:-1], cuts[2:]):
-                part = files.enter_context(tempfile.TemporaryFile("w+", newline=""))
-                pid = os.fork()
-                if pid == 0:  # the child: exit status 0 only once its part is flushed
-                    try:
-                        part.writelines(_value_lines(beliefs, values, margins, rows))
-                        part.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                children[pid] = part
-            with open_artifact(path, config_hash) as f:
-                csv.writer(f).writerow(["battery", "belief", "value", "margin"])
-                f.writelines(_value_lines(beliefs, values, margins, range(cuts[1])))
-                for pid in list(children):
-                    status, part = os.waitpid(pid, 0)[1], children.pop(pid)
-                    if status:
-                        raise RuntimeError(f"value CSV child failed: status {status}")
-                    part.seek(0)
-                    shutil.copyfileobj(part, f)
-        finally:
-            for pid in children:
-                os.kill(pid, 9)  # SIGKILL, by number: importing signal costs start-up
-                os.waitpid(pid, 0)
+        texts = [None] + [files.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                          for _ in cuts[2:]]
+
+        def write_part(i):  # part 0 runs in this process, after every fork
+            if i == 0:
+                texts[0] = files.enter_context(open_artifact(path, config_hash))
+                csv.writer(texts[0]).writerow(["battery", "belief", "value", "margin"])
+            texts[i].writelines(_value_lines(beliefs, values, margins,
+                                             range(*cuts[i:i + 2])))
+            texts[i].flush()
+
+        list(on_cores(write_part, range(parts)))
+        for part in texts[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, texts[0])
 
 
 def write_region_csv(path, config_hash: str, points, actions) -> None:

@@ -14,6 +14,7 @@ from functools import partial
 from pathlib import Path
 
 from .artifacts import write_csv_artifact
+from .cores import on_cores
 from .model import ParameterError, SystemParams
 from .belief import BeliefGrid
 from .solver import ConvergenceError, value_iteration
@@ -46,7 +47,8 @@ def _file(out: Path, stem: str, label: str, ext: str) -> Path:
 
 def _solver(cfg: ExperimentConfig):
     """solve(params, name="optimal"): the solved policy `name` at `params`,
-    solved cold, so each sweep point's artifacts depend on that point alone."""
+    solved cold, so each sweep point's artifacts depend on that point alone
+    and not on which core solved it, or after which other point."""
     grid = BeliefGrid(cfg.grid_resolution)
 
     def solve(params: SystemParams, name: str = "optimal"):
@@ -65,22 +67,26 @@ def _throughput_row(name: str, params: SystemParams, stats) -> list:
 def cmd_solve(cfg: ExperimentConfig, out: Path, say,
               regions_only: bool = False) -> int:
     solve = _solver(cfg)
-    for label, params in cfg.sweep_points():
-        say(f"solving {label or 'model'} "
-            f"(grid {cfg.grid_resolution}, tol {cfg.tol:g})")
+
+    def work(label, params) -> str:  # the point's progress text
+        text = (f"solving {label or 'model'} "
+                f"(grid {cfg.grid_resolution}, tol {cfg.tol:g})")
         table = solve(params)
         policy = extract_policy(table)
         policy.write_csv(_file(out, "regions", label, "csv"), cfg.config_hash)
         if regions_only:
-            continue
+            return text
         table.write_csv(_file(out, "values", label, "csv"), cfg.config_hash)
         extract_thresholds(policy).write_text(
             _file(out, "thresholds", label, "txt"), cfg.config_hash)
         uncertified = int((table.margins <= 2.0 * table.bound).sum())
-        say(f"  converged in {table.iterations} sweeps on {table.core_columns} "
-            f"of {cfg.grid_resolution} belief columns, values within "
-            f"{table.bound:.1e} of the fixed point; {uncertified} cells have a "
-            f"margin <= {2.0 * table.bound:.1e}")
+        return (f"{text}\n  converged in {table.iterations} sweeps on "
+                f"{table.core_columns} of {cfg.grid_resolution} belief columns, "
+                f"values within {table.bound:.1e} of the fixed point; "
+                f"{uncertified} cells have a margin <= {2.0 * table.bound:.1e}")
+
+    for text in on_cores(lambda point: work(*point), cfg.sweep_points()):
+        say(text)
     return EXIT_OK
 
 
@@ -88,8 +94,9 @@ def cmd_simulate(cfg: ExperimentConfig, out: Path, say) -> int:
     solve = _solver(cfg)
     lanes = [(label, params, name) for label, params in cfg.sweep_points()
              for name in cfg.policies]
-    policies = [_BASELINES[name](params) if name in _BASELINES
-                else encode_rows(extract_policy(solve(params, name)))
+    solved = [(params, name) for _, params, name in lanes if name not in _BASELINES]
+    encoded = on_cores(lambda lane: encode_rows(extract_policy(solve(*lane))), solved)
+    policies = [_BASELINES[name](params) if name in _BASELINES else next(encoded)
                 for _, params, name in lanes]
     # one pass for every (point, policy): the points share the uniforms
     all_stats = run_episodes(policies, [params for _, params, _ in lanes],
@@ -109,18 +116,22 @@ def cmd_search(cfg: ExperimentConfig, out: Path, say) -> int:
     if cfg.model.two_rate:
         raise ConfigError("search requires the single-rate model (r_low = 0)")
     solve = _solver(cfg)
-    rows = []
-    for label, params in cfg.sweep_points():
-        say(f"searching thresholds for {label or 'model'}")
+
+    def work(label, params):
         init = extract_thresholds(extract_policy(solve(params)))
         result = search_thresholds(params, cfg.search, init)
         result.policy.write_text(_file(out, "search_thresholds", label, "txt"),
                                  cfg.config_hash)
         write_search_log(result.log_rows, _file(out, "search_log", label, "csv"),
                          cfg.config_hash)
-        rows.append(_throughput_row("search", params, result.stats))
-        say(f"  {result.passes} passes, final "
-            f"{result.stats.mean_bits_per_slot:.4f} bits/slot")
+        return (f"searching thresholds for {label or 'model'}\n  {result.passes} "
+                f"passes, final {result.stats.mean_bits_per_slot:.4f} bits/slot",
+                _throughput_row("search", params, result.stats))
+
+    rows = []
+    for text, row in on_cores(lambda point: work(*point), cfg.sweep_points()):
+        say(text)
+        rows.append(row)
     write_csv_artifact(_file(out, "search_throughput", "", "csv"),
                        cfg.config_hash, THROUGHPUT_HEADER, rows)
     return EXIT_OK
@@ -128,30 +139,29 @@ def cmd_search(cfg: ExperimentConfig, out: Path, say) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, say) -> int:
     """Print one PASS/FAIL line per check; writes no file."""
-    reports = []  # (passed, text) pairs; text carries its own PASS/FAIL
-
     res = compare_with_solver(cfg.model, BeliefGrid(1001), n=4)
-    ok = res.passed
-    reports.append((ok, f"{'PASS' if ok else 'FAIL'} oracle_agreement: gap "
-                        f"{res.max_abs_gap_vs_solver:.2e} (bound {res.bound:.2e})"))
-
+    # (passed, text) pairs; text carries its own PASS/FAIL
+    reports = [(res.passed, f"{'PASS' if res.passed else 'FAIL'} oracle_agreement: "
+                f"gap {res.max_abs_gap_vs_solver:.2e} (bound {res.bound:.2e})")]
     solve = _solver(cfg)
-    for label, params in cfg.sweep_points():
-        tag = label or "model"
-        table = solve(params)
-        for rep in [*check_value_structure(table),
-                    check_good_state_dominance(table, min_belief=0.05)]:
-            reports.append((rep.passed, f"[{tag}] {rep}"))
+
+    def work(label, params) -> list:  # the point's reports
+        tag, table = label or "model", solve(params)
+        found = [(rep.passed, f"[{tag}] {rep}")
+                 for rep in [*check_value_structure(table),
+                             check_good_state_dominance(table, min_belief=0.05)]]
         try:
             extract_thresholds(extract_policy(table))
-            reports.append((True, f"[{tag}] PASS threshold_structure"))
+            found.append((True, f"[{tag}] PASS threshold_structure"))
         except StructureViolationError as exc:
-            reports.append((False, f"[{tag}] FAIL threshold_structure: {exc}"))
+            found.append((False, f"[{tag}] FAIL threshold_structure: {exc}"))
+        return found
 
-    failures = sum(1 for ok, _ in reports if not ok)
+    for found in on_cores(lambda point: work(*point), cfg.sweep_points()):
+        reports += found
     for _, text in reports:
         print(text)
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(ok for ok, _ in reports) else EXIT_VERIFY_FAILED
 
 
 COMMANDS = {"solve": cmd_solve,

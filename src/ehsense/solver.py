@@ -41,6 +41,9 @@ class ConvergenceError(RuntimeError):
         self.span = span
         self.iterations = iterations
 
+    def __reduce__(self):  # pickled by its fields, so it crosses a fork whole
+        return type(self), (self.span, self.iterations)
+
 
 @dataclass
 class ValueTable:

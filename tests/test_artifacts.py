@@ -82,7 +82,7 @@ def test_value_and_margin_cells(tmp_path):
 def usable_cores(monkeypatch, cores):
     """Make the writer see `cores` usable cores; the list it returns gets
     one entry per fork."""
-    monkeypatch.setattr(artifacts.os, "sched_getaffinity",
+    monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
     forks, fork = [], os.fork
 
@@ -90,7 +90,7 @@ def usable_cores(monkeypatch, cores):
         forks.append(None)
         return fork()
 
-    monkeypatch.setattr(artifacts.os, "fork", counted_fork)
+    monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
 
@@ -116,7 +116,7 @@ def test_rows_split_over_the_usable_cores(tmp_path, monkeypatch, tiny_two_rate,
 
 
 @pytest.mark.parametrize("fails_in, error, message", [
-    ("child", RuntimeError, "value CSV child failed"),
+    ("child", OSError, "no space left in the child"),
     ("parent", OSError, "no space left in the parent"),
     ("fork", OSError, "no second child")], ids=["child", "parent", "fork"])
 def test_a_failed_part_raises_and_leaves_no_child(tmp_path, monkeypatch,
@@ -145,9 +145,9 @@ def test_a_failed_part_raises_and_leaves_no_child(tmp_path, monkeypatch,
         return done
 
     monkeypatch.setattr(artifacts, "_value_lines", value_lines)
-    monkeypatch.setattr(artifacts.os, "waitpid", recorded_waitpid)
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
     if fails_in == "fork":
-        monkeypatch.setattr(artifacts.os, "fork", second_fork_fails)
+        monkeypatch.setattr(os, "fork", second_fork_fails)
     out = tmp_path / "out"
     with pytest.raises(error, match=message):
         write_value_csv(out / "values.csv", "abc123", np.linspace(0.0, 1.0, 37),
