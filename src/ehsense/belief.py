@@ -40,30 +40,23 @@ def orbits(params: SystemParams, roots, length: int):
     belief, lambda0, lambda1) these are all the beliefs of the first `length`
     slots.  Each belief is walked on from the fewest steps it lies from any
     root.  Returns (beliefs, successor, root_index): root_index[i] is the
-    index of roots[i], and beliefs[successor[j]] is f(beliefs[j]), or
-    successor[j] = j when f(beliefs[j]) is not in the set; that happens only
-    `length - 1` steps deep, for a belief that only the last slot holds.
+    index of roots[i], and beliefs[successor[j]] is f(beliefs[j]) as the walk
+    computed it, or successor[j] = j when f(beliefs[j]) is not in the set;
+    that happens only `length - 1` steps deep, for a belief that only the
+    last slot holds.
     """
-    depth = {}  # belief -> fewest steps from any root; order gives the index
+    walked = {}  # belief -> (fewest steps from any root, f(belief)); index order
     for root in roots:
         p = float(root)
         for k in range(length):
-            if depth.get(p, length) <= k:
+            if p in walked and walked[p][0] <= k:
                 break  # this walk already went on from here, as deep or deeper
-            depth[p] = k
-            p = belief_update_no_obs(p, params)
-    beliefs = np.array(list(depth))
-    order = np.argsort(beliefs)
-
-    def find(p):  # index of the least belief >= each of p
-        return order[np.minimum(np.searchsorted(beliefs, p, sorter=order),
-                                len(order) - 1)]
-
-    images = belief_update_no_obs(beliefs, params)  # the walk's float ops
-    successor = find(images)
-    successor = np.where(beliefs[successor] == images, successor,
-                         np.arange(len(beliefs)))
-    return beliefs, successor, find(np.array(roots, dtype=float)).tolist()
+            image = belief_update_no_obs(p, params)
+            walked[p], p = (k, image), image
+    index = {p: j for j, p in enumerate(walked)}
+    images = (image for _, image in walked.values())
+    successor = np.fromiter(map(index.get, images, range(len(index))), np.intp)
+    return np.array(list(walked)), successor, [index[float(r)] for r in roots]
 
 
 def reachable_beliefs(p0: float, depth: int, params: SystemParams) -> np.ndarray:

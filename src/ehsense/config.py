@@ -152,8 +152,9 @@ def _energy_count(name: str, value):
 
 
 # The reader of every key, per section: a key a table does not list is a
-# ConfigError.  The keys of `model`, `simulation` and `search` are their
-# dataclasses' fields.
+# ConfigError.  The keys of `model` and `simulation` are their dataclasses'
+# fields; those of `search` are SearchConfig's fields but its seed, which is
+# the simulation seed.
 _READERS = {
     "model": {**dict.fromkeys(_fields(SystemParams), _energy_count),
               **dict.fromkeys(("lambda0", "lambda1", "r_low", "r_high", "beta"),
@@ -164,8 +165,8 @@ _READERS = {
                "span_tol": _float},
     "simulation": {**dict.fromkeys(_fields(SimSettings), _int),
                    **dict.fromkeys(("episodes", "horizon"), partial(_int, least=1))},
-    "search": {**dict.fromkeys(_fields(SearchConfig), partial(_int, least=1)),
-               "seed": _int, "candidates": _floats},
+    "search": {**dict.fromkeys(("episodes", "horizon", "max_passes"),
+                               partial(_int, least=1)), "candidates": _floats},
     "sweep": {"q": _floats, "tau": _floats},
 }
 
@@ -219,8 +220,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> ExperimentConf
                                           seed=int(seed_override)))
     sim = SimSettings(**_settings(data, "simulation"))
     try:
-        # the search seed defaults to the simulation seed
-        search = SearchConfig(**{"seed": sim.seed, **_settings(data, "search")})
+        search = SearchConfig(seed=sim.seed, **_settings(data, "search"))
     except ParameterError as exc:
         raise ConfigError(f"bad search settings: {exc}") from None
 

@@ -19,7 +19,8 @@ def on_cores(fn, items):
     the next index from a counter they share.  A child's results come back
     pickled through an unlinked temporary file.  An item's exception is
     raised in its place once every item has run; a child that ends without
-    results is a RuntimeError.  Every child is reaped on every path."""
+    results is a RuntimeError that names its exit code (-N for signal N).
+    Every child is reaped on every path."""
     global _forking
     items, children, done = list(items), {}, {}  # done: index -> (ok, result)
     workers = min(usable_cores(), len(items))
@@ -59,7 +60,8 @@ def on_cores(fn, items):
             for pid in list(children):
                 status, results = os.waitpid(pid, 0)[1], children.pop(pid)
                 if status:
-                    raise RuntimeError(f"forked worker failed: status {status}")
+                    raise RuntimeError("forked worker failed: exit code "
+                                       f"{os.waitstatus_to_exitcode(status)}")
                 results.seek(0)
                 done.update(pickle.load(results))
         finally:

@@ -84,26 +84,40 @@ class TestReachable:
             reachable_beliefs(0.5, -1, chain(0.6, 0.9))
 
 
+def assert_successors_walk_the_recursion(p, roots, length):
+    beliefs, successor, root_index = orbits(p, roots, length)
+    walks = []
+    for root in roots:
+        walk = [root]
+        for _ in range(length - 1):
+            walk.append(belief_update_no_obs(walk[-1], p))
+        walks.append(walk)
+    assert sorted(beliefs.tolist()) == sorted(set().union(*walks))
+    assert successor.dtype == np.intp
+    for walk, j in zip(walks, root_index):
+        for belief in walk:  # the successor walk is the float recursion
+            assert beliefs[j] == belief
+            j = successor[j]
+
 
 class TestOrbits:
     @pytest.mark.parametrize("lam0", [0.7, 0.9995])
     def test_root_two_steps_deep_in_another_orbit(self, lam0):
         # f(1) = lambda1 = 0 and f(0) = lambda0: both resets lie on the start
         # belief's orbit, lambda0 two steps deep
-        p, length = chain(lam0, 0.0), 60
-        roots = (1.0, lam0, 0.0)
-        beliefs, successor, root_index = orbits(p, roots, length)
-        walks = []
-        for root in roots:
-            walk = [root]
-            for _ in range(length - 1):
-                walk.append(belief_update_no_obs(walk[-1], p))
-            walks.append(walk)
-        assert sorted(beliefs.tolist()) == sorted(set().union(*walks))
-        for walk, j in zip(walks, root_index):
-            for belief in walk:  # the successor walk is the float recursion
-                assert beliefs[j] == belief
-                j = successor[j]
+        assert_successors_walk_the_recursion(chain(lam0, 0.0), (1.0, lam0, 0.0), 60)
+
+    @pytest.mark.parametrize("length", [1, 2, 5000])
+    @pytest.mark.parametrize("lam0, lam1", [
+        (0.0005, 0.9995),  # sticky: the orbits are cut at the length
+        (1.0, 0.0),        # a 2-cycle: lambda0 and lambda1 swap every step
+        (0.5, 0.5),        # i.i.d.: every root lands on 0.5 in one step
+        (0.0, 0.7)],       # lambda0 = 0 is the fixed point
+        ids=["sticky", "2-cycle", "iid", "lambda0=0"])
+    def test_successors_on_the_hard_channels(self, lam0, lam1, length):
+        p = chain(lam0, lam1)
+        roots = (stationary_belief(p), lam0, lam1)
+        assert_successors_walk_the_recursion(p, roots, length)
 
 
 class TestGrid:

@@ -219,10 +219,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
-    @pytest.mark.parametrize("section", ["simulation", "search"])
-    @pytest.mark.parametrize("field, value", [
-        ("seed", "abc"), ("episodes", 2.5), ("horizon", "300"),
-        ("episodes", True)])
+    @pytest.mark.parametrize("field, value, section", [
+        (field, value, section) for section in ("simulation", "search")
+        for field, value in (("seed", "abc"), ("episodes", 2.5),
+                             ("horizon", "300"), ("episodes", True))
+        if (field, section) != ("seed", "search")])  # search has no seed key
     def test_badly_typed_integer_exits_at_parse(self, tmp_path, capsys,
                                                 section, field, value):
         cfg = small_config()
@@ -372,7 +373,7 @@ class TestConfigParsing:
         nulls = small_config(grid={"resolution": None},
                              solver={"tol": None, "max_iter": None},
                              simulation={"episodes": None, "seed": None},
-                             search={"seed": None, "candidates": None},
+                             search={"max_passes": None, "candidates": None},
                              sweep={"q": None})
         bare = small_config(grid={}, solver={}, simulation={}, search={},
                             sweep={})
@@ -556,14 +557,22 @@ class TestSimulateCommand:
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_override_changes_results(self, tmp_path):
-        path = write_config(tmp_path, small_config())
+    @pytest.mark.parametrize("command, names", [
+        ("simulate", ["throughput.csv"]),
+        ("search", ["search_log.csv", "search_thresholds.txt"])])
+    def test_seed_override_changes_results(self, tmp_path, command, names):
+        cfg = small_config(search={"episodes": 2, "horizon": 150,
+                                   "max_passes": 1, "candidates": [0.3, 0.5, 0.8]})
+        path = write_config(tmp_path, cfg)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["simulate", "--config", str(path), "--out", str(out1), "--quiet"])
-        main(["simulate", "--config", str(path), "--out", str(out2), "--seed",
-              "4242", "--quiet"])
-        assert (out1 / "throughput.csv").read_bytes() \
-            != (out2 / "throughput.csv").read_bytes()
+        assert main([command, "--config", str(path), "--out", str(out1),
+                     "--quiet"]) == 0
+        assert main([command, "--config", str(path), "--out", str(out2),
+                     "--seed", "4242", "--quiet"]) == 0
+        for name in names:  # the "# config=" line differs with any seed
+            data = [[line for line in (out / name).read_text().splitlines()
+                     if not line.startswith("#")] for out in (out1, out2)]
+            assert data[0] and data[0] != data[1]
 
 
 class TestSearchCommand:
@@ -581,6 +590,17 @@ class TestSearchCommand:
         assert (out / "search_thresholds.txt").exists()
         assert (out / "search_log.csv").exists()
         assert (out / "search_throughput.csv").exists()
+
+    def test_search_seed_is_not_a_key(self, tmp_path, capsys):
+        # the search draws from simulation.seed, which --seed overrides
+        path = write_config(tmp_path, small_config(search={"seed": 3}))
+        out = tmp_path / "out"
+        assert main(["search", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown keys ['seed'] in section "
+                              "'search'")
+        assert not out.exists()
 
     def test_two_rate_model_rejected(self, tmp_path, capsys):
         cfg = small_config()

@@ -120,6 +120,25 @@ def test_a_child_that_dies_without_results_is_a_runtime_error(cores):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("die, code", [
+    (lambda: os._exit(5), 5),
+    (lambda: os.kill(os.getpid(), 9), -9)],  # SIGKILL: -N for signal N
+    ids=["exit", "signal"])
+def test_a_dead_child_is_reported_by_its_exit_code(cores, die, code):
+    cores(2)
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            die()
+        return i
+
+    with pytest.raises(RuntimeError) as err:
+        list(on_cores(fn, range(2)))
+    assert str(err.value) == f"forked worker failed: exit code {code}"
+    assert_no_child_left()
+
+
 def test_an_interrupt_in_the_parent_kills_the_children(cores, monkeypatch):
     cores(3)
     parent, waitpid, statuses = os.getpid(), os.waitpid, []
